@@ -43,9 +43,10 @@ print("stochastic best:", print_sexpr(result.best_term),
 
 # Engine 2: equality saturation grows an e-graph of all equal terms, then
 # extracts the cheapest one.
-g = EGraph(dims=dims)
+g = EGraph()
 root = g.add_term(t)
-best, report = saturate(g, root, rules, model)
+g, report = saturate(g, root, rules)
+best, _ = extract(g, root, model)
 print("eqsat best:     ", print_sexpr(best), "cost", model.cost(best),
       f"({report.iterations} iterations, {report.nodes} e-nodes,",
       report.stop_reason + ")")

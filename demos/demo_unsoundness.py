@@ -6,9 +6,10 @@
 from rewrite_arena import (
     AstSize,
     EGraph,
+    EqsatConfig,
     EquivalenceValidator,
     RunConfig,
-    SaturationLimits,
+    extract,
     fuzz_equiv,
     parse_sexpr,
     print_sexpr,
@@ -25,10 +26,10 @@ print("seed term:", print_sexpr(trap))
 # is not yet known to be 0; one iteration later zero-div proves the same
 # class equal to 0, and the constant analysis raises the contradiction
 # flag.  Without checkpointing the surviving graph openly believes 0 = 1.
+limits = EqsatConfig(iterations=10)
 g = EGraph()
 root = g.add_term(trap)
-best, report = saturate(g, root, rules, AstSize(),
-                        SaturationLimits(iterations=10))
+_, report = saturate(g, root, rules, limits)
 zero = g.add_term(parse_sexpr("0"))
 one = g.add_term(parse_sexpr("1"))
 print(f"\nno checkpointing: contradiction={report.contradiction} after "
@@ -40,8 +41,8 @@ print(f"\nno checkpointing: contradiction={report.contradiction} after "
 # the point is that it never reports a defined disagreement.
 g = EGraph()
 root = g.add_term(trap)
-best, report = saturate(g, root, rules, AstSize(),
-                        SaturationLimits(iterations=10), checkpointing=True)
+checkpoint, report = saturate(g, root, rules, limits, checkpointing=True)
+best, _ = extract(checkpoint, root, AstSize())
 verdict = fuzz_equiv(trap, best, samples=50)
 print(f"checkpointing:    restored={report.restored_checkpoint}; "
       f"extracted {print_sexpr(best)!r}; fuzz verdict "

@@ -81,12 +81,8 @@ from .egraph import (
     EGraph,
     ExtractionError,
     IterationReport,
-    SaturationLimits,
-    SaturationReport,
     extract,
-    pulse,
     run_iteration,
-    saturate,
 )
 from .benchmarks import (
     BenchmarkCase,
@@ -116,9 +112,12 @@ from .rulesets import (
 from .runner import (
     CaseResult,
     EqsatConfig,
+    SaturationReport,
     aggregate,
+    pulse,
     run_case,
     run_suite,
+    saturate,
     scaling_report,
 )
 

@@ -23,7 +23,7 @@ from .costs import (
     model_from_spec,
     model_to_spec,
 )
-from .rules import Ruleset, parse_rule_line
+from .rules import Ruleset, parse_rule_line, rule_line
 from .rulesets import (
     assoc_ruleset,
     builtin_ruleset,
@@ -32,7 +32,7 @@ from .rulesets import (
     needle_ruleset,
     trig_ruleset,
 )
-from .terms import Term, TRUE, leaf, parse_sexpr, print_sexpr, symbol
+from .terms import Term, TermError, TRUE, leaf, parse_sexpr, print_sexpr, symbol
 
 
 @dataclass(frozen=True)
@@ -346,6 +346,20 @@ def builtin_suites() -> dict[str, list[BenchmarkCase]]:
 # ---------------------------------------------------------------------------
 # Suite files (JSON).
 
+class SuiteError(ValueError):
+    """A suite file that does not describe valid cases."""
+
+
+def _is_builtin(rs: Ruleset) -> bool:
+    """True when the built-in ruleset of the same name has the same rules."""
+    try:
+        builtin = builtin_ruleset(rs.name)
+    except (KeyError, ValueError):
+        return False
+    return (builtin.rules == rs.rules
+            and builtin.fold_constants == rs.fold_constants)
+
+
 def case_to_spec(case: BenchmarkCase) -> dict:
     crit: dict
     if isinstance(case.criterion, TargetCost):
@@ -361,6 +375,9 @@ def case_to_spec(case: BenchmarkCase) -> dict:
         "cost": model_to_spec(case.cost_model),
         "criterion": crit,
     }
+    if not _is_builtin(case.ruleset):
+        spec["rules"] = [rule_line(r) for r in case.ruleset]
+        spec["fold_constants"] = case.ruleset.fold_constants
     if case.stochastic_cost_model is not None:
         spec["stochastic_cost"] = model_to_spec(case.stochastic_cost_model)
     if case.oracle_cost is not None:
@@ -373,8 +390,10 @@ def case_to_spec(case: BenchmarkCase) -> dict:
         spec["validate"] = True
     if case.checkpointing:
         spec["checkpointing"] = True
-    if case.stochastic_overrides:
+    if case.stochastic_overrides is not None:
         spec["stochastic_overrides"] = dict(case.stochastic_overrides)
+    if case.eqsat_overrides is not None:
+        spec["eqsat_overrides"] = dict(case.eqsat_overrides)
     spec["time_limit"] = case.time_limit
     return spec
 
@@ -399,6 +418,7 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         criterion = ReachTrue()
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
+    time_limit = spec.get("time_limit", 10.0)
     dims = None
     if "dims" in spec:
         dims = {k: (int(v[0]), int(v[1])) for k, v in spec["dims"].items()}
@@ -415,8 +435,9 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         intended=parse_sexpr(spec["intended"]) if "intended" in spec else None,
         validate=bool(spec.get("validate")),
         checkpointing=bool(spec.get("checkpointing")),
-        time_limit=float(spec.get("time_limit", 10.0)),
+        time_limit=None if time_limit is None else float(time_limit),
         stochastic_overrides=spec.get("stochastic_overrides"),
+        eqsat_overrides=spec.get("eqsat_overrides"),
     )
 
 
@@ -428,5 +449,19 @@ def suite_to_json(name: str, cases: list[BenchmarkCase]) -> str:
 
 
 def suite_from_json(text: str) -> tuple[str, list[BenchmarkCase]]:
-    data = json.loads(text)
-    return data.get("suite", "suite"), [case_from_spec(c) for c in data["cases"]]
+    """Read a suite file; SuiteError names the case that cannot be read."""
+    try:
+        data = json.loads(text)
+        name, specs = data.get("suite", "suite"), list(data["cases"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SuiteError(f"not a suite: {type(exc).__name__}: {exc}") from None
+    cases = []
+    for i, spec in enumerate(specs):
+        try:
+            cases.append(case_from_spec(spec))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+                TermError) as exc:
+            label = spec.get("name") if isinstance(spec, dict) else None
+            raise SuiteError(f"case {label or i!r}: "
+                             f"{type(exc).__name__}: {exc}") from None
+    return name, cases

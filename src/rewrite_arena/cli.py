@@ -16,6 +16,7 @@ import random
 import sys
 
 from .benchmarks import (
+    SuiteError,
     builtin_suites,
     gen_matmul_chain,
     needle_case,
@@ -57,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of generated matmul cases")
     b.add_argument("--dim-lo", type=int, default=1)
     b.add_argument("--dim-hi", type=int, default=20)
+    b.add_argument("--jobs", type=int, default=1,
+                   help="suite-level case parallelism bound")
     _add_run_flags(b)
     _add_output_flags(b)
 
@@ -102,8 +105,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="scheduler match limit (eqsat)")
     p.add_argument("--ban-length", type=int, default=None,
                    help="scheduler ban length (eqsat)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="suite-level case parallelism bound")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -179,7 +180,7 @@ def _load_cases(args, cfg: RunConfig):
             with open(suite) as fh:
                 _, cases = suite_from_json(fh.read())
             return cases
-        except OSError as exc:
+        except (OSError, SuiteError) as exc:
             raise UsageError(f"cannot read suite file: {exc}") from exc
     raise UsageError(f"unknown suite {suite!r}; try `rewrite-arena list`")
 

@@ -28,7 +28,13 @@ _TOKENS = itertools.count()
 
 
 class CostModel:
-    """Base: subclasses define _combine(node, child_values) -> value."""
+    """Base: subclasses define _combine(op_name, child_values) -> value.
+
+    `_combine` is the one rule for costing a node from its operator and its
+    children's values: term costing folds it over a term, and e-graph
+    extraction folds it over e-nodes.  `_scalar` maps a value to the cost
+    that is compared.
+    """
 
     def __init__(self):
         self._token = next(_TOKENS)
@@ -42,7 +48,7 @@ class CostModel:
         self.__dict__.update(state)
         self._token = next(_TOKENS)
 
-    def _combine(self, node: Term, child_values: list):
+    def _combine(self, op_name: str, child_values: list):
         raise NotImplementedError
 
     def _scalar(self, value):
@@ -74,7 +80,7 @@ class CostModel:
                 vals = [c._memo[token] for c in node.children]
                 if memo is None:
                     memo = node._memo = {}
-                memo[token] = self._combine(node, vals)
+                memo[token] = self._combine(node.op.name, vals)
             else:
                 stack.append((node, True))
                 for c in node.children:
@@ -87,7 +93,7 @@ class CostModel:
 class AstSize(CostModel):
     """Total node count, leaves included."""
 
-    def _combine(self, node, child_values):
+    def _combine(self, op_name, child_values):
         return 1 + sum(child_values)
 
     def delta_cost(self, old_sub, new_sub):
@@ -104,8 +110,8 @@ class WeightedAstSize(CostModel):
         super().__init__()
         self.weights = dict(weights or {})
 
-    def _combine(self, node, child_values):
-        return self.weights.get(node.op.name, 1) + sum(child_values)
+    def _combine(self, op_name, child_values):
+        return self.weights.get(op_name, 1) + sum(child_values)
 
     def delta_cost(self, old_sub, new_sub):
         return self.cost(new_sub) - self.cost(old_sub)
@@ -124,8 +130,8 @@ class IntegSquare(CostModel):
     their children's costs; every other node costs 1 plus its children.
     """
 
-    def _combine(self, node, child_values):
-        if node.op.name in INTEGRAL_OPS:
+    def _combine(self, op_name, child_values):
+        if op_name in INTEGRAL_OPS:
             s = sum(child_values)
             return s * s
         return 1 + sum(child_values)
@@ -145,15 +151,15 @@ class MatMulScalarOps(CostModel):
         super().__init__()
         self.dims = dict(dims)
 
-    def _combine(self, node, child_values):
-        if not node.children:
+    def _combine(self, op_name, child_values):
+        if not child_values:
             try:
-                rows, cols = self.dims[node.op.name]
+                rows, cols = self.dims[op_name]
             except KeyError:
-                raise CostError(f"unbound matrix leaf {node.op.name!r}") from None
+                raise CostError(f"unbound matrix leaf {op_name!r}") from None
             return (0, rows, cols)
-        if node.op.name != "*" or len(node.children) != 2:
-            raise CostError(f"non-product node {node.op.name!r} in matrix expression")
+        if op_name != "*" or len(child_values) != 2:
+            raise CostError(f"non-product node {op_name!r} in matrix expression")
         (cl, rl, kl), (cr, rr, kr) = child_values
         if kl != rr:
             raise DimensionError(

@@ -1,30 +1,18 @@
 """Minimal equality saturation: e-graph, e-matching, scheduling, extraction.
 
 The e-graph keeps a union-find over e-class ids, a hashcons from canonical
-e-nodes to classes, and per-class analysis data (an exact-rational/boolean
-constant, plus matrix dimensions when a dimension environment is supplied).
-Congruence repair is deferred: rebuild() re-canonicalizes every node and
-merges congruent classes to a fixpoint, which is simple and plenty fast at
-the graph sizes this package targets.  Saturation runs single-threaded by
-contract; pulsing reseeds a fresh e-graph from the current best term.
+e-nodes to classes, and a per-class constant analysis (an exact rational
+or boolean).  Congruence repair is deferred: rebuild() re-canonicalizes
+every node and merges congruent classes to a fixpoint, which is simple and
+plenty fast at the graph sizes this package targets.  The saturation loop
+and pulsing live in the runner, which drives run_iteration and extract.
 """
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .costs import (
-    AstSize,
-    CostModel,
-    DimEnv,
-    DimensionError,
-    GoalIndicator,
-    IntegSquare,
-    MatMulScalarOps,
-    WeightedAstSize,
-)
+from .costs import CostModel
 from .rules import (
     Rule,
     Ruleset,
@@ -48,20 +36,18 @@ class ExtractionError(EGraphError):
 
 
 class EClass:
-    __slots__ = ("nodes", "constant", "dims")
+    __slots__ = ("nodes", "constant")
 
     def __init__(self):
         self.nodes: dict[ENode, None] = {}
         self.constant = None
-        self.dims: tuple[int, int] | None = None
 
 
 class EGraph:
-    def __init__(self, dims: DimEnv | None = None):
+    def __init__(self):
         self._uf: list[EClassId] = []
         self.classes: dict[EClassId, EClass] = {}
         self.hashcons: dict[ENode, EClassId] = {}
-        self.dims_env = dict(dims) if dims else None
         self.contradiction = False
         self.union_count = 0
         self._dirty = False
@@ -106,44 +92,17 @@ class EGraph:
             args.append(c)
         return fold_node(op.name, args)
 
-    def _make_dims(self, node: ENode):
-        if self.dims_env is None:
-            return None
-        op = node[0]
-        if len(node) == 1:
-            return self.dims_env.get(op.name)
-        if op.name != "*" or len(node) != 3:
-            return None
-        left = self.classes[self.find(node[1])].dims
-        right = self.classes[self.find(node[2])].dims
-        if left is None or right is None:
-            return None
-        if left[1] != right[0]:
-            raise DimensionError(
-                f"dimension mismatch in e-graph: {left[0]}x{left[1]} "
-                f"times {right[0]}x{right[1]}"
-            )
-        return (left[0], right[1])
-
-    def _join_into(self, cid: EClassId, constant, dims) -> bool:
-        """Join analysis values into a class; True when something changed."""
+    def _join_into(self, cid: EClassId, constant) -> bool:
+        """Join a constant into a class; True when the class learned it."""
+        if constant is None:
+            return False
         cls = self.classes[cid]
-        changed = False
-        if constant is not None:
-            if cls.constant is None:
-                cls.constant = constant
-                changed = True
-            elif cls.constant != constant:
-                self.contradiction = True
-        if dims is not None:
-            if cls.dims is None:
-                cls.dims = dims
-                changed = True
-            elif cls.dims != dims:
-                raise DimensionError(
-                    f"conflicting dimensions {cls.dims} vs {dims} in one class"
-                )
-        return changed
+        if cls.constant is None:
+            cls.constant = constant
+            return True
+        if cls.constant != constant:
+            self.contradiction = True
+        return False
 
     # -- construction ---------------------------------------------------------
 
@@ -155,7 +114,7 @@ class EGraph:
         cid = self._fresh_class()
         self.classes[cid].nodes[node] = None
         self.hashcons[node] = cid
-        if self._join_into(cid, self._make_constant(node), self._make_dims(node)):
+        if self._join_into(cid, self._make_constant(node)):
             self._dirty = True
         return cid
 
@@ -188,7 +147,7 @@ class EGraph:
             ca, cb = cb, ca
         self._uf[rb] = ra
         ca.nodes.update(cb.nodes)
-        self._join_into(ra, cb.constant, cb.dims)
+        self._join_into(ra, cb.constant)
         del self.classes[rb]
         self.union_count += 1
         self._dirty = True
@@ -239,8 +198,7 @@ class EGraph:
                 if cls is None:
                     continue
                 for node in list(cls.nodes):
-                    if self._join_into(self.find(cid), self._make_constant(node),
-                                       self._make_dims(node)):
+                    if self._join_into(self.find(cid), self._make_constant(node)):
                         changed = True
             for cid in list(self.classes.keys()):
                 cls = self.classes.get(cid)
@@ -303,10 +261,8 @@ class EGraph:
             c2 = EClass()
             c2.nodes = dict(cls.nodes)
             c2.constant = cls.constant
-            c2.dims = cls.dims
             dup.classes[cid] = c2
         dup.hashcons = dict(self.hashcons)
-        dup.dims_env = dict(self.dims_env) if self.dims_env else None
         dup.contradiction = self.contradiction
         dup.union_count = self.union_count
         dup._dirty = self._dirty
@@ -481,209 +437,57 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
 # ---------------------------------------------------------------------------
 # Extraction.
 
-def _enode_cost(model: CostModel, g: EGraph, node: ENode, child_costs):
-    op = node[0]
-    if isinstance(model, MatMulScalarOps):
-        if len(node) == 1:
-            if op.name not in model.dims:
-                raise ExtractionError(f"unbound matrix leaf {op.name!r}")
-            return 0
-        dims = [g.classes[g.find(c)].dims for c in node[1:]]
-        if any(d is None for d in dims):
-            raise ExtractionError("matrix node without dimension analysis")
-        (rl, kl), (rr, kr) = dims
-        return child_costs[0] + child_costs[1] + rl * kl * kr
-    if isinstance(model, WeightedAstSize):
-        return model.weights.get(op.name, 1) + sum(child_costs)
-    if isinstance(model, IntegSquare):
-        if op.name in ("int", "d"):
-            s = sum(child_costs)
-            return s * s
-        return 1 + sum(child_costs)
-    if isinstance(model, AstSize):
-        return 1 + sum(child_costs)
-    if isinstance(model, GoalIndicator):
-        raise ExtractionError("goal-indicator cost cannot drive extraction; "
-                              "check goal representation instead")
-    raise ExtractionError(f"unsupported cost model {model!r}")
-
-
 def extract(g: EGraph, root: EClassId, model: CostModel) -> tuple[Term, float]:
-    """Minimum-cost concrete term represented by the root class."""
-    best_cost: dict[EClassId, float] = {}
+    """Minimum-cost concrete term represented by the root class.
+
+    Folds the model's `_combine` over e-nodes to a fixpoint, keeping per
+    class the best combined value and the e-node that reaches it.
+    """
+    if type(model)._combine is CostModel._combine:
+        raise ExtractionError(f"{model!r} has no per-node cost rule; "
+                              "check goal representation instead")
+    combine, scalar, find = model._combine, model._scalar, g.find
+    best: dict[EClassId, object] = {}
     best_node: dict[EClassId, ENode] = {}
     changed = True
     while changed:
         changed = False
         for cid, cls in g.classes.items():
             for node in cls.nodes:
-                child_costs = []
-                ok = True
+                child_values = []
                 for child in node[1:]:
-                    c = best_cost.get(g.find(child))
-                    if c is None:
-                        ok = False
+                    value = best.get(find(child))
+                    if value is None:
                         break
-                    child_costs.append(c)
-                if not ok:
-                    continue
-                total = _enode_cost(model, g, node, child_costs)
-                prev = best_cost.get(cid)
-                if prev is None or total < prev:
-                    best_cost[cid] = total
-                    best_node[cid] = node
-                    changed = True
-    root = g.find(root)
-    if root not in best_cost:
+                    child_values.append(value)
+                else:
+                    value = combine(node[0].name, child_values)
+                    prev = best.get(cid)
+                    if prev is None or scalar(value) < scalar(prev):
+                        best[cid] = value
+                        best_node[cid] = node
+                        changed = True
+    root = find(root)
+    if root not in best:
         raise ExtractionError("root class admits no finite-cost term")
 
+    # Post-order over the chosen e-nodes, iterative so deep terms build.
     built: dict[EClassId, Term] = {}
-
-    def build(cid: EClassId) -> Term:
-        cid = g.find(cid)
-        done = built.get(cid)
-        if done is not None:
-            return done
+    stack = [root]
+    while stack:
+        cid = stack[-1]
+        if cid in built:
+            stack.pop()
+            continue
         node = best_node[cid]
-        t = Term(node[0], tuple(build(c) for c in node[1:]))
-        built[cid] = t
-        return t
-
-    return build(root), best_cost[root]
-
-
-# ---------------------------------------------------------------------------
-# Saturation and pulsing.
-
-@dataclass
-class SaturationLimits:
-    iterations: int = 30
-    nodes: int = 20000
-    time_limit: float | None = None
-
-
-@dataclass
-class SaturationReport:
-    iterations: int = 0
-    nodes: int = 0
-    classes: int = 0
-    unions: int = 0
-    contradiction: bool = False
-    wall_time: float = 0.0
-    stop_reason: str = ""
-    restored_checkpoint: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1,
-            "iterations": self.iterations,
-            "e_nodes": self.nodes,
-            "e_classes": self.classes,
-            "unions": self.unions,
-            "contradiction": self.contradiction,
-            "wall_time": self.wall_time,
-            "stop_reason": self.stop_reason,
-            "restored_checkpoint": self.restored_checkpoint,
-        })
-
-
-def saturate(g: EGraph, root: EClassId, ruleset: Ruleset, model: CostModel,
-             limits: SaturationLimits | None = None,
-             checkpointing: bool = False,
-             scheduler: BackoffScheduler | None = None,
-             target_cost: float | None = None,
-             deadline: float | None = None) -> tuple[Term, SaturationReport]:
-    """Repeat saturation steps until fixpoint, a limit, or contradiction.
-
-    With checkpointing on, a full copy of the e-graph is taken after every
-    clean iteration; a detected contradiction aborts the run and the last
-    checkpoint is used for extraction.
-    """
-    if limits is None:
-        limits = SaturationLimits()
-    if scheduler is None:
-        scheduler = BackoffScheduler()
-    started = time.monotonic()
-    if deadline is None and limits.time_limit is not None:
-        deadline = started + limits.time_limit
-    g.rebuild()
-    report = SaturationReport()
-    checkpoint = g.copy() if checkpointing else None
-    extract_from = g
-    stop = "iteration_limit"
-    for iteration in range(limits.iterations):
-        if deadline is not None and time.monotonic() >= deadline:
-            stop = "time_limit"
-            break
-        if g.num_nodes() > limits.nodes:
-            stop = "node_limit"
-            break
-        before_unions = g.union_count
-        before_nodes = g.num_nodes()
-        step = run_iteration(g, ruleset, scheduler, iteration)
-        report.iterations = iteration + 1
-        if g.contradiction:
-            stop = "contradiction"
-            report.contradiction = True
-            if checkpoint is not None:
-                extract_from = checkpoint
-                report.restored_checkpoint = True
-            break
-        if checkpointing:
-            checkpoint = g.copy()
-        # A quiet iteration is saturation only if no rule sat out banned.
-        if (g.union_count == before_unions and g.num_nodes() == before_nodes
-                and not step.banned):
-            stop = "saturated"
-            break
-        if target_cost is not None:
-            _, c = extract(g, root, model)
-            if c <= target_cost:
-                stop = "target_reached"
-                break
-    report.stop_reason = stop
-    report.nodes = extract_from.num_nodes()
-    report.classes = extract_from.num_classes()
-    report.unions = extract_from.union_count
-    best, _cost = extract(extract_from, root, model)
-    report.wall_time = time.monotonic() - started
-    return best, report
-
-
-def pulse(t0: Term, ruleset: Ruleset, model: CostModel,
-          iterations_per_pulse: int = 3,
-          time_limit: float | None = 10.0,
-          node_limit: int = 20000,
-          dims: DimEnv | None = None,
-          checkpointing: bool = False,
-          target_cost: float | None = None) -> tuple[Term, list[SaturationReport]]:
-    """Repeatedly saturate a fresh e-graph seeded with the current best term.
-
-    The extracted term is adopted only when strictly cheaper, so the cost of
-    the carried term never increases across pulses.
-    """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    best = t0
-    best_cost = model.cost(t0)
-    reports: list[SaturationReport] = []
-    while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        g = EGraph(dims=dims)
-        root = g.add_term(best)
-        limits = SaturationLimits(iterations=iterations_per_pulse,
-                                  nodes=node_limit)
-        extracted, report = saturate(
-            g, root, ruleset, model, limits,
-            checkpointing=checkpointing, deadline=deadline)
-        reports.append(report)
-        cost = model.cost(extracted)
-        if cost < best_cost:
-            best, best_cost = extracted, cost
-        else:
-            # Pulses are deterministic in the seed term, so a pulse that
-            # fails to improve would just repeat itself.
-            break
-        if target_cost is not None and best_cost <= target_cost:
-            break
-    return best, reports
+        kids = [find(c) for c in node[1:]]
+        missing = [k for k in kids if k not in built]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        # A numeral leaf carries its exact value, as parsed numerals do.
+        value = None if kids else g._make_constant(node)
+        built[cid] = Term(node[0], tuple(built[k] for k in kids),
+                          value if isinstance(value, Fraction) else None)
+    return built[root], scalar(best[root])

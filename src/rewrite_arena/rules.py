@@ -17,6 +17,7 @@ from .terms import (
     Position,
     number,
     positions,
+    print_sexpr,
     replace_at,
     subterm_at,
     TRUE,
@@ -165,20 +166,37 @@ def const_fold(t: Term) -> Term:
     """Fold every constant subterm exactly; unfoldable parts are kept as-is."""
     if not t.children:
         return t
-    kids = tuple(const_fold(c) for c in t.children)
-    values = []
-    for k in kids:
-        v = term_constant(k)
-        if v is None:
-            break
-        values.append(v)
-    if len(values) == len(kids):
-        folded = fold_node(t.op.name, values)
+    # Post-order with an explicit stack, keyed by node identity.
+    done: dict[int, Term] = {}
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if not node.children:
+            done[id(node)] = node
+            continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children)
+            continue
+        kids = tuple(done[id(c)] for c in node.children)
+        values = []
+        for k in kids:
+            v = term_constant(k)
+            if v is None:
+                break
+            values.append(v)
+        folded = None
+        if len(values) == len(kids):
+            folded = fold_node(node.op.name, values)
         if folded is not None:
-            return constant_term(folded)
-    if kids == t.children:
-        return t
-    return Term(t.op, kids, t.value)
+            done[id(node)] = constant_term(folded)
+        elif all(k is c for k, c in zip(kids, node.children)):
+            done[id(node)] = node
+        else:
+            done[id(node)] = Term(node.op, kids, node.value)
+    return done[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +376,14 @@ def parse_rule_line(line: str) -> list[Rule]:
     if bidirectional:
         rules.append(Rule(name + "-rev", rhs, lhs, guard))
     return rules
+
+
+def rule_line(rule: Rule) -> str:
+    """One directed rule in the text format; parse_rule_line reads it back."""
+    line = f"{rule.name}: {print_sexpr(rule.lhs)} => {print_sexpr(rule.rhs)}"
+    if rule.guard is not None:
+        line += f" if {rule.guard.kind}({rule.guard.var})"
+    return line
 
 
 def parse_ruleset(text: str, name: str = "ruleset",

@@ -1,22 +1,29 @@
-"""Run benchmark cases through the engines and collect result rows."""
+"""Run benchmark cases through the engines and collect result rows.
+
+The equality saturation loop and pulsing live here: they call
+run_iteration and extract through this module's names.
+"""
 from __future__ import annotations
 
+import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .benchmarks import BenchmarkCase, ReachTerm, ReachTrue, judge
-from .costs import GoalIndicator
+from .costs import CostModel, GoalIndicator
 from .egraph import (
     BackoffScheduler,
+    EClassId,
     EGraph,
     extract,
-    pulse,
     run_iteration,
 )
 from .equivalence import EquivalenceValidator
+from .rules import Ruleset
 from .stochastic import RunConfig, search
-from .terms import TRUE, print_sexpr
+from .terms import TRUE, Term, print_sexpr
 
 ENGINES = ("stochastic", "eqsat", "eqsat-pulsed")
 
@@ -28,6 +35,121 @@ class EqsatConfig:
     pulse_iterations: int = 3
     match_limit: int = 1000
     ban_length: int = 5
+
+
+@dataclass
+class SaturationReport:
+    iterations: int = 0
+    nodes: int = 0
+    classes: int = 0
+    unions: int = 0
+    contradiction: bool = False
+    wall_time: float = 0.0
+    stop_reason: str = ""
+    restored_checkpoint: bool = False
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "schema": 1,
+            "iterations": self.iterations,
+            "e_nodes": self.nodes,
+            "e_classes": self.classes,
+            "unions": self.unions,
+            "contradiction": self.contradiction,
+            "wall_time": self.wall_time,
+            "stop_reason": self.stop_reason,
+            "restored_checkpoint": self.restored_checkpoint,
+        })
+
+
+def saturate(g: EGraph, root: EClassId, ruleset: Ruleset,
+             cfg: EqsatConfig = EqsatConfig(),
+             checkpointing: bool = False,
+             deadline: float | None = None,
+             solved: Callable[[EGraph, EClassId], bool] | None = None,
+             ) -> tuple[EGraph, SaturationReport]:
+    """Repeat saturation steps until solved, saturated, a limit, or contradiction.
+
+    `solved(g, root)` is checked before the first iteration and after each
+    clean one.  A quiet iteration (no new union or e-node) is saturation
+    only if no rule sat it out banned.  With checkpointing on, a full copy
+    of the e-graph is taken after every clean iteration, and a
+    contradiction returns the last checkpoint as the graph to extract from.
+    """
+    started = time.monotonic()
+    g.rebuild()
+    scheduler = BackoffScheduler(cfg.match_limit, cfg.ban_length)
+    report = SaturationReport()
+    checkpoint = g.copy() if checkpointing else None
+    extract_from = g
+    stop = "iteration_limit"
+    done = solved is not None and solved(g, root)
+    while not done and report.iterations < cfg.iterations:
+        if deadline is not None and time.monotonic() >= deadline:
+            stop = "time_limit"
+            break
+        if g.num_nodes() > cfg.nodes:
+            stop = "node_limit"
+            break
+        before_unions = g.union_count
+        before_nodes = g.num_nodes()
+        step = run_iteration(g, ruleset, scheduler, report.iterations)
+        report.iterations += 1
+        if g.contradiction:
+            stop = "contradiction"
+            report.contradiction = True
+            if checkpoint is not None:
+                extract_from = checkpoint
+                report.restored_checkpoint = True
+            break
+        if checkpointing:
+            checkpoint = g.copy()
+        done = solved is not None and solved(g, root)
+        if (not done and g.union_count == before_unions
+                and g.num_nodes() == before_nodes and not step.banned):
+            stop = "saturated"
+            break
+    if done:
+        stop = "solved"
+    report.stop_reason = stop
+    report.nodes = extract_from.num_nodes()
+    report.classes = extract_from.num_classes()
+    report.unions = extract_from.union_count
+    report.wall_time = time.monotonic() - started
+    return extract_from, report
+
+
+def pulse(t0: Term, ruleset: Ruleset, model: CostModel,
+          cfg: EqsatConfig = EqsatConfig(),
+          time_limit: float | None = 10.0,
+          checkpointing: bool = False,
+          target_cost: float | None = None) -> tuple[Term, list[SaturationReport]]:
+    """Repeatedly saturate a fresh e-graph seeded with the current best term.
+
+    Each pulse runs at most cfg.pulse_iterations iterations.  The extracted
+    term is adopted only when strictly cheaper, so the cost of the carried
+    term never increases across pulses.
+    """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    per_pulse = replace(cfg, iterations=cfg.pulse_iterations)
+    best = t0
+    best_cost = model.cost(t0)
+    reports: list[SaturationReport] = []
+    while deadline is None or time.monotonic() < deadline:
+        g = EGraph()
+        root = g.add_term(best)
+        extract_from, report = saturate(g, root, ruleset, per_pulse,
+                                        checkpointing, deadline)
+        reports.append(report)
+        extracted, cost = extract(extract_from, root, model)
+        if cost >= best_cost:
+            # Pulses are deterministic in the seed term, so a pulse that
+            # fails to improve would just repeat itself.
+            break
+        best, best_cost = extracted, cost
+        if target_cost is not None and best_cost <= target_cost:
+            break
+    return best, reports
 
 
 @dataclass
@@ -148,32 +270,11 @@ def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
     limit = case.time_limit if time_limit is None else time_limit
     started = time.monotonic()
     deadline = None if limit is None else started + limit
-    g = EGraph(dims=case.dims)
+    g = EGraph()
     root = g.add_term(case.input_term)
-    g.rebuild()
-    scheduler = BackoffScheduler(eqsat_cfg.match_limit, eqsat_cfg.ban_length)
-    checkpoint = g.copy() if case.checkpointing else None
-    extract_from = g
-    iterations = 0
-    solved = _solved_in_graph(g, root, case, model)
-    while not solved and iterations < eqsat_cfg.iterations:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        if g.num_nodes() > eqsat_cfg.nodes:
-            break
-        before_unions = g.union_count
-        before_nodes = g.num_nodes()
-        run_iteration(g, case.ruleset, scheduler, iterations)
-        iterations += 1
-        if g.contradiction:
-            if checkpoint is not None:
-                extract_from = checkpoint
-            break
-        if case.checkpointing:
-            checkpoint = g.copy()
-        solved = _solved_in_graph(g, root, case, model)
-        if g.union_count == before_unions and g.num_nodes() == before_nodes:
-            break
+    extract_from, report = saturate(
+        g, root, case.ruleset, eqsat_cfg, case.checkpointing, deadline,
+        solved=lambda g, root: _solved_in_graph(g, root, case, model))
 
     if isinstance(case.criterion, ReachTerm):
         ok = extract_from.represents(root, case.criterion.goal)
@@ -189,7 +290,7 @@ def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
         oracle_cost=case.oracle_cost,
         ratio=_ratio(case.oracle_cost, best_cost),
         solved=solved,
-        units=iterations,
+        units=report.iterations,
         unit_kind="iterations",
         hard_restarts=0,
         unsound_restarts=0,
@@ -207,11 +308,8 @@ def run_case_eqsat_pulsed(case: BenchmarkCase,
     limit = case.time_limit if time_limit is None else time_limit
     started = time.monotonic()
     best, reports = pulse(
-        case.input_term, case.ruleset, model,
-        iterations_per_pulse=eqsat_cfg.pulse_iterations,
+        case.input_term, case.ruleset, model, eqsat_cfg,
         time_limit=limit,
-        node_limit=eqsat_cfg.nodes,
-        dims=case.dims,
         checkpointing=case.checkpointing,
         target_cost=_early_target(case),
     )

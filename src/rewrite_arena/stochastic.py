@@ -292,10 +292,14 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             candidates = _enumerate_candidates(t, ruleset, model, cost_t)
         total_proposals += len(candidates)
         if not candidates:
-            # Empty proposal set: record a stall step, keep the term.
-            n += 1
-            n_stall += 1
-            steps += 1
+            # Dead end: the term cannot move, so every step up to the stall
+            # limit (or the step cap) is an empty stall step; take them all.
+            stalled = cfg.n_hard - n_stall
+            if cfg.max_steps is not None:
+                stalled = min(stalled, cfg.max_steps - steps)
+            n += stalled
+            n_stall += stalled
+            steps += stalled
             continue
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta

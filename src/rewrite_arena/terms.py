@@ -178,26 +178,6 @@ def parse_sexpr(text: str) -> Term:
     Atoms are symbols, variables, or decimal numerals; lists are
     ``(op child ...)``; whitespace-insensitive; ``;`` starts a line comment.
     """
-    terms, end = _parse_many(text, limit=1)
-    rest = text[end:]
-    i = 0
-    while i < len(rest):
-        if rest[i] == ";":
-            while i < len(rest) and rest[i] != "\n":
-                i += 1
-        elif rest[i].isspace():
-            i += 1
-        else:
-            raise ParseError("trailing content after expression", end + i)
-    return terms[0]
-
-
-def parse_all_sexprs(text: str) -> list[Term]:
-    terms, _ = _parse_many(text, limit=None)
-    return terms
-
-
-def _parse_many(text: str, limit: int | None) -> tuple[list[Term], int]:
     i = 0
     n = len(text)
     out: list[Term] = []
@@ -219,8 +199,8 @@ def _parse_many(text: str, limit: int | None) -> tuple[list[Term], int]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if limit is not None and len(out) >= limit and not stack:
-            break
+        if out and not stack:
+            raise ParseError("trailing content after expression", i)
         if ch == "(":
             stack.append([i, None, []])
             i += 1
@@ -257,7 +237,7 @@ def _parse_many(text: str, limit: int | None) -> tuple[list[Term], int]:
         raise ParseError("unclosed '('", stack[-1][0])
     if not out:
         raise ParseError("no expression found", i)
-    return out, i
+    return out[0]
 
 
 def print_sexpr(t: Term) -> str:

@@ -12,12 +12,13 @@ from rewrite_arena import (
     AstSize,
     BackoffScheduler,
     EGraph,
+    EqsatConfig,
     Inequivalent,
     RunConfig,
-    SaturationLimits,
     brute_force_optimal,
     builtin_suites,
     dp_optimal_cost,
+    extract,
     fuzz_equiv,
     gen_matmul_chain,
     integ_cost,
@@ -197,9 +198,9 @@ def test_c07_unsoundness_reproduction():
     trap = parse_sexpr("(/ (- x x) (- x x))")
     g = EGraph()
     root = g.add_term(trap)
-    best, report = saturate(g, root, rs, AstSize(),
-                            SaturationLimits(iterations=10),
-                            checkpointing=True)
+    extract_from, report = saturate(g, root, rs, EqsatConfig(iterations=10),
+                                    checkpointing=True)
+    best, _ = extract(extract_from, root, AstSize())
     flag_ok = report.contradiction and report.iterations <= 10
     verdict = fuzz_equiv(trap, best, samples=50, tol=1e-6)
     checkpoint_ok = report.restored_checkpoint and \

@@ -1,10 +1,27 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewrite_arena import (
     AstSize,
+    BenchmarkCase,
+    CostModel,
+    GoalIndicator,
+    Guard,
     Inequivalent,
+    IntegSquare,
+    MatMulScalarOps,
+    ReachTerm,
+    Rule,
+    Ruleset,
+    WeightedAstSize,
+    builtin_ruleset,
+    leaf,
+    number,
+    pattern_vars,
+    term,
     ReachTrue,
     TargetCost,
     brute_force_optimal,
@@ -20,6 +37,8 @@ from rewrite_arena import (
     suite_to_json,
 )
 from rewrite_arena.benchmarks import matmul_case_from_dims
+from rewrite_arena.costs import model_to_spec
+from helpers import BINARY_OPS, UNARY_OPS
 
 
 def P(text):
@@ -195,3 +214,98 @@ def test_suite_json_roundtrip():
         assert back.time_limit == orig.time_limit
         assert back.stochastic_overrides == orig.stochastic_overrides
         assert [r.name for r in back.ruleset] == [r.name for r in orig.ruleset]
+
+
+# -- suite files round-trip every case field ----------------------------------
+
+_LEAVES = (st.sampled_from(["x", "y", "z"]).map(leaf)
+           | st.fractions(-5, 5, max_denominator=7).map(number))
+
+
+def _terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: (st.tuples(st.sampled_from(BINARY_OPS), kids, kids)
+                      | st.tuples(st.sampled_from(UNARY_OPS), kids)
+                      ).map(lambda parts: term(*parts)),
+        max_leaves=6)
+
+
+@st.composite
+def _rulesets(draw):
+    if draw(st.booleans()):
+        return builtin_ruleset(draw(st.sampled_from(
+            ["assoc", "trig", "integration", "halide", "needle3"])))
+    rules = []
+    for k in range(draw(st.integers(1, 3))):
+        lhs = draw(_terms(_LEAVES | st.sampled_from(["?a", "?b"]).map(leaf)))
+        lvars = sorted(pattern_vars(lhs))
+        rhs_leaves = _LEAVES
+        if lvars:
+            rhs_leaves = rhs_leaves | st.sampled_from(lvars).map(leaf)
+        rhs = draw(_terms(rhs_leaves))
+        guard = None
+        if lvars and draw(st.booleans()):
+            guard = Guard(draw(st.sampled_from(["nonzero", "literal"])),
+                          draw(st.sampled_from(lvars)))
+        rules.append(Rule(f"r{k}", lhs, rhs, guard))
+    # A custom ruleset may carry a built-in name; its rules must still travel.
+    return Ruleset(draw(st.sampled_from(["custom", "trig"])), rules,
+                   fold_constants=draw(st.booleans()))
+
+
+_NUMBERS = st.integers(0, 10**6) | st.floats(0, 1e6, allow_nan=False)
+_DIMS = st.dictionaries(st.sampled_from(["A1", "A2", "A3"]),
+                        st.tuples(st.integers(1, 50), st.integers(1, 50)),
+                        min_size=1)
+_MODELS = st.one_of(
+    st.builds(AstSize),
+    st.dictionaries(st.sampled_from(["+", "*", "sin", "int"]),
+                    st.integers(0, 100) | st.floats(0, 100, allow_nan=False)
+                    ).map(WeightedAstSize),
+    st.builds(IntegSquare),
+    _DIMS.map(MatMulScalarOps),
+    _terms(_LEAVES).map(GoalIndicator),
+)
+_OVERRIDES = st.none() | st.dictionaries(
+    st.sampled_from(["explore", "n_soft", "iterations", "match_limit"]),
+    st.integers(1, 10**7), min_size=1)
+
+_CASES = st.builds(
+    BenchmarkCase,
+    name=st.text("abcxyz-0123456789", min_size=1, max_size=12),
+    input_term=_terms(_LEAVES),
+    ruleset=_rulesets(),
+    cost_model=_MODELS,
+    criterion=(_NUMBERS.map(TargetCost) | _terms(_LEAVES).map(ReachTerm)
+               | st.builds(ReachTrue)),
+    oracle_cost=st.none() | _NUMBERS,
+    dims=st.none() | _DIMS,
+    stochastic_cost_model=st.none() | _MODELS,
+    intended=st.none() | _terms(_LEAVES),
+    validate=st.booleans(),
+    checkpointing=st.booleans(),
+    time_limit=st.none() | st.floats(0.1, 100),
+    stochastic_overrides=_OVERRIDES,
+    eqsat_overrides=_OVERRIDES,
+)
+
+
+def _fields(case):
+    """Every field of a case, with rulesets and cost models made comparable."""
+    out = {}
+    for f in dataclasses.fields(case):
+        value = getattr(case, f.name)
+        if isinstance(value, Ruleset):
+            value = (value.name, value.rules, value.fold_constants)
+        elif isinstance(value, CostModel):
+            value = model_to_spec(value)
+        out[f.name] = value
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CASES)
+def test_suite_file_roundtrips_every_case_field(case):
+    _, (back,) = suite_from_json(suite_to_json("rt", [case]))
+    assert _fields(back) == _fields(case)

@@ -165,3 +165,60 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "trig" in proc.stdout
+
+
+def test_scale_rejects_jobs():
+    with pytest.raises(SystemExit) as err:
+        run_cli(["scale", "--jobs", "2"])
+    assert err.value.code == 2
+
+
+def _write_suite(tmp_path, mutate):
+    out_path = tmp_path / "suite.json"
+    code, _ = run_cli(["gen", "matmul", "--n", "3", "--count", "2",
+                       "--seed", "1", "--output", str(out_path)])
+    assert code == 0
+    data = json.loads(out_path.read_text())
+    mutate(data["cases"][1])
+    out_path.write_text(json.dumps(data))
+    return out_path
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (lambda spec: spec.pop("ruleset"), "KeyError"),
+    (lambda spec: spec.update(input="(* A1 A2"), "ParseError"),
+    (lambda spec: spec.update(criterion={"kind": "nope"}), "ValueError"),
+    (lambda spec: spec.update(dims={"A1": [2]}), "IndexError"),
+])
+def test_malformed_suite_case_exits_2_naming_it(tmp_path, capsys, mutate,
+                                                detail):
+    path = _write_suite(tmp_path, mutate)
+    code, out = run_cli(["bench", str(path), "--engine", "eqsat"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "matmul-3-1" in err and detail in err
+    assert "internal error" not in err
+
+
+def test_non_suite_json_exits_2(tmp_path):
+    for text in ("{not json", "[1, 2]", '{"suite": "s"}'):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _ = run_cli(["bench", str(path)])
+        assert code == 2
+
+
+def test_gen_suite_file_rows_equal_direct_bench(tmp_path):
+    # The suite file must carry the matmul cases' saturation overrides.
+    out_path = tmp_path / "suite.json"
+    gen = ["--n", "20", "--count", "3", "--seed", "0"]
+    assert run_cli(["gen", "matmul", *gen, "--output", str(out_path)])[0] == 0
+    args = ["--engine", "eqsat", "--format", "csv"]
+    code, via_file = run_cli(["bench", str(out_path), *args])
+    assert code == 0
+    code, direct = run_cli(["bench", "matmul", *gen, *args])
+    assert code == 0
+    rows = strip_wall_time(via_file)
+    assert rows == strip_wall_time(direct)
+    solved = rows[0].index("solved")
+    assert [r[solved] for r in rows[1:]] == ["1", "1", "1"]

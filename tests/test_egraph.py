@@ -8,19 +8,30 @@ from rewrite_arena import (
     BackoffScheduler,
     EGraph,
     MatMulScalarOps,
+    DimensionError,
+    EqsatConfig,
     Inequivalent,
-    SaturationLimits,
+    IntegSquare,
+    ReachTerm,
+    WeightedAstSize,
+    const_fold,
+    eval_numeric,
     extract,
     fuzz_equiv,
     gen_matmul_chain,
     needle_case,
     parse_sexpr,
+    print_sexpr,
     pulse,
     run_iteration,
     saturate,
 )
+from rewrite_arena.benchmarks import BenchmarkCase
 from rewrite_arena.egraph import ExtractionError
+from rewrite_arena.rules import parse_ruleset
+from rewrite_arena.runner import run_case_eqsat
 from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
+from rewrite_arena.terms import Term, leaf, symbol
 from helpers import random_term
 
 
@@ -220,7 +231,7 @@ def test_extract_singleton():
 
 def test_extract_picks_cheaper_association():
     dims = {"A": (2, 3), "B": (3, 4), "C": (4, 5)}
-    g = EGraph(dims=dims)
+    g = EGraph()
     left = g.add_term(P("(* (* A B) C)"))
     right = g.add_term(P("(* A (* B C))"))
     g.union(left, right)
@@ -294,11 +305,18 @@ def test_extraction_optimal_vs_enumeration_oracle():
         assert g.represents(root, got_term)
 
 
+def _saturate_extract(t, ruleset, model, cfg=EqsatConfig(), **kwargs):
+    g = EGraph()
+    root = g.add_term(t)
+    extract_from, report = saturate(g, root, ruleset, cfg, **kwargs)
+    best, _ = extract(extract_from, root, model)
+    return best, report
+
+
 def test_saturate_matmul_five_matches_dp():
     case = gen_matmul_chain(5, 1, 9, random.Random(6))
-    g = EGraph(dims=case.dims)
-    root = g.add_term(case.input_term)
-    best, report = saturate(g, root, case.ruleset, case.cost_model)
+    best, report = _saturate_extract(case.input_term, case.ruleset,
+                                     case.cost_model)
     assert case.cost_model.cost(best) == case.oracle_cost
     assert report.stop_reason == "saturated"
 
@@ -306,33 +324,34 @@ def test_saturate_matmul_five_matches_dp():
 def test_saturate_iteration_limit_zero_returns_input():
     t = P("(* (* A B) C)")
     dims = {"A": (2, 3), "B": (3, 4), "C": (4, 5)}
-    g = EGraph(dims=dims)
-    root = g.add_term(t)
-    best, report = saturate(g, root, assoc_ruleset(), MatMulScalarOps(dims),
-                            SaturationLimits(iterations=0))
+    best, report = _saturate_extract(t, assoc_ruleset(), MatMulScalarOps(dims),
+                                     EqsatConfig(iterations=0))
     assert best == t
     assert report.iterations == 0
+    assert report.stop_reason == "iteration_limit"
 
 
 def test_saturate_contradiction_restores_checkpoint():
     trap = P("(/ (- x x) (- x x))")
     g = EGraph()
     root = g.add_term(trap)
-    best, report = saturate(g, root, trig_ruleset(), AstSize(),
-                            SaturationLimits(iterations=10),
-                            checkpointing=True)
+    extract_from, report = saturate(g, root, trig_ruleset(),
+                                    EqsatConfig(iterations=10),
+                                    checkpointing=True)
     assert report.contradiction
     assert report.restored_checkpoint
     assert report.iterations <= 10
+    assert g.contradiction and not extract_from.contradiction
+    best, _ = extract(extract_from, root, AstSize())
     verdict = fuzz_equiv(trap, best, samples=50, tol=1e-6)
     assert not isinstance(verdict, Inequivalent)
 
 
 def test_saturation_report_json():
     case = gen_matmul_chain(3, 1, 9, random.Random(2))
-    g = EGraph(dims=case.dims)
+    g = EGraph()
     root = g.add_term(case.input_term)
-    _, report = saturate(g, root, case.ruleset, case.cost_model)
+    _, report = saturate(g, root, case.ruleset)
     import json
 
     data = json.loads(report.to_json())
@@ -343,13 +362,10 @@ def test_saturation_report_json():
 
 def test_pulse_monotone_and_matches_saturate_for_one_pulse():
     case = gen_matmul_chain(6, 1, 9, random.Random(9))
-    g = EGraph(dims=case.dims)
-    root = g.add_term(case.input_term)
-    single, _ = saturate(g, root, case.ruleset, case.cost_model,
-                         SaturationLimits(iterations=3))
+    single, _ = _saturate_extract(case.input_term, case.ruleset,
+                                  case.cost_model, EqsatConfig(iterations=3))
     pulsed, reports = pulse(case.input_term, case.ruleset, case.cost_model,
-                            iterations_per_pulse=3, time_limit=5.0,
-                            dims=case.dims)
+                            EqsatConfig(pulse_iterations=3), time_limit=5.0)
     model = case.cost_model
     assert model.cost(pulsed) <= model.cost(single)
     # extraction cost never increases across pulses (adopt-if-better)
@@ -358,13 +374,10 @@ def test_pulse_monotone_and_matches_saturate_for_one_pulse():
 
 def test_single_pulse_equals_saturate_with_same_limit():
     case = gen_matmul_chain(4, 1, 9, random.Random(31))
-    g = EGraph(dims=case.dims)
-    root = g.add_term(case.input_term)
-    single, _ = saturate(g, root, case.ruleset, case.cost_model,
-                         SaturationLimits(iterations=10))
+    single, _ = _saturate_extract(case.input_term, case.ruleset,
+                                  case.cost_model, EqsatConfig(iterations=10))
     pulsed, reports = pulse(case.input_term, case.ruleset, case.cost_model,
-                            iterations_per_pulse=10, time_limit=5.0,
-                            dims=case.dims)
+                            EqsatConfig(pulse_iterations=10), time_limit=5.0)
     assert pulsed == single
     # the first pulse saturated, so the second cannot improve and stops
     assert len(reports) <= 2
@@ -374,9 +387,7 @@ def test_sound_ruleset_extraction_is_fuzz_equivalent():
     # With only the (sound) associativity rules, whatever extraction picks
     # must agree numerically with the input wherever both are defined.
     case = gen_matmul_chain(5, 1, 9, random.Random(15))
-    g = EGraph(dims=case.dims)
-    root = g.add_term(case.input_term)
-    best, _ = saturate(g, root, case.ruleset, case.cost_model)
+    best, _ = _saturate_extract(case.input_term, case.ruleset, case.cost_model)
     verdict = fuzz_equiv(case.input_term, best, samples=50, tol=1e-6)
     assert not isinstance(verdict, Inequivalent)
 
@@ -385,12 +396,11 @@ def test_pulse_beats_single_shot_on_long_chain():
     # A 200-matrix chain cannot saturate; three iterations reach only a
     # local neighborhood, while pulsing from each extraction keeps walking.
     case = gen_matmul_chain(200, 1, 20, random.Random(3))
-    g = EGraph(dims=case.dims)
-    root = g.add_term(case.input_term)
-    single, _ = saturate(g, root, case.ruleset, case.cost_model,
-                         SaturationLimits(iterations=3, nodes=50000))
+    single, _ = _saturate_extract(case.input_term, case.ruleset,
+                                  case.cost_model,
+                                  EqsatConfig(iterations=3, nodes=50000))
     pulsed, _ = pulse(case.input_term, case.ruleset, case.cost_model,
-                      iterations_per_pulse=3, time_limit=6.0, dims=case.dims)
+                      EqsatConfig(pulse_iterations=3), time_limit=6.0)
     model = case.cost_model
     assert model.cost(pulsed) <= model.cost(single)
 
@@ -402,3 +412,79 @@ def test_extract_goal_indicator_unsupported():
     g.rebuild()
     with pytest.raises(ExtractionError):
         extract(g, root, nc.cost_model)
+
+
+def test_extract_cost_is_term_cost_for_every_model():
+    # Extraction and term costing share one combining rule per model.
+    rng = random.Random(23)
+    models = [AstSize(), WeightedAstSize({"+": 3, "sin": 0, "x": 2}),
+              IntegSquare()]
+    for _ in range(30):
+        t = random_term(rng)
+        for model in models:
+            g = EGraph()
+            root = g.add_term(t)
+            term, cost = extract(g, root, model)
+            assert term == t and cost == model.cost(t)
+    dims = {"A": (2, 3), "B": (3, 4), "C": (4, 5), "D": (5, 2)}
+    t = P("(* (* A B) (* C D))")
+    g = EGraph()
+    term, cost = extract(g, g.add_term(t), MatMulScalarOps(dims))
+    assert term == t and cost == MatMulScalarOps(dims).cost(t)
+
+
+def test_extract_ill_dimensioned_product_raises():
+    dims = {"A": (2, 3), "B": (4, 5)}
+    g = EGraph()
+    root = g.add_term(P("(* A B)"))
+    with pytest.raises(DimensionError):
+        extract(g, root, MatMulScalarOps(dims))
+
+
+def test_quiet_iteration_with_banned_rule_is_not_saturation():
+    # Iteration 0 bans add-comm (two matches over a limit of one) and so
+    # applies nothing; the run must go on until the ban lapses.
+    goal = P("(+ z (+ y x))")
+    case = BenchmarkCase(
+        name="banned-quiet", input_term=P("(+ (+ x y) z)"),
+        ruleset=parse_ruleset("add-comm: (+ ?a ?b) => (+ ?b ?a)"),
+        cost_model=AstSize(), criterion=ReachTerm(goal),
+        eqsat_overrides={"match_limit": 1, "ban_length": 1})
+    res = run_case_eqsat(case)
+    assert res.solved and res.units == 3
+    g = EGraph()
+    root = g.add_term(case.input_term)
+    _, report = saturate(g, root, case.ruleset,
+                         EqsatConfig(match_limit=1, ban_length=1))
+    assert report.stop_reason == "saturated" and report.iterations > 1
+    assert g.represents(root, goal)
+
+
+def test_pulse_honours_scheduler_limits():
+    case = gen_matmul_chain(6, 1, 9, random.Random(9))
+    improved, _ = pulse(case.input_term, case.ruleset, case.cost_model,
+                        EqsatConfig(pulse_iterations=3), time_limit=5.0)
+    assert improved != case.input_term
+    # With a match limit of zero every rule is banned at once.
+    stuck, reports = pulse(case.input_term, case.ruleset, case.cost_model,
+                           EqsatConfig(pulse_iterations=3, match_limit=0),
+                           time_limit=5.0)
+    assert stuck == case.input_term
+    assert [r.stop_reason for r in reports] == ["iteration_limit"]
+
+
+def test_depth_ten_thousand_without_recursion():
+    plus = symbol("+", 2)
+    ground, open_chain = P("1"), leaf("x")
+    for _ in range(10_000):
+        ground = Term(plus, (P("1"), ground))
+        open_chain = Term(plus, (P("1"), open_chain))
+    assert P(print_sexpr(open_chain)) == open_chain
+    assert const_fold(ground) == P("10001")
+    assert const_fold(open_chain) is open_chain
+    assert eval_numeric(open_chain, {"x": 2.0}) == 10_002.0
+    g = EGraph()
+    root = g.add_term(open_chain)
+    g.rebuild()
+    term, cost = extract(g, root, AstSize())
+    assert term == open_chain and cost == 20_001

@@ -107,6 +107,38 @@ def test_empty_ruleset_exits_after_n_hard_stalls():
     assert res.hard_restarts == 0
 
 
+def _dead_end_reference(moves_first, n_hard, max_steps):
+    """(steps, hard_restarts, proposals), counted one step at a time, of a
+    chain that makes one non-improving move from t0 (if `moves_first`) and
+    then sits at a term with no candidates."""
+    steps = restarts = proposals = stall = 0
+    at_start = True
+    while max_steps is None or steps < max_steps:
+        if stall >= n_hard:
+            if max_steps is None:
+                break
+            restarts += 1
+            stall, at_start = 0, True
+            continue
+        if at_start and moves_first:
+            proposals += 1
+        at_start = False
+        stall += 1
+        steps += 1
+    return steps, restarts, proposals
+
+
+@pytest.mark.parametrize("text", ["", "step: a => b"])
+@pytest.mark.parametrize("max_steps", [None, 1000, 1010, 7])
+def test_dead_end_stall_arithmetic(text, max_steps):
+    rs = parse_ruleset(text, name="dead-end")
+    cfg = RunConfig(workers=1, budget=1, seed=0, n_hard=40,
+                    max_steps=max_steps)
+    res = run_chain(P("a"), rs, AstSize(), cfg)
+    assert (res.steps, res.hard_restarts, res.proposals) == \
+        _dead_end_reference(bool(text), 40, max_steps)
+
+
 def test_explore_equal_nsoft_is_pure_random_walk():
     # With E = n_soft every step runs at beta 0, so beta never matters.
     case = gen_matmul_chain(5, 1, 9, random.Random(12))
