@@ -3,12 +3,24 @@
 The e-graph keeps a union-find over e-class ids, a hashcons from canonical
 e-nodes to classes, and a per-class constant analysis (an exact rational
 or boolean).  Congruence repair is deferred: rebuild() re-canonicalizes
-every node and merges congruent classes to a fixpoint, which is simple and
-plenty fast at the graph sizes this package targets.  The saturation loop
-and pulsing live in the runner, which drives run_iteration and extract.
+every node and merges congruent classes to a fixpoint.
+
+E-matching and instantiation follow egg's compiled patterns: each side of
+a rule compiles once to generated straight-line Python, kept in the
+pattern term's memo.  A left-hand side becomes nested loops over class
+nodes with op, arity and variable-equality tests; a right-hand side
+becomes a post-order builder that looks each e-node up in the hashcons
+before it makes a class.  ematch expects a rebuilt graph, on which the
+hashcons makes every match unique; after unions not yet rebuilt it
+matches a canonical view of the classes and drops repeated matches.
+
+The saturation loop and pulsing live in the runner, which drives
+run_iteration and extract.
 """
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +33,7 @@ from .rules import (
     fold_node,
     is_pattern_var,
 )
-from .terms import Term, TermError
+from .terms import Term, TermError, print_sexpr
 
 EClassId = int
 ENode = tuple  # (Symbol, child EClassId, ...) -- children canonical at creation
@@ -111,6 +123,10 @@ class EGraph:
         existing = self.hashcons.get(node)
         if existing is not None:
             return self.find(existing)
+        return self._add_new(node)
+
+    def _add_new(self, node: ENode) -> EClassId:
+        """A new class holding a canonical node the hashcons lacks."""
         cid = self._fresh_class()
         self.classes[cid].nodes[node] = None
         self.hashcons[node] = cid
@@ -230,28 +246,45 @@ class EGraph:
         return self.classes[self.find(cid)].constant
 
     def represents(self, cid: EClassId, t: Term) -> bool:
-        """True when the class contains t as a concrete tree."""
+        """True when the class contains t as a concrete tree.
+
+        A depth-first search over (class, subterm) pairs with an explicit
+        stack.  Each pair is memoized, and it reads False while its own
+        search is still open, so cycles through the graph terminate.
+        """
+        find, classes = self.find, self.classes
         memo: dict[tuple[EClassId, int], bool] = {}
+        # Frames: [key, subterm, candidate e-nodes, candidate, child].
+        stack: list[list] = []
 
-        def visit(c: EClassId, node: Term) -> bool:
-            c = self.find(c)
-            key = (c, id(node))
+        def enter(c: EClassId, node: Term) -> bool | None:
+            """The memoized answer, or None after opening a frame."""
+            key = (find(c), id(node))
             hit = memo.get(key)
-            if hit is not None:
-                return hit
-            memo[key] = False
-            ok = False
-            for enode in self.classes[c].nodes:
-                if enode[0] is not node.op or len(enode) - 1 != len(node.children):
-                    continue
-                if all(visit(child, kid)
-                       for child, kid in zip(enode[1:], node.children)):
-                    ok = True
-                    break
-            memo[key] = ok
-            return ok
+            if hit is None:
+                memo[key] = False
+                arity = len(node.children)
+                candidates = [e for e in classes[key[0]].nodes
+                              if e[0] is node.op and len(e) - 1 == arity]
+                stack.append([key, node, candidates, 0, 0])
+            return hit
 
-        return visit(cid, t)
+        result = enter(cid, t)
+        while stack:
+            frame = stack[-1]
+            key, node, candidates, k, child = frame
+            if result is False:  # this candidate failed; try the next one
+                k, child = k + 1, 0
+            elif result is True:  # this child is represented; go on
+                child += 1
+            if k == len(candidates) or child == len(node.children):
+                result = k < len(candidates)
+                memo[key] = result
+                stack.pop()
+                continue
+            frame[3], frame[4] = k, child
+            result = enter(candidates[k][child + 1], node.children[child])
+        return result
 
     def copy(self) -> "EGraph":
         dup = EGraph.__new__(EGraph)
@@ -271,54 +304,29 @@ class EGraph:
     # -- e-matching -----------------------------------------------------------
 
     def ematch(self, pattern: Term) -> list[tuple[Substitution, EClassId]]:
-        """All matches of the pattern; variables bind canonical e-class ids."""
-        results: list[tuple[dict, EClassId]] = []
-        seen: set = set()
-        if is_pattern_var(pattern):
-            name = pattern.op.name
-            for cid in self.classes:
-                results.append(({name: cid}, cid))
-            return results
-        for cid in list(self.classes.keys()):
-            if cid not in self.classes:
-                continue
-            for subst in self._match_class(pattern, cid, {}):
-                key = (cid, tuple(sorted(subst.items())))
-                if key not in seen:
-                    seen.add(key)
-                    results.append((subst, cid))
-        return results
+        """All matches of the pattern; variables bind canonical e-class ids.
 
-    def _match_class(self, pattern: Term, cid: EClassId, subst: dict):
-        cid = self.find(cid)
-        if is_pattern_var(pattern):
-            name = pattern.op.name
-            bound = subst.get(name)
-            if bound is None:
-                new = dict(subst)
-                new[name] = cid
-                yield new
-            elif self.find(bound) == cid:
-                yield subst
-            return
-        cls = self.classes.get(cid)
-        if cls is None:
-            return
-        arity = len(pattern.children)
-        for node in list(cls.nodes):
-            if node[0] is not pattern.op or len(node) - 1 != arity:
-                continue
-            if arity == 0:
-                yield subst
-            else:
-                yield from self._match_children(pattern.children, node, 1, subst)
-
-    def _match_children(self, patterns, node, k, subst):
-        if k > len(patterns):
-            yield subst
-            return
-        for sub in self._match_class(patterns[k - 1], node[k], subst):
-            yield from self._match_children(patterns, node, k + 1, sub)
+        Matches come in class order, then node order, then children left to
+        right.  On a rebuilt graph each match is found exactly once: the
+        substitution fixes every pattern node's e-node bottom-up, and the
+        hashcons holds each canonical e-node in one class.  After unions
+        that no rebuild has repaired yet, the pattern runs over a canonical
+        view of the classes and repeats from congruent classes are dropped.
+        """
+        match = _compiled(pattern, _MATCHER, _compile_matcher)
+        if not self._dirty:
+            return match(self.classes)
+        view = {}
+        for cid, cls in self.classes.items():
+            canon = view[cid] = EClass()
+            canon.nodes = {self._canonicalize(node): None for node in cls.nodes}
+        hits, seen = [], set()
+        for subst, root in match(view):
+            key = (root, *subst.values())
+            if key not in seen:
+                seen.add(key)
+                hits.append((subst, root))
+        return hits
 
     # -- rule application -------------------------------------------------------
 
@@ -331,10 +339,145 @@ class EGraph:
         return isinstance(cls.constant, Fraction)
 
     def add_instantiated(self, pattern: Term, subst: Substitution) -> EClassId:
-        if is_pattern_var(pattern):
-            return self.find(subst[pattern.op.name])
-        child_ids = [self.add_instantiated(c, subst) for c in pattern.children]
-        return self.add_enode(pattern.op, child_ids)
+        """Add the pattern under subst; the class of its root."""
+        return _compiled(pattern, _BUILDER, _compile_builder)(self, subst)
+
+
+# ---------------------------------------------------------------------------
+# Compiled patterns.  Each side of a rule compiles once to a straight-line
+# Python function, generated as source and exec-ed.  A pattern term keeps
+# its functions in its own memo, so they live as long as the rule's terms.
+
+_MATCHER = "egraph.matcher"
+_BUILDER = "egraph.builder"
+
+# Python allows 20 nested loops: one over classes, one per operator node.
+MAX_PATTERN_OPERATORS = 19
+
+
+def _compiled(pattern: Term, key: str, compile_function):
+    memo = pattern._memo
+    if memo is None:
+        memo = pattern._memo = {}
+    function = memo.get(key)
+    if function is None:
+        function = memo[key] = compile_function(pattern)
+    return function
+
+
+def _define(pattern: Term, name: str, params: str, body: list[str],
+            env: dict):
+    """Exec `def name(params): body` with env as its globals."""
+    source = "\n".join([f"def {name}({params}):", *body])
+    exec(compile(source, f"<pattern {print_sexpr(pattern)}>", "exec"), env)
+    # Popped, so the function and its globals form no cycle: reference
+    # counting frees both with the pattern term.
+    return env.pop(name)
+
+
+def _compile_matcher(pattern: Term):
+    """`match(classes)`: all (substitution, root) matches, in search order.
+
+    The pattern is walked in pre-order.  An operator node loops over the
+    nodes of its class and tests op identity and arity; a numeral or
+    constant leaf tests that its e-node is in the class; a variable's first
+    occurrence names the class it sits in, and each later one tests that
+    class for equality.  Class ids in nodes are taken to be canonical.
+    """
+    env: dict[str, object] = {}
+    body = ["    out = []", "    append = out.append"]
+    depth = 1
+
+    def emit(line: str) -> None:
+        body.append("    " * depth + line)
+
+    bound: dict[str, str] = {}  # variable -> local holding its class
+    operators = 0
+    slots = 1  # locals c0, c1, ... name the classes pattern nodes sit in
+    emit("for c0 in classes:" if is_pattern_var(pattern)
+         else "for c0, e0 in classes.items():")
+    depth += 1
+    stack = [(pattern, "c0")]
+    while stack:
+        p, cls = stack.pop()
+        nodes = "e0.nodes" if p is pattern else f"classes[{cls}].nodes"
+        if is_pattern_var(p):
+            name = p.op.name
+            if name in bound:
+                emit(f"if {cls} == {bound[name]}:")
+                depth += 1
+            else:
+                bound[name] = cls
+        elif not p.children:
+            key = f"K{len(env)}"
+            env[key] = (p.op,)
+            emit(f"if {key} in {nodes}:")
+            depth += 1
+        else:
+            operators += 1
+            if operators > MAX_PATTERN_OPERATORS:
+                raise EGraphError(
+                    f"pattern {print_sexpr(pattern)} has more than "
+                    f"{MAX_PATTERN_OPERATORS} operator nodes")
+            op, node = f"S{len(env)}", f"n{operators}"
+            env[op] = p.op
+            kids = [f"c{slots + i}" for i in range(len(p.children))]
+            slots += len(kids)
+            emit(f"for {node} in {nodes}:")
+            emit(f"    if {node}[0] is {op} and len({node}) == {len(kids) + 1}:")
+            depth += 2
+            emit(f"_, {', '.join(kids)} = {node}")
+            stack.extend(reversed(list(zip(p.children, kids))))
+    subst = ", ".join(f"{name!r}: {cls}" for name, cls in bound.items())
+    emit(f"append(({{{subst}}}, c0))")
+    body.append("    return out")
+    return _define(pattern, "match", "classes", body, env)
+
+
+def _compile_builder(pattern: Term):
+    """`build(g, subst)`: add the pattern to g; the class of its root.
+
+    Post-order: a variable loads its bound class once and makes it
+    canonical, an operator node looks its e-node up in the hashcons and
+    makes a new class only on a miss.
+    """
+    env: dict[str, object] = {}
+    body = ["    uf, find, lookup, add_new = g._uf, g.find, g.hashcons.get, g._add_new"]
+    bound: dict[str, str] = {}  # variable -> local holding its class
+    done: list[str] = []  # locals of the finished subpatterns, a stack
+    slots = 0  # locals c0, c1, ... hold the classes built so far
+    stack: list[tuple[Term, bool]] = [(pattern, False)]
+    while stack:
+        p, expanded = stack.pop()
+        if is_pattern_var(p):
+            name = p.op.name
+            if name not in bound:
+                cid = bound[name] = f"c{slots}"
+                slots += 1
+                body.append(f"    {cid} = subst[{name!r}]")
+                body.append(f"    if uf[{cid}] != {cid}:")
+                body.append(f"        {cid} = find({cid})")
+            done.append(bound[name])
+        elif expanded:
+            arity = len(p.children)
+            kids = done[len(done) - arity:]
+            del done[len(done) - arity:]
+            op = f"S{len(env)}"
+            env[op] = p.op
+            cid = f"c{slots}"
+            slots += 1
+            body.append(f"    node = ({', '.join([op, *kids])},)")
+            body.append(f"    {cid} = lookup(node)")
+            body.append(f"    if {cid} is None:")
+            body.append(f"        {cid} = add_new(node)")
+            body.append(f"    elif uf[{cid}] != {cid}:")
+            body.append(f"        {cid} = find({cid})")
+            done.append(cid)
+        else:
+            stack.append((p, True))
+            stack.extend((c, False) for c in reversed(p.children))
+    body.append(f"    return {done[0]}")
+    return _define(pattern, "build", "g, subst", body, env)
 
 
 @dataclass
@@ -378,6 +521,26 @@ class BackoffScheduler:
         return False
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Keep the cyclic garbage collector off for the block.
+
+    An iteration allocates substitutions, e-nodes and classes by the
+    hundred thousand and frees them by reference counting; none of them
+    forms a cycle.  With the collector on, that churn set off full
+    collections that walked the whole e-graph again and again, about a
+    quarter of the time on a 40-matrix chain.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 @dataclass
 class IterationReport:
     iteration: int
@@ -399,39 +562,41 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
     then all right-hand sides are instantiated and unioned, then the graph
     is rebuilt once.
     """
-    unions_before = g.union_count
-    matched: list[tuple[Rule, Substitution, EClassId]] = []
-    banned: list[str] = []
-    total_matches = 0
-    for rule in ruleset:
-        if not scheduler.can_run(rule.name, iteration):
-            banned.append(rule.name)
-            continue
-        hits = g.ematch(rule.lhs)
-        total_matches += len(hits)
-        if scheduler.record(rule.name, len(hits), iteration):
-            # Newly banned: this iteration's matches are dropped too.
-            banned.append(rule.name)
-            continue
-        for subst, root in hits:
-            if g.guard_passes(rule, subst):
-                matched.append((rule, subst, root))
-    applied = 0
-    for rule, subst, root in matched:
-        new_id = g.add_instantiated(rule.rhs, subst)
-        g.union(root, new_id)
-        applied += 1
-    g.rebuild()
-    return IterationReport(
-        iteration=iteration,
-        matches=total_matches,
-        applied=applied,
-        unions=g.union_count - unions_before,
-        nodes=g.num_nodes(),
-        classes=g.num_classes(),
-        contradiction=g.contradiction,
-        banned=banned,
-    )
+    with _cyclic_gc_paused():
+        unions_before = g.union_count
+        matched: list[tuple[Rule, list[tuple[Substitution, EClassId]]]] = []
+        banned: list[str] = []
+        total_matches = 0
+        for rule in ruleset:
+            if not scheduler.can_run(rule.name, iteration):
+                banned.append(rule.name)
+                continue
+            hits = g.ematch(rule.lhs)
+            total_matches += len(hits)
+            if scheduler.record(rule.name, len(hits), iteration):
+                # Newly banned: this iteration's matches are dropped too.
+                banned.append(rule.name)
+                continue
+            if rule.guard is not None:
+                hits = [hit for hit in hits if g.guard_passes(rule, hit[0])]
+            matched.append((rule, hits))
+        applied = 0
+        for rule, hits in matched:
+            for subst, root in hits:
+                new_id = g.add_instantiated(rule.rhs, subst)
+                g.union(root, new_id)
+            applied += len(hits)
+        g.rebuild()
+        return IterationReport(
+            iteration=iteration,
+            matches=total_matches,
+            applied=applied,
+            unions=g.union_count - unions_before,
+            nodes=g.num_nodes(),
+            classes=g.num_classes(),
+            contradiction=g.contradiction,
+            banned=banned,
+        )
 
 
 # ---------------------------------------------------------------------------

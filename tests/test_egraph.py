@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewrite_arena import (
     AstSize,
@@ -26,12 +27,22 @@ from rewrite_arena import (
     run_iteration,
     saturate,
 )
-from rewrite_arena.benchmarks import BenchmarkCase
-from rewrite_arena.egraph import ExtractionError
-from rewrite_arena.rules import parse_ruleset
+from rewrite_arena import runner
+from rewrite_arena.benchmarks import (
+    BenchmarkCase,
+    TargetCost,
+    matmul_case_from_dims,
+    trig_suite,
+)
+from rewrite_arena.egraph import (
+    MAX_PATTERN_OPERATORS,
+    EGraphError,
+    ExtractionError,
+)
+from rewrite_arena.rules import instantiate, is_pattern_var, parse_ruleset
 from rewrite_arena.runner import run_case_eqsat
 from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
-from rewrite_arena.terms import Term, leaf, symbol
+from rewrite_arena.terms import Symbol, Term, leaf, symbol
 from helpers import random_term
 
 
@@ -488,3 +499,215 @@ def test_depth_ten_thousand_without_recursion():
     g.rebuild()
     term, cost = extract(g, root, AstSize())
     assert term == open_chain and cost == 20_001
+    assert g.represents(root, open_chain)
+    # The search for the ground chain fails only at its deepest leaf.
+    assert not g.represents(root, ground)
+
+
+# ---------------------------------------------------------------------------
+# Compiled e-matching and instantiation against brute force.
+
+MUL, SUB = symbol("*", 2), symbol("-", 2)
+# One name at two arities.  symbol() interns a name at one arity only, so
+# these two are built directly; the matcher must tell them apart by
+# identity and arity, not by name.
+H1, H2 = Symbol("h", 1), Symbol("h", 2)
+
+
+def _h(*children):
+    return Term(H1 if len(children) == 1 else H2, tuple(children))
+
+
+MATCH_PATTERNS = [
+    P("?a"),
+    P("(* (* ?a ?b) ?c)"),
+    P("(- ?a ?a)"),
+    P("(* ?a 1)"),
+    _h(P("?a")),
+    _h(P("?a"), P("?b")),
+    _h(_h(P("?a")), P("?a")),
+]
+# (left-hand side, right-hand side) pairs for the instantiation check.
+REWRITES = [
+    (P("?a"), P("(- ?a ?a)")),
+    (P("(* (* ?a ?b) ?c)"), P("(* ?a (* ?b ?c))")),
+    (P("(- ?a ?a)"), P("0")),
+    (P("(* ?a 1)"), P("?a")),
+    (_h(P("?a")), Term(MUL, (_h(P("?a"), P("?a")), P("2")))),
+    (_h(P("?a"), P("?b")), _h(_h(P("?b")), P("?a"))),
+]
+
+_match_terms = st.recursive(
+    st.sampled_from([leaf("x"), leaf("y"), P("1"), P("2")]),
+    lambda kids: st.one_of(
+        st.builds(lambda op, a, b: Term(op, (a, b)),
+                  st.sampled_from([MUL, SUB, H2]), kids, kids),
+        st.builds(_h, kids)),
+    max_leaves=8)
+
+
+def _brute_force_matches(g, pattern):
+    """Set of (root, substitution items) over every class: each pattern
+    node is matched against every e-node of its class and the children's
+    substitution sets are joined.  No order, no shared state."""
+
+    def matches(p, cid):
+        cid = g.find(cid)
+        if is_pattern_var(p):
+            return [{p.op.name: cid}]
+        out = []
+        for node in g.classes[cid].nodes:
+            if node[0] is not p.op or len(node) != len(p.children) + 1:
+                continue
+            partial = [{}]
+            for kid_pattern, kid in zip(p.children, node[1:]):
+                partial = [{**s, **t} for s in partial
+                           for t in matches(kid_pattern, kid)
+                           if all(s.get(v, c) == c for v, c in t.items())]
+            out.extend(partial)
+        return out
+
+    return {(cid, frozenset(s.items()))
+            for cid in g.classes for s in matches(pattern, cid)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_match_terms, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                max_size=4),
+       st.booleans())
+def test_compiled_ematch_equals_brute_force(terms, unions, rebuilt):
+    g = EGraph()
+    for t in terms:
+        g.add_term(t)
+    g.rebuild()
+    ids = sorted(g.classes)
+    for a, b in unions:
+        g.union(ids[a % len(ids)], ids[b % len(ids)])
+    if rebuilt:
+        g.rebuild()
+    for pattern in MATCH_PATTERNS:
+        found = [(root, frozenset(subst.items()))
+                 for subst, root in g.ematch(pattern)]
+        assert len(found) == len(set(found)), "duplicate match"
+        assert set(found) == _brute_force_matches(g, pattern)
+    if not rebuilt:
+        return
+    # Instantiating a right-hand side lands in the class that adding the
+    # same term, with each variable's class spelled out, lands in.
+    size = AstSize()
+    concrete = {cid: extract(g, cid, size)[0] for cid in g.classes}
+    for lhs, rhs in REWRITES:
+        for subst, _ in g.ematch(lhs):
+            got = g.add_instantiated(rhs, subst)
+            spelled = instantiate(rhs, {v: concrete[c] for v, c in subst.items()})
+            assert g.find(got) == g.find(g.add_term(spelled))
+
+
+def test_ematch_before_rebuild_reports_each_match_once():
+    # Both paths from the root, through (- x z) and through (- y z), carry
+    # one substitution once x = y; until a rebuild merges the two inner
+    # classes, ematch must not report it twice.
+    g = EGraph()
+    left = g.add_term(P("(- (- x z) z)"))
+    right = g.add_term(P("(- (- y z) z)"))
+    g.union(g.add_term(P("x")), g.add_term(P("y")))
+    g.union(left, right)
+    pattern = P("(- (- ?a ?b) ?c)")
+    hits = g.ematch(pattern)
+    assert len(hits) == 1
+    assert {(root, frozenset(s.items())) for s, root in hits} \
+        == _brute_force_matches(g, pattern)
+
+
+def test_add_instantiated_canonicalizes_stale_bindings():
+    g = EGraph()
+    product = g.add_term(P("(* x y)"))
+    x, y = g.add_term(P("x")), g.add_term(P("y"))
+    big = g.union(g.add_term(P("u")), g.add_term(P("v")))
+    g.union(big, x)  # the two-node class leads, so x's id goes stale
+    g.rebuild()
+    assert g.find(x) != x
+    nodes = g.num_nodes()
+    got = g.add_instantiated(P("(* ?a ?b)"), {"?a": x, "?b": y})
+    assert got == g.find(product) and g.num_nodes() == nodes
+
+
+def test_ematch_pattern_operator_limit():
+    g = EGraph()
+    g.add_term(P("(sin x)"))
+    g.rebuild()
+    sin = symbol("sin", 1)
+
+    def tower(n):
+        p = P("?a")
+        for _ in range(n):
+            p = Term(sin, (p,))
+        return p
+
+    assert g.ematch(tower(MAX_PATTERN_OPERATORS)) == []
+    with pytest.raises(EGraphError):
+        g.ematch(tower(MAX_PATTERN_OPERATORS + 1))
+
+
+# ---------------------------------------------------------------------------
+# Golden rows: per iteration (matches, applied, unions, nodes, classes,
+# contradiction, banned), then the extracted term and its cost.  Recorded
+# from the generator matcher and recursive instantiator that the compiled
+# ones replaced; any change to match order, union order or class ids shows.
+
+def _golden_matmul():
+    return matmul_case_from_dims([30, 5, 41, 12, 7, 33, 18, 2, 25, 9, 16, 40, 3],
+                                 name="matmul-12")
+
+
+def _golden_trig():
+    # Guards (recip, div-self) pass and the constant analysis folds.
+    return next(c for c in trig_suite() if c.name == "trig-sin-over-tan")
+
+
+def _golden_checkpoint():
+    # Guards fail on (- x x) once it folds to 0; iteration 2 unions 0 with
+    # 1, and extraction comes from the checkpoint after iteration 1.
+    return BenchmarkCase(
+        name="checkpoint-trap",
+        input_term=P("(* (/ (- x x) (- x x)) (sin x))"),
+        ruleset=trig_ruleset(), cost_model=AstSize(),
+        criterion=TargetCost(0), checkpointing=True)
+
+
+GOLDEN_ROWS = {
+    "matmul-12": (_golden_matmul, [
+        (10, 10, 10, 43, 33, False, []),
+        (46, 46, 26, 95, 59, False, []),
+        (240, 240, 217, 222, 110, False, []),
+        (856, 856, 666, 328, 116, False, []),
+    ], "(* (* A1 (* A2 (* A3 (* A4 (* A5 (* A6 A7)))))) "
+       "(* (* (* (* A8 A9) A10) A11) A12))", 5950),
+    "trig-sin-over-tan": (_golden_trig, [
+        (2, 2, 2, 9, 7, False, []),
+        (8, 8, 5, 18, 11, False, []),
+        (31, 31, 29, 33, 14, False, []),
+    ], "(cos x)", 2),
+    "checkpoint-trap": (_golden_checkpoint, [
+        (4, 4, 4, 9, 5, False, []),
+        (13, 10, 4, 9, 3, True, []),
+    ], "(* 1 (sin x))", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROWS))
+def test_eqsat_golden_rows(name, monkeypatch):
+    build, rows, best_term, best_cost = GOLDEN_ROWS[name]
+    reports = []
+    step = runner.run_iteration
+
+    def recording(*args, **kwargs):
+        reports.append(step(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(runner, "run_iteration", recording)
+    res = run_case_eqsat(build())
+    assert [(r.matches, r.applied, r.unions, r.nodes, r.classes,
+             r.contradiction, r.banned) for r in reports] == rows
+    assert (res.best_term, res.best_cost) == (best_term, best_cost)
