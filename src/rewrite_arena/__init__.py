@@ -73,7 +73,6 @@ from .stochastic import (
     run_chain,
     sample_successor,
     search,
-    successor_weights,
 )
 from .egraph import (
     BackoffScheduler,

@@ -7,12 +7,14 @@ every node and merges congruent classes to a fixpoint.
 
 E-matching and instantiation follow egg's compiled patterns: each side of
 a rule compiles once to generated straight-line Python, kept in the
-pattern term's memo.  A left-hand side becomes nested loops over class
-nodes with op, arity and variable-equality tests; a right-hand side
-becomes a post-order builder that looks each e-node up in the hashcons
-before it makes a class.  ematch expects a rebuilt graph, on which the
-hashcons makes every match unique; after unions not yet rebuilt it
-matches a canonical view of the classes and drops repeated matches.
+pattern term's memo, through the same compile-once helpers that build the
+stochastic engine's term matchers and builders in rules.py.  A left-hand
+side becomes nested loops over class nodes with op, arity and
+variable-equality tests; a right-hand side becomes a post-order builder
+that looks each e-node up in the hashcons before it makes a class.
+ematch expects a rebuilt graph, on which the hashcons makes every match
+unique; after unions not yet rebuilt it matches a canonical view of the
+classes and drops repeated matches.
 
 The saturation loop and pulsing live in the runner, which drives
 run_iteration and extract.
@@ -29,6 +31,8 @@ from .rules import (
     Rule,
     Ruleset,
     Substitution,
+    _compiled,
+    _define,
     constant_term,
     fold_node,
     is_pattern_var,
@@ -344,35 +348,15 @@ class EGraph:
 
 
 # ---------------------------------------------------------------------------
-# Compiled patterns.  Each side of a rule compiles once to a straight-line
-# Python function, generated as source and exec-ed.  A pattern term keeps
-# its functions in its own memo, so they live as long as the rule's terms.
+# Compiled patterns.  Each side of a rule compiles once, through the helpers
+# rules.py uses for concrete terms, to a straight-line Python function kept
+# in the pattern term's own memo.
 
 _MATCHER = "egraph.matcher"
 _BUILDER = "egraph.builder"
 
 # Python allows 20 nested loops: one over classes, one per operator node.
 MAX_PATTERN_OPERATORS = 19
-
-
-def _compiled(pattern: Term, key: str, compile_function):
-    memo = pattern._memo
-    if memo is None:
-        memo = pattern._memo = {}
-    function = memo.get(key)
-    if function is None:
-        function = memo[key] = compile_function(pattern)
-    return function
-
-
-def _define(pattern: Term, name: str, params: str, body: list[str],
-            env: dict):
-    """Exec `def name(params): body` with env as its globals."""
-    source = "\n".join([f"def {name}({params}):", *body])
-    exec(compile(source, f"<pattern {print_sexpr(pattern)}>", "exec"), env)
-    # Popped, so the function and its globals form no cycle: reference
-    # counting frees both with the pattern term.
-    return env.pop(name)
 
 
 def _compile_matcher(pattern: Term):

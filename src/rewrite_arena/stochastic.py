@@ -115,14 +115,6 @@ def chain_seed(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def successor_weights(base_cost: float, candidate_costs: list[float],
-                      beta_now: float) -> list[float]:
-    """Unnormalized Boltzmann weights with overflow-safe normalization."""
-    deltas = [c - base_cost for c in candidate_costs]
-    lowest = min(deltas)
-    return [math.exp(-0.5 * beta_now * (d - lowest)) for d in deltas]
-
-
 def sample_successor(t: Term, candidates: list[Term], beta_now: float,
                      model: CostModel, rng: random.Random) -> Term:
     """Draw one candidate with probability proportional to exp(-beta/2 * dC)."""
@@ -131,8 +123,23 @@ def sample_successor(t: Term, candidates: list[Term], beta_now: float,
     if len(candidates) == 1:
         return candidates[0]
     base = model.cost(t)
-    weights = successor_weights(base, [model.cost(c) for c in candidates], beta_now)
-    return candidates[_draw(weights, rng)]
+    deltas = [model.cost(c) - base for c in candidates]
+    return candidates[sample_index(deltas, beta_now, rng)]
+
+
+def sample_index(deltas: list[float], beta: float, rng: random.Random) -> int:
+    """Index of one successor, drawn with weight exp(-beta/2 * delta).
+
+    The one sampling kernel: at beta 0 it draws uniformly from one random
+    number; otherwise the weights are shifted by the lowest delta, so the
+    largest is 1 and none overflows.
+    """
+    n = len(deltas)
+    if beta == 0.0:
+        return int(rng.random() * n) % n
+    lowest = min(deltas)
+    half_beta = 0.5 * beta
+    return _draw([math.exp(-half_beta * (d - lowest)) for d in deltas], rng)
 
 
 def _draw(weights: list[float], rng: random.Random) -> int:
@@ -190,10 +197,23 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset, model: CostModel,
     """All one-step rewrites with exact cost deltas, deduplicated by result.
 
     Order and deduplication mirror rules.proposals: position-major, rule-
-    minor, first occurrence kept, identity excluded.
+    minor, first occurrence kept, identity excluded.  The result hash is a
+    first filter; a candidate is dropped only when its result equals that
+    of a kept candidate with the same hash.
     """
     out: list[_Candidate] = []
-    seen: set[int] = set()
+    seen: dict[int, list[_Candidate]] = {}
+
+    def keep(pos, sub, new_sub, rule_name):
+        same_hash = seen.setdefault(_result_hash(t, pos, new_sub), [])
+        if same_hash and any(_same_result(t, kept, pos, new_sub)
+                             for kept in same_hash):
+            return
+        candidate = _make_candidate(t, pos, sub, new_sub, rule_name, model,
+                                    base_cost)
+        same_hash.append(candidate)
+        out.append(candidate)
+
     for pos, sub in positions(t):
         for rule in ruleset.rules_for_root(sub.op.name):
             subst = match_pattern(rule.lhs, sub)
@@ -202,14 +222,8 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset, model: CostModel,
             if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
                 continue
             new_sub = instantiate(rule.rhs, subst)
-            if new_sub == sub:
-                continue
-            rh = _result_hash(t, pos, new_sub)
-            if rh in seen:
-                continue
-            seen.add(rh)
-            out.append(_make_candidate(t, pos, sub, new_sub, rule.name,
-                                       model, base_cost))
+            if new_sub != sub:
+                keep(pos, sub, new_sub, rule.name)
         if ruleset.fold_constants and sub.children:
             values = []
             for k in sub.children:
@@ -221,13 +235,17 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset, model: CostModel,
                 folded = fold_node(sub.op.name, values)
                 if folded is not None:
                     new_sub = constant_term(folded)
-                    rh = _result_hash(t, pos, new_sub)
-                    if new_sub != sub and rh not in seen:
-                        seen.add(rh)
-                        out.append(_make_candidate(t, pos, sub, new_sub,
-                                                   FOLD_RULE_NAME, model,
-                                                   base_cost))
+                    if new_sub != sub:
+                        keep(pos, sub, new_sub, FOLD_RULE_NAME)
     return out
+
+
+def _same_result(t: Term, kept: _Candidate, pos: Position,
+                 new_sub: Term) -> bool:
+    """Whether kept's result equals replace_at(t, pos, new_sub)."""
+    if kept.position == pos:
+        return kept.new_sub == new_sub
+    return kept.materialize(t) == replace_at(t, pos, new_sub)
 
 
 def _make_candidate(t, pos, old_sub, new_sub, rule_name, model, base_cost):
@@ -303,14 +321,8 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             continue
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
-        if beta_now == 0.0:
-            chosen = candidates[int(rng.random() * len(candidates)) % len(candidates)]
-        else:
-            lowest = min(c.delta for c in candidates)
-            half_beta = 0.5 * beta_now
-            weights = [math.exp(-half_beta * (c.delta - lowest))
-                       for c in candidates]
-            chosen = candidates[_draw(weights, rng)]
+        chosen = candidates[sample_index([c.delta for c in candidates],
+                                         beta_now, rng)]
         t = chosen.materialize(t)
         cost_t = model.cost(t)
         candidates = None

@@ -28,7 +28,6 @@ from rewrite_arena import (
     run_iteration,
     saturate,
     search,
-    successor_weights,
 )
 from rewrite_arena.costs import MatMulScalarOps
 from rewrite_arena.rulesets import trig_ruleset
@@ -38,6 +37,7 @@ from rewrite_arena.runner import (
     run_case_stochastic,
     scaling_report,
 )
+from rewrite_arena.stochastic import sample_index
 
 CHI2_CRIT_DF2_P01 = 9.210340  # chi-square 0.99 quantile, 2 degrees of freedom
 
@@ -127,15 +127,8 @@ def test_c05_sampling_law():
     def frequencies(beta, seed):
         rng = random.Random(seed)
         counts = [0, 0, 0]
-        weights = successor_weights(0.0, deltas, beta)
         for _ in range(draws):
-            r = rng.random() * sum(weights)
-            acc = 0.0
-            for i, w in enumerate(weights):
-                acc += w
-                if r < acc:
-                    counts[i] += 1
-                    break
+            counts[sample_index(deltas, beta, rng)] += 1
         return counts
 
     counts_2 = frequencies(2.0, 11)

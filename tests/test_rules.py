@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewrite_arena import (
     Guard,
@@ -17,8 +18,13 @@ from rewrite_arena import (
     print_sexpr,
     proposals,
 )
-from rewrite_arena.rules import UnboundVariableError, parse_rule_line
+from rewrite_arena.rules import (
+    UnboundVariableError,
+    is_pattern_var,
+    parse_rule_line,
+)
 from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
+from rewrite_arena.terms import Term, leaf, positions, replace_at
 from helpers import random_term
 
 
@@ -205,3 +211,167 @@ def test_parse_ruleset_rejects_duplicates_and_garbage():
 def test_pattern_vars():
     assert pattern_vars(P("(/ (* ?a ?b) (* ?c ?b))")) == {"?a", "?b", "?c"}
     assert pattern_vars(P("(+ x 1)")) == set()
+
+
+# ---------------------------------------------------------------------------
+# The compiled matcher and builder against a reference interpreter.
+
+def _reference_match(p, t):
+    """Stack walk over (pattern, term) pairs; the first occurrence binds."""
+    subst = {}
+    stack = [(p, t)]
+    while stack:
+        pp, tt = stack.pop()
+        if is_pattern_var(pp):
+            name = pp.op.name
+            bound = subst.get(name)
+            if bound is None:
+                subst[name] = tt
+            elif bound != tt:
+                return None
+            continue
+        if pp.op is not tt.op or pp.value != tt.value:
+            return None
+        stack.extend(zip(pp.children, tt.children))
+    return subst
+
+
+def _reference_instantiate(p, subst):
+    if is_pattern_var(p):
+        try:
+            return subst[p.op.name]
+        except KeyError:
+            raise UnboundVariableError(
+                f"unbound pattern variable {p.op.name}") from None
+    if not p.children:
+        return p
+    return Term(p.op, tuple(_reference_instantiate(c, subst)
+                            for c in p.children), p.value)
+
+
+def _fresh(t):
+    """An equal term sharing no node with t."""
+    return parse_sexpr(print_sexpr(t))
+
+
+def _spell(p, subst):
+    """p instantiated with a fresh copy of the binding at every variable,
+    so equal occurrences of a repeated variable are distinct objects."""
+    if is_pattern_var(p):
+        return _fresh(subst[p.op.name])
+    return Term(p.op, tuple(_spell(c, subst) for c in p.children), p.value)
+
+
+def _abstract(t, rng, names=("?a", "?b", "?c")):
+    """A fresh copy of t with some subterms turned into variables; a
+    subterm equal to one already abstracted usually reuses its variable."""
+    chosen = {}
+
+    def walk(node):
+        if rng.random() < 0.25:
+            if node in chosen and rng.random() < 0.8:
+                return leaf(chosen[node])
+            name = chosen.setdefault(node, rng.choice(names))
+            return leaf(name)
+        return Term(node.op, tuple(walk(c) for c in node.children), node.value)
+
+    return walk(t)
+
+
+PATTERN_SHAPES = [
+    "?a", "(- ?a ?a)", "(+ ?a 0)", "(* 2 (+ ?a ?b))", "(+ ?a (+ ?b ?a))",
+    "(/ (* ?a ?b) (* ?c ?b))", "(|| ?a true)", "(pow (sin ?a) 2)",
+    "(- (neg ?a) (neg (neg ?a)))", "(* -3 x)",
+]
+
+
+def _same_nodes(got, want, bindings, pattern_leaves):
+    """Equal terms whose bound subterms and pattern leaves are the
+    reference's own objects."""
+    stack = [(got, want)]
+    while stack:
+        a, b = stack.pop()
+        if id(b) in bindings or id(b) in pattern_leaves:
+            assert a is b
+            continue
+        assert a.op is b.op and a.value == b.value
+        assert len(a.children) == len(b.children)
+        stack.extend(zip(a.children, b.children))
+
+
+def _check_builder(rhs, subst, rng):
+    bindings = {id(v) for v in subst.values()}
+    leaves = {id(n) for _, n in positions(rhs)
+              if not n.children and not is_pattern_var(n)}
+    want = _reference_instantiate(rhs, subst)
+    got = instantiate(rhs, subst)
+    assert got == want
+    _same_nodes(got, want, bindings, leaves)
+    needed = sorted(pattern_vars(rhs))
+    if needed:
+        dropped = rng.choice(needed)
+        partial = {k: v for k, v in subst.items() if k != dropped}
+        with pytest.raises(UnboundVariableError) as want_error:
+            _reference_instantiate(rhs, partial)
+        with pytest.raises(UnboundVariableError) as got_error:
+            instantiate(rhs, partial)
+        assert str(got_error.value) == str(want_error.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_patterns_agree_with_reference(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        p = P(rng.choice(PATTERN_SHAPES))
+        t = _spell(p, {v: random_term(rng, 2) for v in pattern_vars(p)})
+    else:
+        t = random_term(rng)
+        p = _abstract(t, rng)
+        t = _fresh(t)
+    if rng.random() < 0.4:
+        # Perturb one subterm; a numeral-named leaf without a value
+        # differs from the numeral only in its value.
+        pos, _ = rng.choice(list(positions(t)))
+        new = leaf("2") if rng.random() < 0.3 else random_term(rng, 2)
+        t = replace_at(t, pos, new)
+    want = _reference_match(p, t)
+    got = match_pattern(p, t)
+    if want is None:
+        assert got is None
+        subst = {v: random_term(rng, 2) for v in pattern_vars(p)}
+    else:
+        assert list(got) == list(want)
+        assert all(got[k] is want[k] for k in want)
+        subst = want
+    _check_builder(p, subst, rng)
+    names = tuple(subst) or ("?a",)
+    rhs = _abstract(random_term(rng, 3), rng, names)
+    _check_builder(rhs, {**subst, **{v: random_term(rng, 1)
+                                     for v in pattern_vars(rhs) - set(subst)}},
+                   rng)
+
+
+def test_compiled_patterns_are_cached_on_the_pattern():
+    p, rhs = P("(+ ?a (sin ?b))"), P("(* ?b 2)")
+    assert p._memo is None and rhs._memo is None
+    subst = match_pattern(p, P("(+ x (sin y))"))
+    assert instantiate(rhs, subst) == P("(* y 2)")
+    matcher, builder = p._memo["rules.matcher"], rhs._memo["rules.builder"]
+    match_pattern(p, P("(+ 1 (sin 2))"))
+    instantiate(rhs, {"?b": P("z")})
+    assert p._memo["rules.matcher"] is matcher
+    assert rhs._memo["rules.builder"] is builder
+
+
+def test_compiled_patterns_handle_deep_patterns():
+    # Generated code stays flat: a nested expression would stop compiling
+    # at about 100 levels (Python caps nesting at 200 parentheses).
+    depth = 500
+    p = P("(sin " * depth + "?a" + ")" * depth)
+    t = P("(sin " * depth + "(+ x 1)" + ")" * depth)
+    subst = match_pattern(p, t)
+    assert subst == {"?a": P("(+ x 1)")}
+    assert instantiate(p, subst) == t
+    bottom_differs = P("(sin " * (depth - 1) + "(cos x)" + ")" * (depth - 1))
+    assert match_pattern(p, bottom_differs) is None

@@ -7,36 +7,60 @@ import pytest
 from rewrite_arena import (
     AstSize,
     CostModel,
+    EquivalenceValidator,
     RunConfig,
     chain_seed,
     gen_matmul_chain,
     needle_case,
     parse_ruleset,
     parse_sexpr,
+    print_sexpr,
     replay_trace,
     run_chain,
     sample_successor,
     search,
-    successor_weights,
 )
-from rewrite_arena.stochastic import EmptyCandidateSetError
+from rewrite_arena.benchmarks import (
+    halide_suite,
+    matmul_case_from_dims,
+    trig_suite,
+)
+from rewrite_arena import stochastic
+from rewrite_arena.rules import proposals
+from rewrite_arena.stochastic import EmptyCandidateSetError, sample_index
 
 
 def P(text):
     return parse_sexpr(text)
 
 
-def test_successor_weights_exact_law():
-    # beta = 2, deltas {0, ln 4}: probabilities 4/5 and 1/5
-    ws = successor_weights(0.0, [0.0, math.log(4)], 2.0)
-    total = sum(ws)
-    assert abs(ws[0] / total - 0.8) < 1e-12
-    assert abs(ws[1] / total - 0.2) < 1e-12
+class _FixedDraw:
+    """A stand-in for random.Random whose draws are all r."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
 
 
-def test_successor_weights_overflow_safe():
-    ws = successor_weights(0.0, [1e6, 1e6 + 2], 1.0)
-    assert ws[0] == 1.0 and 0 < ws[1] < 1
+def test_sample_index_exact_law():
+    # beta = 2, deltas {0, ln 4}: probabilities 4/5 and 1/5, so the draw
+    # picks index 0 exactly when r < 0.8.
+    deltas = [0.0, math.log(4)]
+    assert [sample_index(deltas, 2.0, _FixedDraw(r))
+            for r in (0.0, 0.7999, 0.8001, 0.9999)] == [0, 0, 1, 1]
+    # beta = 0 is uniform: r in [k/3, (k+1)/3) picks index k.
+    assert [sample_index([5.0, 0.0, 9.0], 0.0, _FixedDraw(r))
+            for r in (0.0, 0.3333, 0.3334, 0.6667, 0.9999)] == [0, 0, 1, 2, 2]
+
+
+def test_sample_index_overflow_safe():
+    # Weights are shifted by the lowest delta: 1 and e^-1, split at
+    # 1 / (1 + e^-1) = 0.731, with no overflow from exp(-5e5).
+    deltas = [1e6, 1e6 + 2]
+    assert [sample_index(deltas, 1.0, _FixedDraw(r))
+            for r in (0.73, 0.732)] == [0, 1]
 
 
 def test_sample_single_candidate_certain():
@@ -289,3 +313,88 @@ def test_empirical_frequencies_match_analytic_distribution():
     chi2 = sum((counts[c] - expected[c]) ** 2 / expected[c] for c in counts)
     # p > 0.01 for df = 2 means chi2 below 9.2103
     assert chi2 < 9.2103
+
+
+# Chains with the curated schedule, no target and a proposal budget, so each
+# spends its whole budget.  The rows were captured before the stochastic
+# pattern layer was compiled; they pin chains bit for bit.
+GOLDEN_CHAINS = {
+    # Validator on: every 25th accepted term and each new best are checked.
+    "trig-cos2-sin2": (
+        lambda: next(c for c in trig_suite() if c.name == "trig-cos2-sin2"),
+        3, 4000,
+        ("(- 1 (* 2 (pow (sin x) 2)))", 8, 1083, 4000, 3, 0)),
+    # Reaches `true`, where no rule applies: dead ends and hard restarts.
+    "halide-paper": (
+        lambda: next(c for c in halide_suite() if c.name == "halide-paper"),
+        3, 3000,
+        ("true", 0, 3926, 3003, 13, 0)),
+    # Unsolved at this budget, so the best term depends on the whole path.
+    "matmul-12": (
+        lambda: matmul_case_from_dims(
+            [30, 5, 41, 12, 7, 33, 18, 2, 25, 9, 16, 40, 3], name="matmul-12"),
+        3, 800,
+        ("(* A1 (* (* (* (* (* (* (* A2 (* A3 A4)) A5) A6) A7) A8) A9) "
+         "(* A10 (* A11 A12))))", 13496, 80, 800, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+def test_stochastic_golden_rows(name):
+    build, seed, max_proposals, row = GOLDEN_CHAINS[name]
+    case = build()
+    cfg = replace(RunConfig(seed=seed, max_proposals=max_proposals),
+                  **(case.stochastic_overrides or {}))
+    validator = (EquivalenceValidator(case.input_term, seed=seed)
+                 if case.validate else None)
+    res = run_chain(case.input_term, case.ruleset, case.model_for("stochastic"),
+                    cfg, validator=validator)
+    assert (print_sexpr(res.best_term), res.best_cost, res.steps,
+            res.proposals, res.hard_restarts, res.unsound_restarts) == row
+
+
+def _dedup_terms():
+    """(term, ruleset, model) along a seeded 30-step walk from each suite
+    input; trig walks reach terms such as (* 1 1) whose rewrites repeat."""
+    cases = [*trig_suite(), *halide_suite(),
+             matmul_case_from_dims([30, 5, 41, 12, 7, 33, 18, 2, 25, 9, 16,
+                                    40, 3], name="matmul-12")]
+    rng = random.Random(0)
+    out = []
+    for case in cases:
+        model = case.model_for("stochastic")
+        t = case.input_term
+        for _ in range(30):
+            out.append((t, case.ruleset, model))
+            successors = proposals(t, case.ruleset)
+            if not successors:
+                break
+            t = rng.choice(successors).term
+    return out
+
+
+def _enumerated(terms):
+    return [[(c.rule, c.position, c.new_sub, c.delta)
+             for c in stochastic._enumerate_candidates(t, rs, model,
+                                                       model.cost(t))]
+            for t, rs, model in terms]
+
+
+def test_dedup_confirms_hash_hits_by_equality(monkeypatch):
+    terms = _dedup_terms()
+    want = _enumerated(terms)
+    # Order and deduplication mirror rules.proposals.
+    assert [[(rule, pos) for rule, pos, _, _ in row] for row in want] == \
+        [[(p.rule, p.position) for p in proposals(t, rs)]
+         for t, rs, _ in terms]
+    # Every result hash collides: only the equality check tells the
+    # candidates apart, and it keeps exactly the same list.
+    monkeypatch.setattr(stochastic, "_result_hash", lambda t, pos, s: 0)
+    assert _enumerated(terms) == want
+    # With no hash ever repeated nothing is dropped, so the lists above
+    # did drop duplicate results.
+    fresh = iter(range(10**9))
+    monkeypatch.setattr(stochastic, "_result_hash",
+                        lambda t, pos, s: next(fresh))
+    undeduplicated = _enumerated(terms)
+    assert sum(map(len, undeduplicated)) > sum(map(len, want))
