@@ -3,7 +3,8 @@
 The e-graph keeps a union-find over e-class ids, a hashcons from canonical
 e-nodes to classes, and a per-class constant analysis (an exact rational
 or boolean).  Congruence repair is deferred: rebuild() re-canonicalizes
-every node and merges congruent classes to a fixpoint.
+every node and merges congruent classes to a fixpoint, skipping the last
+pass when the previous one shows it would unite nothing.
 
 E-matching and instantiation follow egg's compiled patterns: each side of
 a rule compiles once to generated straight-line Python, kept in the
@@ -77,12 +78,6 @@ class EGraph:
             a = uf[a]
         return a
 
-    def _fresh_class(self) -> EClassId:
-        cid = len(self._uf)
-        self._uf.append(cid)
-        self.classes[cid] = EClass()
-        return cid
-
     # -- analysis -----------------------------------------------------------
 
     def _make_constant(self, node: ENode):
@@ -101,8 +96,11 @@ class EGraph:
                     return None
             return None
         args = []
+        uf, classes = self._uf, self.classes
         for child in node[1:]:
-            c = self.classes[self.find(child)].constant
+            if uf[child] != child:
+                child = self.find(child)
+            c = classes[child].constant
             if c is None:
                 return None
             args.append(c)
@@ -131,10 +129,14 @@ class EGraph:
 
     def _add_new(self, node: ENode) -> EClassId:
         """A new class holding a canonical node the hashcons lacks."""
-        cid = self._fresh_class()
-        self.classes[cid].nodes[node] = None
+        cid = len(self._uf)
+        self._uf.append(cid)
+        cls = self.classes[cid] = EClass()
+        cls.nodes[node] = None
         self.hashcons[node] = cid
-        if self._join_into(cid, self._make_constant(node)):
+        constant = self._make_constant(node)
+        if constant is not None:
+            cls.constant = constant
             self._dirty = True
         return cid
 
@@ -157,18 +159,22 @@ class EGraph:
     # -- union and rebuild ------------------------------------------------------
 
     def union(self, a: EClassId, b: EClassId) -> EClassId:
-        ra, rb = self.find(a), self.find(b)
+        uf = self._uf
+        ra = a if uf[a] == a else self.find(a)
+        rb = b if uf[b] == b else self.find(b)
         if ra == rb:
             return ra
-        ca, cb = self.classes[ra], self.classes[rb]
+        classes = self.classes
+        ca, cb = classes[ra], classes[rb]
         # Deterministic leader: larger class wins, ties go to the lower id.
         if (len(cb.nodes), -rb) > (len(ca.nodes), -ra):
             ra, rb = rb, ra
             ca, cb = cb, ca
-        self._uf[rb] = ra
+        uf[rb] = ra
         ca.nodes.update(cb.nodes)
-        self._join_into(ra, cb.constant)
-        del self.classes[rb]
+        if cb.constant is not None:
+            self._join_into(ra, cb.constant)
+        del classes[rb]
         self.union_count += 1
         self._dirty = True
         return ra
@@ -176,65 +182,87 @@ class EGraph:
     def _canonicalize(self, node: ENode) -> ENode:
         if len(node) == 1:
             return node
-        return (node[0], *[self.find(c) for c in node[1:]])
+        uf = self._uf
+        return (node[0], *[c if uf[c] == c else self.find(c) for c in node[1:]])
 
     def rebuild(self) -> None:
         """Restore congruence and analysis to a fixpoint.
 
-        Each pass re-keys every node canonically (merging congruent
-        classes), recomputes analysis joins, and materializes literal nodes
-        for classes whose constant became known.
+        Each pass scans every node under its canonical key, uniting
+        congruent classes; re-keys each class's nodes canonically;
+        recomputes analysis joins; and materializes literal nodes for
+        classes whose constant became known.  Re-keying also builds the
+        hashcons the next scan would build.  Unless that finds a canonical
+        node in two classes or the analysis or literal step changed
+        something, the next pass would unite nothing, so the hashcons is
+        adopted and the fixpoint ends.  Finds, unions and insertions keep
+        the order of the plain fixpoint, and so do leaders and node order.
         """
         if not self._dirty:
             return
+        uf, find, union, canonicalize = (
+            self._uf, self.find, self.union, self._canonicalize)
+        classes = self.classes
         while True:
-            changed = False
-            # Congruence pass: canonical keys, congruent classes merged.
-            pairs = [(node, cid)
-                     for cid, cls in self.classes.items()
-                     for node in cls.nodes]
-            self.hashcons = {}
-            for node, cid in pairs:
-                root = self.find(cid)
-                canon = self._canonicalize(node)
-                existing = self.hashcons.get(canon)
-                if existing is None:
-                    self.hashcons[canon] = root
-                elif self.find(existing) != root:
-                    self.union(existing, root)
-                    changed = True
-            for cid in list(self.classes.keys()):
-                cls = self.classes.get(cid)
-                if cls is None:
-                    continue
-                canon_nodes = {}
+            # Congruence scan: canonical keys, congruent classes merged.
+            # Unions here join classes scanned so far, so a class is united
+            # no earlier than its own turn, and a tuple taken then holds the
+            # nodes it began the pass with: what union appends is skipped.
+            hashcons = self.hashcons = {}
+            setdefault = hashcons.setdefault
+            for cid, cls in list(classes.items()):
+                for node in tuple(cls.nodes):
+                    root = cid if uf[cid] == cid else find(cid)
+                    if len(node) == 3:
+                        _, a, b = node
+                        if uf[a] != a or uf[b] != b:
+                            node = (node[0], a if uf[a] == a else find(a),
+                                    b if uf[b] == b else find(b))
+                    elif len(node) != 1:
+                        node = canonicalize(node)
+                    existing = setdefault(node, root)
+                    if existing != root and find(existing) != root:
+                        union(existing, root)
+            # Canonical class dicts, and the hashcons they key.
+            adopt, held = {}, 0
+            for cid, cls in classes.items():
+                nodes = {}
                 for node in cls.nodes:
-                    canon_nodes[self._canonicalize(node)] = None
-                cls.nodes = canon_nodes
+                    if len(node) == 3:
+                        _, a, b = node
+                        if uf[a] != a or uf[b] != b:
+                            node = (node[0], a if uf[a] == a else find(a),
+                                    b if uf[b] == b else find(b))
+                    elif len(node) != 1:
+                        node = canonicalize(node)
+                    nodes[node] = None
+                cls.nodes = nodes
+                adopt.update(dict.fromkeys(nodes, cid))
+                held += len(nodes)
             # Analysis pass: recompute joins bottom-up and materialize
             # constants as literal leaf nodes.
-            for cid in list(self.classes.keys()):
-                cls = self.classes.get(cid)
-                if cls is None:
-                    continue
-                for node in list(cls.nodes):
-                    if self._join_into(self.find(cid), self._make_constant(node)):
+            changed = False
+            for cid, cls in classes.items():
+                for node in cls.nodes:
+                    constant = self._make_constant(node)
+                    if constant is not None and self._join_into(cid, constant):
                         changed = True
-            for cid in list(self.classes.keys()):
-                cls = self.classes.get(cid)
+            for cid in list(classes.keys()):
+                cls = classes.get(cid)
                 if cls is None or cls.constant is None:
                     continue
                 lit = constant_term(cls.constant)
                 key = (lit.op,)
-                owner = self.hashcons.get(key)
+                owner = hashcons.get(key)
                 if owner is None:
                     lit_id = self.add_enode(lit.op, [])
-                    self.union(lit_id, cid)
+                    union(lit_id, cid)
                     changed = True
-                elif self.find(owner) != self.find(cid):
-                    self.union(owner, cid)
+                elif find(owner) != find(cid):
+                    union(owner, cid)
                     changed = True
-            if not changed:
+            if not changed and len(adopt) == held:
+                self.hashcons = adopt
                 break
         self._dirty = False
 
@@ -344,7 +372,11 @@ class EGraph:
 
     def add_instantiated(self, pattern: Term, subst: Substitution) -> EClassId:
         """Add the pattern under subst; the class of its root."""
-        return _compiled(pattern, _BUILDER, _compile_builder)(self, subst)
+        try:
+            build = pattern._memo[_BUILDER]
+        except (TypeError, KeyError):  # no memo yet, or not compiled yet
+            build = _compiled(pattern, _BUILDER, _compile_builder)
+        return build(self, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +597,11 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
                 hits = [hit for hit in hits if g.guard_passes(rule, hit[0])]
             matched.append((rule, hits))
         applied = 0
+        add_instantiated, union = g.add_instantiated, g.union
         for rule, hits in matched:
+            rhs = rule.rhs
             for subst, root in hits:
-                new_id = g.add_instantiated(rule.rhs, subst)
-                g.union(root, new_id)
+                union(root, add_instantiated(rhs, subst))
             applied += len(hits)
         g.rebuild()
         return IterationReport(

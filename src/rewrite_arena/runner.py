@@ -243,14 +243,16 @@ def run_case_stochastic(case: BenchmarkCase, cfg: RunConfig,
     )
 
 
-def _solved_in_graph(g: EGraph, root, case: BenchmarkCase, model) -> bool:
+def _solved_in_graph(g: EGraph, root, case: BenchmarkCase, model,
+                     checks: list) -> bool:
+    """The solved check; an extraction it makes is appended to `checks`."""
     crit = case.criterion
     if isinstance(crit, ReachTerm):
         return g.represents(root, crit.goal)
     if isinstance(crit, ReachTrue):
         return g.represents(root, TRUE)
-    _, cost = extract(g, root, model)
-    return cost <= crit.value
+    checks.append(extract(g, root, model))
+    return checks[-1][1] <= crit.value
 
 
 def _eqsat_overrides(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None,
@@ -272,14 +274,19 @@ def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
     deadline = None if limit is None else started + limit
     g = EGraph()
     root = g.add_term(case.input_term)
+    checks: list = []
     extract_from, report = saturate(
         g, root, case.ruleset, eqsat_cfg, case.checkpointing, deadline,
-        solved=lambda g, root: _solved_in_graph(g, root, case, model))
+        solved=lambda g, root: _solved_in_graph(g, root, case, model, checks))
 
     if isinstance(case.criterion, ReachTerm):
         ok = extract_from.represents(root, case.criterion.goal)
         best_term = case.criterion.goal if ok else case.input_term
         best_cost = model.cost(best_term)
+    elif extract_from is g and len(checks) == report.iterations + 1:
+        # saturate checks before the first iteration and after each clean
+        # one, so the last check extracted from this very graph.
+        best_term, best_cost = checks[-1]
     else:
         best_term, best_cost = extract(extract_from, root, model)
     solved = judge(case, best_term, model)

@@ -115,18 +115,6 @@ def chain_seed(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def sample_successor(t: Term, candidates: list[Term], beta_now: float,
-                     model: CostModel, rng: random.Random) -> Term:
-    """Draw one candidate with probability proportional to exp(-beta/2 * dC)."""
-    if not candidates:
-        raise EmptyCandidateSetError("cannot sample from an empty candidate set")
-    if len(candidates) == 1:
-        return candidates[0]
-    base = model.cost(t)
-    deltas = [model.cost(c) - base for c in candidates]
-    return candidates[sample_index(deltas, beta_now, rng)]
-
-
 def sample_index(deltas: list[float], beta: float, rng: random.Random) -> int:
     """Index of one successor, drawn with weight exp(-beta/2 * delta).
 
@@ -135,6 +123,8 @@ def sample_index(deltas: list[float], beta: float, rng: random.Random) -> int:
     largest is 1 and none overflows.
     """
     n = len(deltas)
+    if not n:
+        raise EmptyCandidateSetError("cannot sample from an empty candidate set")
     if beta == 0.0:
         return int(rng.random() * n) % n
     lowest = min(deltas)

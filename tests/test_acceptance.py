@@ -21,7 +21,6 @@ from rewrite_arena import (
     extract,
     fuzz_equiv,
     gen_matmul_chain,
-    integ_cost,
     needle_case,
     parse_sexpr,
     run_chain,
@@ -29,7 +28,7 @@ from rewrite_arena import (
     saturate,
     search,
 )
-from rewrite_arena.costs import MatMulScalarOps
+from rewrite_arena.costs import MatMulScalarOps, integ_cost
 from rewrite_arena.rulesets import trig_ruleset
 from rewrite_arena.runner import (
     run_case_eqsat,

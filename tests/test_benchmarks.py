@@ -6,24 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from rewrite_arena import (
     AstSize,
-    BenchmarkCase,
     CostModel,
-    GoalIndicator,
     Guard,
     Inequivalent,
-    IntegSquare,
     MatMulScalarOps,
-    ReachTerm,
     Rule,
     Ruleset,
-    WeightedAstSize,
-    builtin_ruleset,
     leaf,
     number,
-    pattern_vars,
     term,
-    ReachTrue,
-    TargetCost,
     brute_force_optimal,
     builtin_suites,
     dp_optimal_cost,
@@ -31,13 +22,26 @@ from rewrite_arena import (
     gen_matmul_chain,
     judge,
     needle_case,
-    node_count,
     parse_sexpr,
+)
+from rewrite_arena.benchmarks import (
+    BenchmarkCase,
+    ReachTerm,
+    ReachTrue,
+    TargetCost,
+    matmul_case_from_dims,
     suite_from_json,
     suite_to_json,
 )
-from rewrite_arena.benchmarks import matmul_case_from_dims
-from rewrite_arena.costs import model_to_spec
+from rewrite_arena.costs import (
+    GoalIndicator,
+    IntegSquare,
+    WeightedAstSize,
+    model_to_spec,
+)
+from rewrite_arena.rules import pattern_vars
+from rewrite_arena.rulesets import builtin_ruleset
+from rewrite_arena.terms import node_count
 from helpers import BINARY_OPS, UNARY_OPS
 
 

@@ -4,19 +4,21 @@ import pytest
 
 from rewrite_arena import (
     AstSize,
+    MatMulScalarOps,
+    cost,
+    dims_of,
+    dp_optimal_cost,
+    parse_sexpr,
+)
+from rewrite_arena.costs import (
     CostError,
     DimensionError,
     GoalIndicator,
     IntegSquare,
-    MatMulScalarOps,
     WeightedAstSize,
-    cost,
-    dims_of,
-    dp_optimal_cost,
     integ_cost,
-    parse_sexpr,
-    replace_at,
 )
+from rewrite_arena.terms import replace_at
 from helpers import random_term
 
 DIMS = {"A": (2, 3), "B": (3, 4), "C": (4, 5)}
@@ -80,7 +82,7 @@ def test_ast_size_strictly_monotone_under_growth():
     # Replacing a leaf with a larger term strictly increases AstSize.
     rng = random.Random(31)
     size = AstSize()
-    from rewrite_arena import positions
+    from rewrite_arena.terms import positions
 
     for _ in range(100):
         t = random_term(rng)
@@ -123,7 +125,7 @@ def test_goal_indicator():
 
 def test_delta_cost_matches_full_recosting():
     rng = random.Random(77)
-    from rewrite_arena import positions, subterm_at
+    from rewrite_arena.terms import positions, subterm_at
     from rewrite_arena.rulesets import trig_ruleset
     from rewrite_arena import proposals
 

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from rewrite_arena import (
-    Equivalent,
     EquivalenceValidator,
     Inconclusive,
     Inequivalent,
-    eval_numeric,
     fuzz_equiv,
     parse_sexpr,
 )
-from rewrite_arena.equivalence import UnknownOperatorError
+from rewrite_arena.equivalence import (
+    Equivalent,
+    UnknownOperatorError,
+    eval_numeric,
+)
 from helpers import random_term
 
 

@@ -6,22 +6,22 @@ from hypothesis import given, settings, strategies as st
 from rewrite_arena import (
     Guard,
     Rule,
-    RuleError,
     Ruleset,
-    apply_rule_at,
-    const_fold,
-    instantiate,
-    match_pattern,
     parse_ruleset,
     parse_sexpr,
-    pattern_vars,
     print_sexpr,
     proposals,
 )
 from rewrite_arena.rules import (
+    RuleError,
     UnboundVariableError,
+    apply_rule_at,
+    const_fold,
+    instantiate,
     is_pattern_var,
+    match_pattern,
     parse_rule_line,
+    pattern_vars,
 )
 from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
 from rewrite_arena.terms import Term, leaf, positions, replace_at
@@ -144,7 +144,7 @@ def test_proposals_exclude_identity():
 def test_proposals_local_change_property():
     rs = trig_ruleset()
     rng = random.Random(41)
-    from rewrite_arena import node_count, replace_at, subterm_at
+    from rewrite_arena.terms import node_count, replace_at, subterm_at
 
     for _ in range(60):
         t = random_term(rng)

@@ -9,15 +9,12 @@ from rewrite_arena import (
     CostModel,
     EquivalenceValidator,
     RunConfig,
-    chain_seed,
     gen_matmul_chain,
     needle_case,
     parse_ruleset,
     parse_sexpr,
     print_sexpr,
-    replay_trace,
     run_chain,
-    sample_successor,
     search,
 )
 from rewrite_arena.benchmarks import (
@@ -27,7 +24,12 @@ from rewrite_arena.benchmarks import (
 )
 from rewrite_arena import stochastic
 from rewrite_arena.rules import proposals
-from rewrite_arena.stochastic import EmptyCandidateSetError, sample_index
+from rewrite_arena.stochastic import (
+    EmptyCandidateSetError,
+    chain_seed,
+    replay_trace,
+    sample_index,
+)
 
 
 def P(text):
@@ -65,26 +67,23 @@ def test_sample_index_overflow_safe():
 
 def test_sample_single_candidate_certain():
     rng = random.Random(0)
-    t = P("x")
-    c = P("(sin x)")
     for _ in range(5):
-        assert sample_successor(t, [c], 1.0, AstSize(), rng) is c
+        assert sample_index([1.0], 1.0, rng) == 0
 
 
 def test_sample_beta_zero_uniform():
     rng = random.Random(1)
-    t = P("x")
-    cands = [P("(sin x)"), P("(+ x 1)"), P("(* 2 (+ x 1))")]
+    # AstSize deltas of (sin x), (+ x 1) and (* 2 (+ x 1)) from x.
+    deltas = [1.0, 2.0, 4.0]
     counts = [0, 0, 0]
     for _ in range(6000):
-        pick = sample_successor(t, cands, 0.0, AstSize(), rng)
-        counts[cands.index(pick)] += 1
+        counts[sample_index(deltas, 0.0, rng)] += 1
     assert all(abs(c / 6000 - 1 / 3) < 0.03 for c in counts)
 
 
 def test_sample_empty_candidates_raises():
     with pytest.raises(EmptyCandidateSetError):
-        sample_successor(P("x"), [], 1.0, AstSize(), random.Random(0))
+        sample_index([], 1.0, random.Random(0))
 
 
 def test_chain_seed_deterministic_and_spread():
@@ -288,29 +287,16 @@ def test_search_tie_breaks_lowest_chain_index():
 
 
 def test_empirical_frequencies_match_analytic_distribution():
-    # 10,000 draws from a fixed 3-candidate set, beta = 2,
-    # deltas {0, ln 4, ln 4}: expect {2/3, 1/6, 1/6}; chi-square df = 2.
+    # 10,000 draws from 3 candidates, beta = 2, deltas {0, ln 4, ln 4}:
+    # expect {2/3, 1/6, 1/6}; chi-square df = 2.
     rng = random.Random(123)
-    t = P("(+ x (+ x (+ x x)))")  # cost 7
     ln4 = math.log(4)
-    base = AstSize().cost(t)
-
-    class Fixed(CostModel):
-        def __init__(self, mapping):
-            super().__init__()
-            self.mapping = mapping
-
-        def cost(self, term):
-            return self.mapping.get(term, base)
-
-    c0, c1, c2 = P("(sin q0)"), P("(sin q1)"), P("(sin q2)")
-    model = Fixed({c0: base, c1: base + ln4, c2: base + ln4})
-    counts = {c0: 0, c1: 0, c2: 0}
+    counts = [0, 0, 0]
     draws = 10000
     for _ in range(draws):
-        counts[sample_successor(t, [c0, c1, c2], 2.0, model, rng)] += 1
-    expected = {c0: draws * 2 / 3, c1: draws / 6, c2: draws / 6}
-    chi2 = sum((counts[c] - expected[c]) ** 2 / expected[c] for c in counts)
+        counts[sample_index([0.0, ln4, ln4], 2.0, rng)] += 1
+    expected = [draws * 2 / 3, draws / 6, draws / 6]
+    chi2 = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
     # p > 0.01 for df = 2 means chi2 below 9.2103
     assert chi2 < 9.2103
 

@@ -2,20 +2,16 @@ import random
 
 import pytest
 
-from rewrite_arena import (
+from rewrite_arena import leaf, number, parse_sexpr, print_sexpr, term
+from rewrite_arena.terms import (
     ArityError,
     InvalidPositionError,
     ParseError,
-    leaf,
     node_count,
-    number,
-    parse_sexpr,
     positions,
-    print_sexpr,
     replace_at,
     subterm_at,
     symbol,
-    term,
 )
 from helpers import random_term
 
