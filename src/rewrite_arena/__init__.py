@@ -7,15 +7,15 @@ pulsing.  A benchmark harness with independent oracles compares them.
 """
 
 from .terms import Term, leaf, number, parse_sexpr, print_sexpr, term
-from .rules import Guard, Rule, Ruleset, parse_ruleset, proposals
-from .costs import AstSize, CostModel, MatMulScalarOps, cost, dims_of
+from .rules import Guard, Rule, Ruleset, parse_ruleset
+from .costs import AstSize, CostModel, MatMulScalarOps, dims_of
 from .equivalence import (
     EquivalenceValidator,
     Inconclusive,
     Inequivalent,
     fuzz_equiv,
 )
-from .stochastic import RunConfig, run_chain, search
+from .stochastic import RunConfig, proposals, run_chain, search
 from .egraph import BackoffScheduler, EGraph, extract, run_iteration
 from .benchmarks import (
     brute_force_optimal,

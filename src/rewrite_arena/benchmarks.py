@@ -162,20 +162,7 @@ def gen_matmul_chain(n: int, dim_lo: int = 1, dim_hi: int = 20,
     if rng is None:
         rng = random.Random(0)
     dims = [rng.randint(dim_lo, dim_hi) for _ in range(n + 1)]
-    names = matmul_leaves(n)
-    env: DimEnv = {names[i]: (dims[i], dims[i + 1]) for i in range(n)}
-    oracle = dp_optimal_cost(dims)
-    return BenchmarkCase(
-        name=name or f"matmul-{n}",
-        input_term=left_assoc_chain(names),
-        ruleset=assoc_ruleset(),
-        cost_model=MatMulScalarOps(env),
-        criterion=TargetCost(oracle),
-        oracle_cost=oracle,
-        dims=env,
-        time_limit=10.0,
-        eqsat_overrides=dict(_MATMUL_EQSAT),
-    )
+    return matmul_case_from_dims(dims, name or f"matmul-{n}")
 
 
 def matmul_case_from_dims(dims: list[int], name: str = "matmul") -> BenchmarkCase:

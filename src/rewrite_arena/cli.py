@@ -32,10 +32,29 @@ from .runner import (
 )
 from .stochastic import RunConfig
 
-STOCHASTIC_FLAGS = ("beta", "budget", "n_soft", "explore", "n_hard", "workers",
-                    "max_steps", "max_proposals")
-EQSAT_FLAGS = ("iterations", "node_limit", "pulse_iterations", "match_limit",
-               "ban_length")
+# Each tuning flag -> (engine, the config field it sets, type, help).  The
+# field is also the flag's argparse dest.  A flag given on the command line
+# pins its field against suite tuning, and the other engine's flags are
+# rejected.  Unset fields keep their RunConfig/EqsatConfig defaults.
+TUNING_FLAGS = {
+    "--beta": ("stochastic", "beta", float, None),
+    "--budget": ("stochastic", "budget", int, None),
+    "--n-soft": ("stochastic", "n_soft", int, None),
+    "--explore": ("stochastic", "explore", int, None),
+    "--n-hard": ("stochastic", "n_hard", int, None),
+    "--workers": ("stochastic", "workers", int, None),
+    "--max-steps": ("stochastic", "max_steps", int, None),
+    "--max-proposals": ("stochastic", "max_proposals", int, None),
+    "--iterations": ("eqsat", "iterations", int,
+                     "saturation iteration limit (eqsat)"),
+    "--node-limit": ("eqsat", "nodes", int, "e-graph node limit (eqsat)"),
+    "--pulse-iterations": ("eqsat", "pulse_iterations", int,
+                           "iterations per pulse (eqsat-pulsed)"),
+    "--match-limit": ("eqsat", "match_limit", int,
+                      "scheduler match limit (eqsat)"),
+    "--ban-length": ("eqsat", "ban_length", int,
+                     "scheduler ban length (eqsat)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,26 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--n-soft", type=int, default=None)
-    p.add_argument("--explore", type=int, default=None)
-    p.add_argument("--n-hard", type=int, default=None)
+    for flag, (_, field, kind, text) in TUNING_FLAGS.items():
+        p.add_argument(flag, dest=field, type=kind, default=None, help=text)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--max-proposals", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None,
-                   help="saturation iteration limit (eqsat)")
-    p.add_argument("--node-limit", type=int, default=None,
-                   help="e-graph node limit (eqsat)")
-    p.add_argument("--pulse-iterations", type=int, default=None,
-                   help="iterations per pulse (eqsat-pulsed)")
-    p.add_argument("--match-limit", type=int, default=None,
-                   help="scheduler match limit (eqsat)")
-    p.add_argument("--ban-length", type=int, default=None,
-                   help="scheduler ban length (eqsat)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -112,17 +115,22 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None)
 
 
+def _set_flags(args, engine: str | None = None) -> dict[str, object]:
+    """Config field -> value of each tuning flag set (of one engine)."""
+    return {field: getattr(args, field)
+            for owner, field, _, _ in TUNING_FLAGS.values()
+            if getattr(args, field) is not None and engine in (None, owner)}
+
+
 def _check_engine_flags(args, parser) -> None:
-    if args.engine in ("eqsat", "eqsat-pulsed"):
-        bad = [f for f in STOCHASTIC_FLAGS if getattr(args, f) is not None]
-        if bad:
-            parser.error(f"engine {args.engine} does not accept stochastic "
-                         f"flags: {', '.join('--' + f.replace('_', '-') for f in bad)}")
-    if args.engine == "stochastic":
-        bad = [f for f in EQSAT_FLAGS if getattr(args, f) is not None]
-        if bad:
-            parser.error(f"engine stochastic does not accept eqsat flags: "
-                         f"{', '.join('--' + f.replace('_', '-') for f in bad)}")
+    if args.engine == "both":
+        return
+    other = "eqsat" if args.engine == "stochastic" else "stochastic"
+    bad = [flag for flag, (owner, field, _, _) in TUNING_FLAGS.items()
+           if owner == other and getattr(args, field) is not None]
+    if bad:
+        parser.error(f"engine {args.engine} does not accept {other} flags: "
+                     f"{', '.join(bad)}")
 
 
 def _run_config(args) -> RunConfig:
@@ -134,32 +142,16 @@ def _run_config(args) -> RunConfig:
         except ValueError:
             raise UsageError(f"REWRITE_ARENA_SEED must be an integer, "
                              f"got {env_seed!r}") from None
+    # The CLI runs 8 workers unless told otherwise; RunConfig's default is 1.
+    fields = {"workers": 8, **_set_flags(args, "stochastic")}
     try:
-        return RunConfig(
-            beta=1.0 if args.beta is None else args.beta,
-            budget=args.budget,
-            n_soft=1000 if args.n_soft is None else args.n_soft,
-            explore=100 if args.explore is None else args.explore,
-            n_hard=5000 if args.n_hard is None else args.n_hard,
-            time_limit=args.time_limit,
-            workers=8 if args.workers is None else args.workers,
-            seed=seed,
-            max_steps=args.max_steps,
-            max_proposals=args.max_proposals,
-        )
+        return RunConfig(time_limit=args.time_limit, seed=seed, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _eqsat_config(args) -> EqsatConfig:
-    return EqsatConfig(
-        iterations=30 if args.iterations is None else args.iterations,
-        nodes=20000 if args.node_limit is None else args.node_limit,
-        pulse_iterations=(3 if args.pulse_iterations is None
-                          else args.pulse_iterations),
-        match_limit=1000 if args.match_limit is None else args.match_limit,
-        ban_length=5 if args.ban_length is None else args.ban_length,
-    )
+    return EqsatConfig(**_set_flags(args, "eqsat"))
 
 
 def _load_cases(args, cfg: RunConfig):
@@ -231,20 +223,7 @@ def _write_out(text: str, output: str | None) -> None:
 
 def _pinned_fields(args) -> frozenset[str]:
     """Config fields the user set explicitly; suite tuning must not override."""
-    pins = {f for f in ("beta", "budget", "n_soft", "explore", "n_hard",
-                        "max_steps", "max_proposals", "workers")
-            if getattr(args, f) is not None}
-    if args.iterations is not None:
-        pins.add("iterations")
-    if args.node_limit is not None:
-        pins.add("nodes")
-    if args.pulse_iterations is not None:
-        pins.add("pulse_iterations")
-    if args.match_limit is not None:
-        pins.add("match_limit")
-    if args.ban_length is not None:
-        pins.add("ban_length")
-    return frozenset(pins)
+    return frozenset(_set_flags(args))
 
 
 def _cmd_bench(args, parser) -> int:

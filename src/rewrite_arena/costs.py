@@ -90,19 +90,6 @@ class CostModel:
         return self._scalar(t._memo[token])
 
 
-class AstSize(CostModel):
-    """Total node count, leaves included."""
-
-    def _combine(self, op_name, child_values):
-        return 1 + sum(child_values)
-
-    def delta_cost(self, old_sub, new_sub):
-        return self.cost(new_sub) - self.cost(old_sub)
-
-    def __repr__(self):
-        return "AstSize()"
-
-
 class WeightedAstSize(CostModel):
     """Node cost = weight(op) + sum of child costs; default weight 1."""
 
@@ -118,6 +105,16 @@ class WeightedAstSize(CostModel):
 
     def __repr__(self):
         return f"WeightedAstSize({self.weights!r})"
+
+
+class AstSize(WeightedAstSize):
+    """Total node count, leaves included: every weight is 1."""
+
+    def __init__(self):
+        super().__init__()
+
+    def __repr__(self):
+        return "AstSize()"
 
 
 INTEGRAL_OPS = ("int", "d")
@@ -197,10 +194,6 @@ class GoalIndicator(CostModel):
 
     def __repr__(self):
         return "GoalIndicator()"
-
-
-def cost(model: CostModel, t: Term):
-    return model.cost(t)
 
 
 def dims_of(env: DimEnv, t: Term) -> tuple[int, int]:

@@ -274,9 +274,6 @@ class EGraph:
     def num_nodes(self) -> int:
         return sum(len(c.nodes) for c in self.classes.values())
 
-    def constant_of(self, cid: EClassId):
-        return self.classes[self.find(cid)].constant
-
     def represents(self, cid: EClassId, t: Term) -> bool:
         """True when the class contains t as a concrete tree.
 

@@ -1,9 +1,10 @@
-"""Patterns, guards, rules, matching, and candidate generation.
+"""Patterns, guards, rules, matching, and exact constant folding.
 
 A pattern is an ordinary term whose arity-0 leaves may be pattern variables
 (spelled ``?a``).  Rules rewrite a matched subterm into an instantiated
 right-hand side, optionally gated by a syntactic guard evaluated after exact
-constant folding of the bound subterm.
+constant folding of the bound subterm.  One-step rewrites of a term are
+enumerated in stochastic.py, which also holds the `proposals` view.
 
 Patterns are compiled, as egg compiles them: on first use, each pattern
 becomes a straight-line Python function, generated as source and kept in
@@ -16,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .terms import (
     Term,
     TermError,
     Position,
     number,
-    positions,
     print_sexpr,
     replace_at,
     subterm_at,
@@ -222,8 +221,6 @@ _ARITH_OPS = frozenset({"+", "-", "*", "/", "pow", "neg", "min", "max", "abs"})
 _COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 _LOGIC_OPS = frozenset({"&&", "||", "!"})
 
-FOLDABLE_OPS = _ARITH_OPS | _COMPARE_OPS | _LOGIC_OPS
-
 # Folded values are exact rationals or booleans.
 Constant = Fraction | bool
 
@@ -291,6 +288,18 @@ def constant_term(value: Constant) -> Term:
     return number(value)
 
 
+def fold_step(op_name: str, kids) -> Term | None:
+    """The literal that op_name over literal kids folds to, else None."""
+    values = []
+    for k in kids:
+        v = term_constant(k)
+        if v is None:
+            return None
+        values.append(v)
+    folded = fold_node(op_name, values)
+    return None if folded is None else constant_term(folded)
+
+
 def const_fold(t: Term) -> Term:
     """Fold every constant subterm exactly; unfoldable parts are kept as-is."""
     if not t.children:
@@ -310,17 +319,9 @@ def const_fold(t: Term) -> Term:
             stack.extend((c, False) for c in node.children)
             continue
         kids = tuple(done[id(c)] for c in node.children)
-        values = []
-        for k in kids:
-            v = term_constant(k)
-            if v is None:
-                break
-            values.append(v)
-        folded = None
-        if len(values) == len(kids):
-            folded = fold_node(node.op.name, values)
+        folded = fold_step(node.op.name, kids)
         if folded is not None:
-            done[id(node)] = constant_term(folded)
+            done[id(node)] = folded
         elif all(k is c for k, c in zip(kids, node.children)):
             done[id(node)] = node
         else:
@@ -407,11 +408,6 @@ class Ruleset:
             self._by_root[op_name] = cached
         return cached
 
-    def without(self, *names: str) -> "Ruleset":
-        drop = set(names)
-        return Ruleset(self.name, [r for r in self.rules if r.name not in drop],
-                       self.fold_constants)
-
     def __repr__(self):
         return f"Ruleset({self.name!r}, {len(self.rules)} rules)"
 
@@ -425,52 +421,6 @@ def apply_rule_at(rule: Rule, t: Term, pos: Position) -> Term | None:
     if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
         return None
     return replace_at(t, pos, instantiate(rule.rhs, subst))
-
-
-class Proposal(NamedTuple):
-    term: Term
-    rule: str
-    position: Position
-
-
-FOLD_RULE_NAME = "fold"
-
-
-def proposals(t: Term, ruleset: Ruleset) -> list[Proposal]:
-    """All one-step rewrites of t, deduplicated by result term.
-
-    Order is deterministic: position-major (preorder), rule-minor (ruleset
-    order, then constant folding).  The identity is never proposed.
-    """
-    out: list[Proposal] = []
-    seen: set[Term] = set()
-    for pos, sub in positions(t):
-        for rule in ruleset.rules_for_root(sub.op.name):
-            subst = match_pattern(rule.lhs, sub)
-            if subst is None:
-                continue
-            if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
-                continue
-            candidate = replace_at(t, pos, instantiate(rule.rhs, subst))
-            if candidate == t or candidate in seen:
-                continue
-            seen.add(candidate)
-            out.append(Proposal(candidate, rule.name, pos))
-        if ruleset.fold_constants and sub.children:
-            values = []
-            for k in sub.children:
-                v = term_constant(k)
-                if v is None:
-                    break
-                values.append(v)
-            if len(values) == len(sub.children):
-                folded = fold_node(sub.op.name, values)
-                if folded is not None:
-                    candidate = replace_at(t, pos, constant_term(folded))
-                    if candidate != t and candidate not in seen:
-                        seen.add(candidate)
-                        out.append(Proposal(candidate, FOLD_RULE_NAME, pos))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -123,14 +123,8 @@ def assoc_ruleset() -> Ruleset:
     return parse_ruleset(ASSOC_TEXT, name="assoc")
 
 
-def trig_ruleset(include_recip: bool = True, include_cancel: bool = True) -> Ruleset:
-    rs = parse_ruleset(TRIG_TEXT, name="trig")
-    drop = []
-    if not include_recip:
-        drop.append("recip")
-    if not include_cancel:
-        drop.append("cancel")
-    return rs.without(*drop) if drop else rs
+def trig_ruleset() -> Ruleset:
+    return parse_ruleset(TRIG_TEXT, name="trig")
 
 
 def integration_ruleset() -> Ruleset:

@@ -5,7 +5,6 @@ run_iteration and extract through this module's names.
 """
 from __future__ import annotations
 
-import json
 import sys
 import time
 from collections.abc import Callable
@@ -24,8 +23,6 @@ from .equivalence import EquivalenceValidator
 from .rules import Ruleset
 from .stochastic import RunConfig, search
 from .terms import TRUE, Term, print_sexpr
-
-ENGINES = ("stochastic", "eqsat", "eqsat-pulsed")
 
 
 @dataclass(frozen=True)
@@ -47,19 +44,6 @@ class SaturationReport:
     wall_time: float = 0.0
     stop_reason: str = ""
     restored_checkpoint: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1,
-            "iterations": self.iterations,
-            "e_nodes": self.nodes,
-            "e_classes": self.classes,
-            "unions": self.unions,
-            "contradiction": self.contradiction,
-            "wall_time": self.wall_time,
-            "stop_reason": self.stop_reason,
-            "restored_checkpoint": self.restored_checkpoint,
-        })
 
 
 def saturate(g: EGraph, root: EClassId, ruleset: Ruleset,
@@ -162,9 +146,9 @@ class CaseResult:
     solved: bool
     units: int
     unit_kind: str
-    hard_restarts: int
-    unsound_restarts: int
     wall_time: float
+    hard_restarts: int = 0
+    unsound_restarts: int = 0
     best_term: str = ""
 
     def row(self) -> dict:
@@ -194,6 +178,12 @@ def _ratio(oracle: float | None, found: float) -> float | None:
     return oracle / found
 
 
+def _tuned(cfg, overrides: dict | None, pinned: frozenset[str]):
+    """cfg with a case's tuning overrides applied, except pinned fields."""
+    kept = {k: v for k, v in (overrides or {}).items() if k not in pinned}
+    return replace(cfg, **kept) if kept else cfg
+
+
 def _early_target(case: BenchmarkCase) -> float | None:
     target = case.target_cost()
     if target is None and isinstance(case.criterion, ReachTerm) \
@@ -209,9 +199,8 @@ def run_case_stochastic(case: BenchmarkCase, cfg: RunConfig,
     """Run one case; `pinned` names config fields suite tuning must not touch."""
     model = case.model_for("stochastic")
     limit = case.time_limit if time_limit is None else time_limit
-    overrides = {k: v for k, v in (case.stochastic_overrides or {}).items()
-                 if k not in pinned}
-    cfg = replace(cfg, time_limit=limit, **overrides)
+    cfg = replace(_tuned(cfg, case.stochastic_overrides, pinned),
+                  time_limit=limit)
     validator = None
     if case.validate:
         validator = EquivalenceValidator(case.input_term, seed=cfg.seed)
@@ -255,19 +244,11 @@ def _solved_in_graph(g: EGraph, root, case: BenchmarkCase, model,
     return checks[-1][1] <= crit.value
 
 
-def _eqsat_overrides(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None,
-                     pinned: frozenset[str]) -> EqsatConfig:
-    cfg = eqsat_cfg or EqsatConfig()
-    overrides = {k: v for k, v in (case.eqsat_overrides or {}).items()
-                 if k not in pinned}
-    return replace(cfg, **overrides) if overrides else cfg
-
-
 def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
                    time_limit: float | None = None,
                    pinned: frozenset[str] = frozenset()) -> CaseResult:
     """Saturate with checkpointing as configured; stop early once solved."""
-    eqsat_cfg = _eqsat_overrides(case, eqsat_cfg, pinned)
+    eqsat_cfg = _tuned(eqsat_cfg or EqsatConfig(), case.eqsat_overrides, pinned)
     model = case.model_for("eqsat")
     limit = case.time_limit if time_limit is None else time_limit
     started = time.monotonic()
@@ -299,8 +280,6 @@ def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
         solved=solved,
         units=report.iterations,
         unit_kind="iterations",
-        hard_restarts=0,
-        unsound_restarts=0,
         wall_time=time.monotonic() - started,
         best_term=print_sexpr(best_term),
     )
@@ -310,7 +289,7 @@ def run_case_eqsat_pulsed(case: BenchmarkCase,
                           eqsat_cfg: EqsatConfig | None = None,
                           time_limit: float | None = None,
                           pinned: frozenset[str] = frozenset()) -> CaseResult:
-    eqsat_cfg = _eqsat_overrides(case, eqsat_cfg, pinned)
+    eqsat_cfg = _tuned(eqsat_cfg or EqsatConfig(), case.eqsat_overrides, pinned)
     model = case.model_for("eqsat")
     limit = case.time_limit if time_limit is None else time_limit
     started = time.monotonic()
@@ -330,8 +309,6 @@ def run_case_eqsat_pulsed(case: BenchmarkCase,
         solved=judge(case, best, model),
         units=sum(r.iterations for r in reports),
         unit_kind="iterations",
-        hard_restarts=0,
-        unsound_restarts=0,
         wall_time=time.monotonic() - started,
         best_term=print_sexpr(best),
     )

@@ -15,22 +15,22 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .costs import CostModel
 from .rules import (
-    FOLD_RULE_NAME,
     Ruleset,
     apply_rule_at,
-    constant_term,
-    fold_node,
+    fold_step,
     instantiate,
     match_pattern,
-    proposals,
-    term_constant,
 )
-from .terms import Term, Position, positions, replace_at
+from .terms import Term, Position, positions, replace_at, subterm_at
 
 _M64 = (1 << 64) - 1
+
+# The rule name a constant-folding step is proposed and traced under.
+FOLD_RULE_NAME = "fold"
 
 
 class EmptyCandidateSetError(ValueError):
@@ -146,20 +146,19 @@ def _draw(weights: list[float], rng: random.Random) -> int:
 
 
 class _Candidate:
-    """One-step rewrite kept unmaterialized until sampled.
+    """One-step rewrite of old_sub at position into new_sub.
 
-    delta is the exact cost change; term is built lazily (only the sampled
-    candidate pays for the spine rebuild).
-    """
+    term is built lazily: only the sampled candidate, or one whose cost
+    change does not localize, pays for the spine rebuild."""
 
-    __slots__ = ("rule", "position", "new_sub", "delta", "term")
+    __slots__ = ("rule", "position", "old_sub", "new_sub", "term")
 
-    def __init__(self, rule, position, new_sub, delta, term=None):
+    def __init__(self, rule, position, old_sub, new_sub):
         self.rule = rule
         self.position = position
+        self.old_sub = old_sub
         self.new_sub = new_sub
-        self.delta = delta
-        self.term = term
+        self.term = None
 
     def materialize(self, t: Term) -> Term:
         if self.term is None:
@@ -182,14 +181,13 @@ def _result_hash(t: Term, pos: Position, new_sub: Term) -> int:
     return h
 
 
-def _enumerate_candidates(t: Term, ruleset: Ruleset, model: CostModel,
-                          base_cost) -> list[_Candidate]:
-    """All one-step rewrites with exact cost deltas, deduplicated by result.
+def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
+    """All one-step rewrites of t, deduplicated by result: the one enumerator.
 
-    Order and deduplication mirror rules.proposals: position-major, rule-
-    minor, first occurrence kept, identity excluded.  The result hash is a
-    first filter; a candidate is dropped only when its result equals that
-    of a kept candidate with the same hash.
+    Order is position-major (preorder), rule-minor (ruleset order, then
+    constant folding), first occurrence kept, identity excluded.  The
+    result hash is a first filter; a candidate is dropped only when its
+    result equals that of a kept candidate with the same hash.
     """
     out: list[_Candidate] = []
     seen: dict[int, list[_Candidate]] = {}
@@ -199,8 +197,7 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset, model: CostModel,
         if same_hash and any(_same_result(t, kept, pos, new_sub)
                              for kept in same_hash):
             return
-        candidate = _make_candidate(t, pos, sub, new_sub, rule_name, model,
-                                    base_cost)
+        candidate = _Candidate(rule_name, pos, sub, new_sub)
         same_hash.append(candidate)
         out.append(candidate)
 
@@ -215,19 +212,23 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset, model: CostModel,
             if new_sub != sub:
                 keep(pos, sub, new_sub, rule.name)
         if ruleset.fold_constants and sub.children:
-            values = []
-            for k in sub.children:
-                v = term_constant(k)
-                if v is None:
-                    break
-                values.append(v)
-            if len(values) == len(sub.children):
-                folded = fold_node(sub.op.name, values)
-                if folded is not None:
-                    new_sub = constant_term(folded)
-                    if new_sub != sub:
-                        keep(pos, sub, new_sub, FOLD_RULE_NAME)
+            # A fold turns a node with children into a leaf, never itself.
+            new_sub = fold_step(sub.op.name, sub.children)
+            if new_sub is not None:
+                keep(pos, sub, new_sub, FOLD_RULE_NAME)
     return out
+
+
+class Proposal(NamedTuple):
+    term: Term
+    rule: str
+    position: Position
+
+
+def proposals(t: Term, ruleset: Ruleset) -> list[Proposal]:
+    """All one-step rewrites of t, materialized, in enumeration order."""
+    return [Proposal(c.materialize(t), c.rule, c.position)
+            for c in _enumerate_candidates(t, ruleset)]
 
 
 def _same_result(t: Term, kept: _Candidate, pos: Position,
@@ -238,12 +239,17 @@ def _same_result(t: Term, kept: _Candidate, pos: Position,
     return kept.materialize(t) == replace_at(t, pos, new_sub)
 
 
-def _make_candidate(t, pos, old_sub, new_sub, rule_name, model, base_cost):
-    delta = model.delta_cost(old_sub, new_sub)
-    if delta is not None:
-        return _Candidate(rule_name, pos, new_sub, delta)
-    term = replace_at(t, pos, new_sub)
-    return _Candidate(rule_name, pos, new_sub, model.cost(term) - base_cost, term)
+def _deltas(t: Term, candidates: list[_Candidate], model: CostModel,
+            base_cost) -> list:
+    """Each candidate's exact cost change: model.delta_cost, or the cost of
+    the whole result term when the change does not localize."""
+    out = []
+    for c in candidates:
+        delta = model.delta_cost(c.old_sub, c.new_sub)
+        if delta is None:
+            delta = model.cost(c.materialize(t)) - base_cost
+        out.append(delta)
+    return out
 
 
 def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
@@ -279,6 +285,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     trace: list[tuple[str, Position]] = []
     best_trace: list[tuple[str, Position]] | None = None
     candidates: list[_Candidate] | None = None
+    deltas: list = []
     solved = target_cost is not None and best_cost <= target_cost
 
     while not solved:
@@ -297,7 +304,8 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             continue
 
         if candidates is None:
-            candidates = _enumerate_candidates(t, ruleset, model, cost_t)
+            candidates = _enumerate_candidates(t, ruleset)
+            deltas = _deltas(t, candidates, model, cost_t)
         total_proposals += len(candidates)
         if not candidates:
             # Dead end: the term cannot move, so every step up to the stall
@@ -311,8 +319,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             continue
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
-        chosen = candidates[sample_index([c.delta for c in candidates],
-                                         beta_now, rng)]
+        chosen = candidates[sample_index(deltas, beta_now, rng)]
         t = chosen.materialize(t)
         cost_t = model.cost(t)
         candidates = None
@@ -418,16 +425,16 @@ def replay_trace(t0: Term, ruleset: Ruleset, trace: list[tuple[str, Position]]) 
     by_name = {r.name: r for r in ruleset.rules}
     t = t0
     for rule_name, pos in trace:
-        if rule_name == "fold":
-            from .rules import proposals as _props
-
-            folded = [p.term for p in _props(t, ruleset)
-                      if p.rule == "fold" and p.position == pos]
-            if not folded:
-                raise ValueError(f"fold at {pos} no longer applies")
-            t = folded[0]
-            continue
-        nxt = apply_rule_at(by_name[rule_name], t, pos)
+        if rule_name == FOLD_RULE_NAME and ruleset.fold_constants:
+            sub = subterm_at(t, pos)
+            folded = (fold_step(sub.op.name, sub.children)
+                      if sub.children else None)
+            nxt = None if folded is None else replace_at(t, pos, folded)
+        elif rule_name in by_name:
+            nxt = apply_rule_at(by_name[rule_name], t, pos)
+        else:
+            raise ValueError(f"rule {rule_name!r} is not in ruleset "
+                             f"{ruleset.name!r}")
         if nxt is None:
             raise ValueError(f"rule {rule_name!r} no longer applies at {pos}")
         t = nxt

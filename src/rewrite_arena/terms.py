@@ -123,12 +123,6 @@ class Term:
     def __repr__(self):
         return f"Term({print_sexpr(self)!r})"
 
-    def is_number(self) -> bool:
-        return self.value is not None
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __reduce__(self):
         # Serialize through the s-expression form: re-interns symbols on
         # load and keeps pickling iterative even for very deep chains.
@@ -250,7 +244,7 @@ def print_sexpr(t: Term) -> str:
         if isinstance(item, str):
             tokens.append(item)
             continue
-        if item.is_leaf():
+        if not item.children:
             tokens.append(item.op.name)
         else:
             tokens.append("(")
@@ -329,7 +323,7 @@ def variables(t: Term) -> set[str]:
     stack = [t]
     while stack:
         node = stack.pop()
-        if node.is_leaf() and not node.is_number():
+        if not node.children and node.value is None:
             out.add(node.op.name)
         stack.extend(node.children)
     return out

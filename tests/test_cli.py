@@ -4,11 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from rewrite_arena.cli import main
-from rewrite_arena.runner import CSV_COLUMNS
+from rewrite_arena.cli import (
+    _eqsat_config,
+    _pinned_fields,
+    _run_config,
+    build_parser,
+    main,
+)
+from rewrite_arena.runner import CSV_COLUMNS, EqsatConfig
+from rewrite_arena.stochastic import RunConfig
 
 
 def run_cli(args, env=None):
@@ -84,6 +92,47 @@ def test_engine_specific_flags_rejected():
         run_cli(["bench", "trig", "--engine", "stochastic",
                  "--iterations", "5"])
     assert err.value.code == 2
+
+
+def test_bench_without_flags_takes_config_defaults(monkeypatch):
+    monkeypatch.delenv("REWRITE_ARENA_SEED", raising=False)
+    args = build_parser().parse_args(["bench", "trig"])
+    assert _run_config(args) == RunConfig(workers=8)
+    assert _eqsat_config(args) == EqsatConfig()
+    assert _pinned_fields(args) == frozenset()
+
+
+# (flag, value, config field it sets and pins)
+TUNING_FLAGS = [
+    ("--beta", "0.5", "beta"),
+    ("--budget", "3", "budget"),
+    ("--n-soft", "200", "n_soft"),
+    ("--explore", "10", "explore"),
+    ("--n-hard", "300", "n_hard"),
+    ("--workers", "2", "workers"),
+    ("--max-steps", "40", "max_steps"),
+    ("--max-proposals", "50", "max_proposals"),
+    ("--iterations", "4", "iterations"),
+    ("--node-limit", "500", "nodes"),
+    ("--pulse-iterations", "2", "pulse_iterations"),
+    ("--match-limit", "7", "match_limit"),
+    ("--ban-length", "6", "ban_length"),
+]
+
+
+@pytest.mark.parametrize("flag, value, field", TUNING_FLAGS)
+def test_each_tuning_flag_sets_and_pins_its_field(monkeypatch, flag, value,
+                                                  field):
+    monkeypatch.delenv("REWRITE_ARENA_SEED", raising=False)
+    args = build_parser().parse_args(["bench", "trig", flag, value])
+    defaults = {"run": RunConfig(workers=8), "eqsat": EqsatConfig()}
+    got = {"run": _run_config(args), "eqsat": _eqsat_config(args)}
+    owner = "run" if hasattr(defaults["run"], field) else "eqsat"
+    assert str(getattr(got[owner], field)) in (value, value + ".0")
+    assert _pinned_fields(args) == frozenset({field})
+    # Every other field keeps its default.
+    got[owner] = replace(got[owner], **{field: getattr(defaults[owner], field)})
+    assert got == defaults
 
 
 def test_unknown_suite_exits_2():

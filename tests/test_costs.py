@@ -5,7 +5,6 @@ import pytest
 from rewrite_arena import (
     AstSize,
     MatMulScalarOps,
-    cost,
     dims_of,
     dp_optimal_cost,
     parse_sexpr,
@@ -29,8 +28,8 @@ def P(text):
 
 
 def test_ast_size():
-    assert cost(AstSize(), P("(sin x)")) == 2
-    assert cost(AstSize(), P("x")) == 1
+    assert AstSize().cost(P("(sin x)")) == 2
+    assert AstSize().cost(P("x")) == 1
 
 
 def test_matmul_association_costs_64_and_90():
@@ -86,7 +85,7 @@ def test_ast_size_strictly_monotone_under_growth():
 
     for _ in range(100):
         t = random_term(rng)
-        leaf_positions = [p for p, s in positions(t) if s.is_leaf()]
+        leaf_positions = [p for p, s in positions(t) if not s.children]
         p = leaf_positions[rng.randrange(len(leaf_positions))]
         bigger = P("(+ x (sin y))")
         assert size.cost(replace_at(t, p, bigger)) > size.cost(t)

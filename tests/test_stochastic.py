@@ -23,13 +23,23 @@ from rewrite_arena.benchmarks import (
     trig_suite,
 )
 from rewrite_arena import stochastic
-from rewrite_arena.rules import proposals
+from rewrite_arena.rules import (
+    constant_term,
+    fold_node,
+    instantiate,
+    match_pattern,
+    term_constant,
+)
+from rewrite_arena.rulesets import halide_ruleset
 from rewrite_arena.stochastic import (
     EmptyCandidateSetError,
+    Proposal,
     chain_seed,
+    proposals,
     replay_trace,
     sample_index,
 )
+from rewrite_arena.terms import positions, replace_at
 
 
 def P(text):
@@ -225,6 +235,31 @@ def test_trace_replay_through_restarts():
             == res.best_term
 
 
+def test_fold_steps_replay_to_best_term():
+    case = next(c for c in halide_suite() if c.name == "halide-paper")
+    cfg = replace(RunConfig(seed=0, max_proposals=3000, record_trace=True),
+                  **case.stochastic_overrides)
+    res = run_chain(case.input_term, case.ruleset, case.model_for("stochastic"),
+                    cfg, target_cost=0)
+    assert res.best_term == P("true")
+    assert [rule for rule, _ in res.best_trace].count("fold") >= 2
+    assert replay_trace(case.input_term, case.ruleset, res.best_trace) \
+        == res.best_term
+
+
+def test_replay_rejects_a_step_that_does_not_apply():
+    rs = halide_ruleset()
+    assert replay_trace(P("(+ 1 2)"), rs, [("fold", ())]) == P("3")
+    # A fold needs literal children at its position.
+    with pytest.raises(ValueError, match="no longer applies"):
+        replay_trace(P("(+ x 2)"), rs, [("fold", ())])
+    with pytest.raises(ValueError, match="no longer applies"):
+        replay_trace(P("(< (+ 1 2) x)"), rs, [("fold", ())])
+    # A rule the ruleset lacks is named, not a bare KeyError.
+    with pytest.raises(ValueError, match="no-such-rule"):
+        replay_trace(P("(+ 1 2)"), rs, [("no-such-rule", ())])
+
+
 def test_hard_restart_counter():
     nc = needle_case(6)
     cfg = RunConfig(workers=1, budget=1, seed=0, max_steps=900, n_hard=100)
@@ -339,20 +374,54 @@ def test_stochastic_golden_rows(name):
             res.proposals, res.hard_restarts, res.unsound_restarts) == row
 
 
+def _reference_proposals(t, ruleset):
+    """All one-step rewrites of t, deduplicated by result term, written
+    independently of the engine: position-major (preorder), rule-minor
+    (ruleset order, then constant folding), identity never proposed."""
+    out = []
+    seen = set()
+    for pos, sub in positions(t):
+        for rule in ruleset.rules_for_root(sub.op.name):
+            subst = match_pattern(rule.lhs, sub)
+            if subst is None:
+                continue
+            if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
+                continue
+            candidate = replace_at(t, pos, instantiate(rule.rhs, subst))
+            if candidate == t or candidate in seen:
+                continue
+            seen.add(candidate)
+            out.append(Proposal(candidate, rule.name, pos))
+        if ruleset.fold_constants and sub.children:
+            values = []
+            for k in sub.children:
+                v = term_constant(k)
+                if v is None:
+                    break
+                values.append(v)
+            if len(values) == len(sub.children):
+                folded = fold_node(sub.op.name, values)
+                if folded is not None:
+                    candidate = replace_at(t, pos, constant_term(folded))
+                    if candidate != t and candidate not in seen:
+                        seen.add(candidate)
+                        out.append(Proposal(candidate, "fold", pos))
+    return out
+
+
 def _dedup_terms():
-    """(term, ruleset, model) along a seeded 30-step walk from each suite
-    input; trig walks reach terms such as (* 1 1) whose rewrites repeat."""
+    """(term, ruleset) along a seeded 30-step walk from each suite input;
+    trig walks reach terms such as (* 1 1) whose rewrites repeat."""
     cases = [*trig_suite(), *halide_suite(),
              matmul_case_from_dims([30, 5, 41, 12, 7, 33, 18, 2, 25, 9, 16,
                                     40, 3], name="matmul-12")]
     rng = random.Random(0)
     out = []
     for case in cases:
-        model = case.model_for("stochastic")
         t = case.input_term
         for _ in range(30):
-            out.append((t, case.ruleset, model))
-            successors = proposals(t, case.ruleset)
+            out.append((t, case.ruleset))
+            successors = _reference_proposals(t, case.ruleset)
             if not successors:
                 break
             t = rng.choice(successors).term
@@ -360,19 +429,17 @@ def _dedup_terms():
 
 
 def _enumerated(terms):
-    return [[(c.rule, c.position, c.new_sub, c.delta)
-             for c in stochastic._enumerate_candidates(t, rs, model,
-                                                       model.cost(t))]
-            for t, rs, model in terms]
+    """(rule, position, result) of each rewrite the engine enumerates."""
+    return [[(p.rule, p.position, p.term) for p in proposals(t, rs)]
+            for t, rs in terms]
 
 
 def test_dedup_confirms_hash_hits_by_equality(monkeypatch):
     terms = _dedup_terms()
-    want = _enumerated(terms)
-    # Order and deduplication mirror rules.proposals.
-    assert [[(rule, pos) for rule, pos, _, _ in row] for row in want] == \
-        [[(p.rule, p.position) for p in proposals(t, rs)]
-         for t, rs, _ in terms]
+    want = [[(p.rule, p.position, p.term) for p in _reference_proposals(t, rs)]
+            for t, rs in terms]
+    # Order and deduplication match the reference.
+    assert _enumerated(terms) == want
     # Every result hash collides: only the equality check tells the
     # candidates apart, and it keeps exactly the same list.
     monkeypatch.setattr(stochastic, "_result_hash", lambda t, pos, s: 0)

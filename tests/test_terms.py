@@ -18,7 +18,7 @@ from helpers import random_term
 
 def test_parse_leaf_variable():
     t = parse_sexpr("x")
-    assert t.is_leaf() and t.op.name == "x" and not t.is_number()
+    assert not t.children and t.op.name == "x" and t.value is None
 
 
 def test_parse_matmul_chain_five_nodes():
