@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 
 from .benchmarks import (
     SuiteError,
@@ -144,8 +145,13 @@ def _run_config(args) -> RunConfig:
                              f"got {env_seed!r}") from None
     # The CLI runs 8 workers unless told otherwise; RunConfig's default is 1.
     fields = {"workers": 8, **_set_flags(args, "stochastic")}
+    return _checked(RunConfig, time_limit=args.time_limit, seed=seed, **fields)
+
+
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as bad usage."""
     try:
-        return RunConfig(time_limit=args.time_limit, seed=seed, **fields)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -157,13 +163,13 @@ def _eqsat_config(args) -> EqsatConfig:
 def _load_cases(args, cfg: RunConfig):
     suite = args.suite
     if suite == "matmul":
-        n = args.n or 10
+        n = 10 if args.n is None else args.n
         rng = random.Random(cfg.seed)
-        return [gen_matmul_chain(n, args.dim_lo, args.dim_hi, rng,
-                                 name=f"matmul-{n}-{k}")
+        return [_checked(gen_matmul_chain, n, args.dim_lo, args.dim_hi, rng,
+                         name=f"matmul-{n}-{k}")
                 for k in range(args.count)]
     if suite == "needle":
-        return [needle_case(args.n or 8)]
+        return [_checked(needle_case, 8 if args.n is None else args.n)]
     suites = builtin_suites()
     if suite in suites:
         return suites[suite]
@@ -237,25 +243,27 @@ def _cmd_bench(args, parser) -> int:
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_bench_task,
-                                   [(case, args.engine, cfg, eqsat_cfg, pinned)
+                                   [(case, args.engine, cfg, eqsat_cfg,
+                                     args.time_limit, pinned)
                                     for case in cases]))
         results = [r for chunk in chunks for r in chunk]
     else:
-        results = run_suite(cases, args.engine, cfg, eqsat_cfg, pinned=pinned)
+        results = run_suite(cases, args.engine, cfg, eqsat_cfg,
+                            args.time_limit, pinned)
     rows = [r.row() for r in results]
     _emit(rows, aggregate(results), args.format, args.output, CSV_COLUMNS)
     return 0
 
 
 def _bench_task(payload):
-    case, engine, cfg, eqsat_cfg, pinned = payload
-    return run_suite([case], engine, cfg, eqsat_cfg, pinned=pinned)
+    case, engine, cfg, eqsat_cfg, time_limit, pinned = payload
+    return run_suite([case], engine, cfg, eqsat_cfg, time_limit, pinned)
 
 
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    cases = [gen_matmul_chain(args.n, args.dim_lo, args.dim_hi, rng,
-                              name=f"matmul-{args.n}-{k}")
+    cases = [_checked(gen_matmul_chain, args.n, args.dim_lo, args.dim_hi,
+                      rng, name=f"matmul-{args.n}-{k}")
              for k in range(args.count)]
     text = suite_to_json(f"matmul-{args.n}", cases) + "\n"
     _write_out(text, args.output)
@@ -268,6 +276,8 @@ def _cmd_scale(args, parser) -> int:
         workers_list = [int(w) for w in args.workers_list.split(",") if w]
     except ValueError:
         parser.error("--workers-list must be comma-separated integers")
+    for workers in workers_list:  # a bad count fails before any run
+        _checked(replace, cfg, workers=workers, budget=workers)
     suites = builtin_suites()
     if args.suite not in suites:
         raise UsageError(f"unknown suite {args.suite!r}")

@@ -2,9 +2,10 @@
 
 The e-graph keeps a union-find over e-class ids, a hashcons from canonical
 e-nodes to classes, and a per-class constant analysis (an exact rational
-or boolean).  Congruence repair is deferred: rebuild() re-canonicalizes
-every node and merges congruent classes to a fixpoint, skipping the last
-pass when the previous one shows it would unite nothing.
+or boolean; a literal leaf's constant is its symbol's value).  Congruence
+repair is deferred: rebuild() re-canonicalizes every node and merges
+congruent classes to a fixpoint, skipping the last pass when the previous
+one shows it would unite nothing.
 
 E-matching and instantiation follow egg's compiled patterns: each side of
 a rule compiles once to generated straight-line Python, kept in the
@@ -13,9 +14,11 @@ stochastic engine's term matchers and builders in rules.py.  A left-hand
 side becomes nested loops over class nodes with op, arity and
 variable-equality tests; a right-hand side becomes a post-order builder
 that looks each e-node up in the hashcons before it makes a class.
-ematch expects a rebuilt graph, on which the hashcons makes every match
-unique; after unions not yet rebuilt it matches a canonical view of the
-classes and drops repeated matches.
+
+ematch and represents need a rebuilt graph and raise EGraphError on one
+with unions not yet repaired.  On a rebuilt graph each canonical e-node
+sits in exactly one class, so every match is found once and represents is
+a bottom-up hashcons lookup, egg's lookup_expr.
 
 The saturation loop and pulsing live in the runner, which drives
 run_iteration and extract.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .costs import CostModel
 from .rules import (
@@ -83,18 +85,7 @@ class EGraph:
     def _make_constant(self, node: ENode):
         op = node[0]
         if len(node) == 1:
-            name = op.name
-            if name == "true":
-                return True
-            if name == "false":
-                return False
-            body = name[1:] if name[0] in "+-" else name
-            if body and (body[0].isdigit() or body[0] == "."):
-                try:
-                    return Fraction(name)
-                except (ValueError, ZeroDivisionError):
-                    return None
-            return None
+            return op.value
         args = []
         uf, classes = self._uf, self.classes
         for child in node[1:]:
@@ -277,43 +268,28 @@ class EGraph:
     def represents(self, cid: EClassId, t: Term) -> bool:
         """True when the class contains t as a concrete tree.
 
-        A depth-first search over (class, subterm) pairs with an explicit
-        stack.  Each pair is memoized, and it reads False while its own
-        search is still open, so cycles through the graph terminate.
+        Looks t's nodes up in the hashcons bottom-up, with an explicit
+        stack.  On a rebuilt graph its keys and classes are canonical, so
+        a subterm is in some class exactly when this finds it.
         """
-        find, classes = self.find, self.classes
-        memo: dict[tuple[EClassId, int], bool] = {}
-        # Frames: [key, subterm, candidate e-nodes, candidate, child].
-        stack: list[list] = []
-
-        def enter(c: EClassId, node: Term) -> bool | None:
-            """The memoized answer, or None after opening a frame."""
-            key = (find(c), id(node))
-            hit = memo.get(key)
-            if hit is None:
-                memo[key] = False
-                arity = len(node.children)
-                candidates = [e for e in classes[key[0]].nodes
-                              if e[0] is node.op and len(e) - 1 == arity]
-                stack.append([key, node, candidates, 0, 0])
-            return hit
-
-        result = enter(cid, t)
+        if self._dirty:
+            raise EGraphError("represents needs a rebuilt graph")
+        lookup = self.hashcons.get
+        ids: dict[int, EClassId] = {}
+        stack: list[tuple[Term, bool]] = [(t, False)]
         while stack:
-            frame = stack[-1]
-            key, node, candidates, k, child = frame
-            if result is False:  # this candidate failed; try the next one
-                k, child = k + 1, 0
-            elif result is True:  # this child is represented; go on
-                child += 1
-            if k == len(candidates) or child == len(node.children):
-                result = k < len(candidates)
-                memo[key] = result
-                stack.pop()
+            node, expanded = stack.pop()
+            if id(node) in ids:
                 continue
-            frame[3], frame[4] = k, child
-            result = enter(candidates[k][child + 1], node.children[child])
-        return result
+            if not expanded:
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children)
+                continue
+            found = lookup((node.op, *[ids[id(c)] for c in node.children]))
+            if found is None:
+                return False
+            ids[id(node)] = found
+        return ids[id(t)] == self.find(cid)
 
     def copy(self) -> "EGraph":
         dup = EGraph.__new__(EGraph)
@@ -336,36 +312,21 @@ class EGraph:
         """All matches of the pattern; variables bind canonical e-class ids.
 
         Matches come in class order, then node order, then children left to
-        right.  On a rebuilt graph each match is found exactly once: the
-        substitution fixes every pattern node's e-node bottom-up, and the
-        hashcons holds each canonical e-node in one class.  After unions
-        that no rebuild has repaired yet, the pattern runs over a canonical
-        view of the classes and repeats from congruent classes are dropped.
+        right.  Each match is found exactly once: the substitution fixes
+        every pattern node's e-node bottom-up, and on a rebuilt graph the
+        hashcons holds each canonical e-node in one class.
         """
-        match = _compiled(pattern, _MATCHER, _compile_matcher)
-        if not self._dirty:
-            return match(self.classes)
-        view = {}
-        for cid, cls in self.classes.items():
-            canon = view[cid] = EClass()
-            canon.nodes = {self._canonicalize(node): None for node in cls.nodes}
-        hits, seen = [], set()
-        for subst, root in match(view):
-            key = (root, *subst.values())
-            if key not in seen:
-                seen.add(key)
-                hits.append((subst, root))
-        return hits
+        if self._dirty:
+            raise EGraphError("ematch needs a rebuilt graph")
+        return _compiled(pattern, _MATCHER, _compile_matcher)(self.classes)
 
     # -- rule application -------------------------------------------------------
 
     def guard_passes(self, rule: Rule, subst: Substitution) -> bool:
         if rule.guard is None:
             return True
-        cls = self.classes[self.find(subst[rule.guard.var])]
-        if rule.guard.kind == "nonzero":
-            return not (isinstance(cls.constant, Fraction) and cls.constant == 0)
-        return isinstance(cls.constant, Fraction)
+        return rule.guard.admits(
+            self.classes[self.find(subst[rule.guard.var])].constant)
 
     def add_instantiated(self, pattern: Term, subst: Substitution) -> EClassId:
         """Add the pattern under subst; the class of its root."""
@@ -499,7 +460,6 @@ class RuleStats:
     ban_length: int
     banned_until: int = -1
     times_banned: int = 0
-    matches_total: int = 0
 
 
 class BackoffScheduler:
@@ -524,7 +484,6 @@ class BackoffScheduler:
     def record(self, name: str, n_matches: int, iteration: int) -> bool:
         """Record match volume; True if the rule just got banned."""
         st = self._get(name)
-        st.matches_total += n_matches
         if n_matches > st.match_limit:
             st.banned_until = iteration + st.ban_length
             st.match_limit *= 2
@@ -665,8 +624,5 @@ def extract(g: EGraph, root: EClassId, model: CostModel) -> tuple[Term, float]:
             stack.extend(missing)
             continue
         stack.pop()
-        # A numeral leaf carries its exact value, as parsed numerals do.
-        value = None if kids else g._make_constant(node)
-        built[cid] = Term(node[0], tuple(built[k] for k in kids),
-                          value if isinstance(value, Fraction) else None)
+        built[cid] = Term(node[0], tuple(built[k] for k in kids))
     return built[root], scalar(best[root])

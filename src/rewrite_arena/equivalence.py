@@ -66,12 +66,8 @@ def eval_numeric(t: Term, env: EvalEnv) -> float | None:
 def _eval_node(node: Term, args: list[float | None], env: EvalEnv) -> float | None:
     name = node.op.name
     if not node.children:
-        if node.value is not None:
-            return float(node.value)
-        if name == "true":
-            return 1.0
-        if name == "false":
-            return 0.0
+        if node.op.value is not None:  # a numeral, or true/false as 1/0
+            return float(node.op.value)
         try:
             return float(env[name])
         except KeyError:

@@ -8,10 +8,11 @@ enumerated in stochastic.py, which also holds the `proposals` view.
 
 Patterns are compiled, as egg compiles them: on first use, each pattern
 becomes a straight-line Python function, generated as source and kept in
-the pattern term's memo.  match_pattern runs a matcher that tests op and
-value node by node and binds or compares variables; instantiate runs a
-builder that constructs the right-hand side in post-order.  The e-graph
-compiles its own e-matchers and builders through the same helpers.
+the pattern term's memo.  match_pattern runs a matcher that tests op
+identity node by node (a literal's value lives on its interned symbol) and
+binds or compares variables; instantiate runs a builder that constructs the
+right-hand side in post-order.  The e-graph compiles its own e-matchers and
+builders through the same helpers.
 """
 from __future__ import annotations
 
@@ -116,8 +117,7 @@ def _compile_matcher(pattern: Term):
 
     The pairs (pattern node, subterm) are visited as a stack pops them:
     the root, then each node's children last to first.  An operator or
-    literal node tests op identity and value, then unpacks the subterm's
-    children; a variable's first occurrence binds its subterm, and each
+    literal node tests op identity, then unpacks the subterm's children; a variable's first occurrence binds its subterm, and each
     later one compares with `!=` against that binding.
     """
     env: dict[str, object] = {}
@@ -137,13 +137,7 @@ def _compile_matcher(pattern: Term):
             continue
         op = f"S{len(env)}"
         env[op] = p.op
-        if p.value is None:
-            value_differs = f"{t}.value is not None"
-        else:
-            value = f"V{len(env)}"
-            env[value] = p.value
-            value_differs = f"{value} != {t}.value"
-        body.append(f"    if {t}.op is not {op} or {value_differs}:")
+        body.append(f"    if {t}.op is not {op}:")
         body.append("        return None")
         if p.children:
             kids = [f"t{slots + i}" for i in range(len(p.children))]
@@ -192,13 +186,9 @@ def _compile_builder(pattern: Term):
             del done[len(done) - arity:]
             op = f"S{len(env)}"
             env[op] = p.op
-            value = "None"
-            if p.value is not None:
-                value = f"V{len(env)}"
-                env[value] = p.value
             cid = f"c{slots}"
             slots += 1
-            builds.append(f"    {cid} = Term({op}, ({', '.join(kids)},), {value})")
+            builds.append(f"    {cid} = Term({op}, ({', '.join(kids)},))")
             done.append(cid)
         else:
             stack.append((p, True))
@@ -270,18 +260,6 @@ def fold_node(op_name: str, args: list[Constant]):
     return None
 
 
-def term_constant(t: Term) -> Constant | None:
-    """Constant value of a literal leaf (numeral or true/false)."""
-    if t.value is not None:
-        return t.value
-    if not t.children:
-        if t.op.name == "true":
-            return True
-        if t.op.name == "false":
-            return False
-    return None
-
-
 def constant_term(value: Constant) -> Term:
     if isinstance(value, bool):
         return TRUE if value else FALSE
@@ -292,7 +270,7 @@ def fold_step(op_name: str, kids) -> Term | None:
     """The literal that op_name over literal kids folds to, else None."""
     values = []
     for k in kids:
-        v = term_constant(k)
+        v = k.op.value
         if v is None:
             return None
         values.append(v)
@@ -325,7 +303,7 @@ def const_fold(t: Term) -> Term:
         elif all(k is c for k, c in zip(kids, node.children)):
             done[id(node)] = node
         else:
-            done[id(node)] = Term(node.op, kids, node.value)
+            done[id(node)] = Term(node.op, kids)
     return done[id(t)]
 
 
@@ -338,6 +316,8 @@ class Guard:
 
     kind "nonzero": the bound term, after exact constant folding, is not the
     literal 0.  kind "literal": the bound term folds to a numeric literal.
+    Both engines decide through `admits`, on the constant the bound term or
+    class is known to equal (None when unknown).
     """
 
     kind: str
@@ -347,11 +327,15 @@ class Guard:
         if self.kind not in ("nonzero", "literal"):
             raise RuleError(f"unknown guard kind {self.kind!r}")
 
-    def passes(self, bound: Term) -> bool:
-        folded = const_fold(bound)
+    def admits(self, constant: Constant | None) -> bool:
+        # An isinstance test, not `== 0`: False == 0 in Python.
+        rational = isinstance(constant, Fraction)
         if self.kind == "nonzero":
-            return not (folded.value == 0 if folded.value is not None else False)
-        return folded.value is not None
+            return not (rational and constant == 0)
+        return rational
+
+    def passes(self, bound: Term) -> bool:
+        return self.admits(const_fold(bound).op.value)
 
 
 @dataclass(frozen=True)

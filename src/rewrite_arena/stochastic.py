@@ -32,6 +32,9 @@ _M64 = (1 << 64) - 1
 # The rule name a constant-folding step is proposed and traced under.
 FOLD_RULE_NAME = "fold"
 
+# A chain with a validator checks every this many accepted steps.
+VALIDATE_EVERY = 25
+
 
 class EmptyCandidateSetError(ValueError):
     pass
@@ -55,7 +58,6 @@ class RunConfig:
     seed: int = 0
     max_steps: int | None = None
     max_proposals: int | None = None
-    validate_every: int = 25
     record_trace: bool = False
 
     def __post_init__(self):
@@ -65,8 +67,6 @@ class RunConfig:
             raise ValueError("periods and worker count must be at least 1")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1 chain")
-        if self.validate_every < 1:
-            raise ValueError("validate_every must be at least 1")
 
     @property
     def chains(self) -> int:
@@ -329,7 +329,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         if cfg.record_trace:
             trace.append((chosen.rule, chosen.position))
 
-        if validator is not None and accepted % cfg.validate_every == 0:
+        if validator is not None and accepted % VALIDATE_EVERY == 0:
             if not validator(t):
                 unsound_restarts += 1
                 t, cost_t, n, n_stall, candidates = t0, model.cost(t0), 0, 0, None

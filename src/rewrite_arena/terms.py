@@ -2,9 +2,12 @@
 
 Terms are ordered trees: every node carries an operator symbol and a tuple of
 children whose length equals the symbol's arity.  Leaves are arity-0 symbols
-(named variables like ``x``, opaque atoms like ``A1``) or exact-rational
-numerals.  Terms are immutable and structurally shared, so the rest of the
-system can copy spines freely and cache per-node data.
+(named variables like ``x``, opaque atoms like ``A1``) or literals.  A
+literal's value lives on its symbol: ``Symbol.value`` is the exact rational
+of a numeral name, True or False for ``true`` and ``false``, and None for
+every other name.  Numeral syntax is parsed here and nowhere else.  Terms are
+immutable and structurally shared, so the rest of the system can copy spines
+freely and cache per-node data.
 """
 from __future__ import annotations
 
@@ -36,19 +39,45 @@ class InvalidPositionError(TermError):
 
 
 class Symbol:
-    """Interned operator symbol.  Equal names are the same object."""
+    """Interned operator symbol.  Equal names are the same object.
 
-    __slots__ = ("name", "arity")
+    `value` is the literal an arity-0 name denotes, else None.
+    """
+
+    __slots__ = ("name", "arity", "value")
 
     def __init__(self, name: str, arity: int):
         self.name = name
         self.arity = arity
+        self.value = _literal_value(name) if arity == 0 else None
 
     def __repr__(self):
         return f"Symbol({self.name!r}, {self.arity})"
 
     def __reduce__(self):
         return (symbol, (self.name, self.arity))
+
+
+def _is_numeral_token(tok: str) -> bool:
+    if not tok:
+        return False
+    body = tok[1:] if tok[0] in "+-" else tok
+    if not body:
+        return False
+    return body[0].isdigit() or (body[0] == "." and len(body) > 1 and body[1].isdigit())
+
+
+def _literal_value(name: str) -> Fraction | bool | None:
+    if name == "true":
+        return True
+    if name == "false":
+        return False
+    if not _is_numeral_token(name):
+        return None
+    try:
+        return Fraction(name)
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 _INTERN: dict[str, Symbol] = {}
@@ -85,17 +114,15 @@ def _numeral_name(value: Fraction) -> str:
 class Term:
     """Immutable term node.  Compare structurally; hash is cached."""
 
-    __slots__ = ("op", "children", "value", "_hash", "_memo")
+    __slots__ = ("op", "children", "_hash", "_memo")
 
-    def __init__(self, op: Symbol, children: tuple["Term", ...] = (),
-                 value: Fraction | None = None):
+    def __init__(self, op: Symbol, children: tuple["Term", ...] = ()):
         if len(children) != op.arity:
             raise ArityError(
                 f"symbol {op.name!r} has arity {op.arity}, got {len(children)} children"
             )
         self.op = op
         self.children = children
-        self.value = value
         self._hash = hash((op.name,) + tuple(c._hash for c in children))
         self._memo = None
 
@@ -115,7 +142,7 @@ class Term:
             a, b = stack.pop()
             if a is b:
                 continue
-            if a.op is not b.op or a.value != b.value:
+            if a.op is not b.op:
                 return False
             stack.extend(zip(a.children, b.children))
         return True
@@ -138,32 +165,18 @@ def leaf(name: str) -> Term:
 
 
 def number(value) -> Term:
-    frac = Fraction(value)
-    return Term(symbol(_numeral_name(frac), 0), (), frac)
+    return Term(symbol(_numeral_name(Fraction(value)), 0))
 
 
 TRUE = leaf("true")
 FALSE = leaf("false")
 
 
-def _is_numeral_token(tok: str) -> bool:
-    if not tok:
-        return False
-    body = tok[1:] if tok[0] in "+-" else tok
-    if not body:
-        return False
-    return body[0].isdigit() or (body[0] == "." and len(body) > 1 and body[1].isdigit())
-
-
 def _parse_numeral(tok: str, offset: int) -> Term:
-    try:
-        if "/" in tok:
-            return number(Fraction(tok))
-        if "." in tok or "e" in tok or "E" in tok:
-            return number(Fraction(tok))
-        return number(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad numeral {tok!r}", offset) from None
+    value = _literal_value(tok)
+    if value is None:
+        raise ParseError(f"bad numeral {tok!r}", offset)
+    return number(value)
 
 
 def parse_sexpr(text: str) -> Term:
@@ -292,7 +305,7 @@ def replace_at(t: Term, pos: Position, s: Term) -> Term:
         parent = spine[depth]
         idx = pos[depth]
         kids = parent.children[:idx] + (new,) + parent.children[idx + 1:]
-        new = Term(parent.op, kids, parent.value)
+        new = Term(parent.op, kids)
     return new
 
 
@@ -323,7 +336,7 @@ def variables(t: Term) -> set[str]:
     stack = [t]
     while stack:
         node = stack.pop()
-        if not node.children and node.value is None:
+        if not node.children and not isinstance(node.op.value, Fraction):
             out.add(node.op.name)
         stack.extend(node.children)
     return out

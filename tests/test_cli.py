@@ -59,6 +59,30 @@ def test_bench_csv_schema_and_determinism():
     assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
+def test_bench_time_limit_overrides_each_case_limit():
+    code, out = run_cli(["bench", "needle", "--n", "16", "--engine",
+                         "stochastic", "--workers", "1", "--time-limit", "0.5",
+                         "--format", "csv"])
+    assert code == 0
+    row, = csv.DictReader(io.StringIO(out))
+    assert float(row["wall_time_s"]) < 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bench", "matmul", "--n", "1", "--engine", "eqsat"], "two matrices"),
+    (["bench", "matmul", "--dim-lo", "0", "--engine", "eqsat"], "dim_lo"),
+    (["bench", "needle", "--n", "0"], "arity"),
+    (["gen", "matmul", "--n", "1"], "two matrices"),
+    (["gen", "matmul", "--dim-lo", "5", "--dim-hi", "2"], "dim_lo"),
+    (["scale", "--workers-list", "0", "--time-limit", "0.1"], "worker count"),
+])
+def test_bad_sizes_exit_2_with_a_message(capsys, args, message):
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_bench_json_schema_versioned():
     code, out = run_cli(["bench", "needle", "--n", "6", "--engine", "eqsat",
                          "--format", "json"])

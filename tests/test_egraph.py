@@ -37,6 +37,8 @@ from rewrite_arena.egraph import (
 )
 from rewrite_arena.equivalence import eval_numeric
 from rewrite_arena.rules import (
+    Guard,
+    Rule,
     const_fold,
     constant_term,
     instantiate,
@@ -45,7 +47,7 @@ from rewrite_arena.rules import (
 )
 from rewrite_arena.runner import run_case_eqsat
 from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
-from rewrite_arena.terms import Symbol, Term, leaf, symbol
+from rewrite_arena.terms import Symbol, Term, leaf, positions, symbol
 from helpers import random_term
 
 
@@ -589,38 +591,29 @@ def test_compiled_ematch_equals_brute_force(terms, unions, rebuilt):
         g.union(ids[a % len(ids)], ids[b % len(ids)])
     if rebuilt:
         g.rebuild()
+    elif g._dirty:  # a union merged two classes: no query until a rebuild
+        for pattern in MATCH_PATTERNS:
+            with pytest.raises(EGraphError):
+                g.ematch(pattern)
+        with pytest.raises(EGraphError):
+            g.represents(ids[0], terms[0])
+        return
     for pattern in MATCH_PATTERNS:
         found = [(root, frozenset(subst.items()))
                  for subst, root in g.ematch(pattern)]
         assert len(found) == len(set(found)), "duplicate match"
         assert set(found) == _brute_force_matches(g, pattern)
-    if not rebuilt:
-        return
     # Instantiating a right-hand side lands in the class that adding the
     # same term, with each variable's class spelled out, lands in.
     size = AstSize()
     concrete = {cid: extract(g, cid, size)[0] for cid in g.classes}
-    for lhs, rhs in REWRITES:
-        for subst, _ in g.ematch(lhs):
+    # Match everything first: a new literal class leaves the graph dirty.
+    matched = [(rhs, g.ematch(lhs)) for lhs, rhs in REWRITES]
+    for rhs, hits in matched:
+        for subst, _ in hits:
             got = g.add_instantiated(rhs, subst)
             spelled = instantiate(rhs, {v: concrete[c] for v, c in subst.items()})
             assert g.find(got) == g.find(g.add_term(spelled))
-
-
-def test_ematch_before_rebuild_reports_each_match_once():
-    # Both paths from the root, through (- x z) and through (- y z), carry
-    # one substitution once x = y; until a rebuild merges the two inner
-    # classes, ematch must not report it twice.
-    g = EGraph()
-    left = g.add_term(P("(- (- x z) z)"))
-    right = g.add_term(P("(- (- y z) z)"))
-    g.union(g.add_term(P("x")), g.add_term(P("y")))
-    g.union(left, right)
-    pattern = P("(- (- ?a ?b) ?c)")
-    hits = g.ematch(pattern)
-    assert len(hits) == 1
-    assert {(root, frozenset(s.items())) for s, root in hits} \
-        == _brute_force_matches(g, pattern)
 
 
 def test_add_instantiated_canonicalizes_stale_bindings():
@@ -651,6 +644,90 @@ def test_ematch_pattern_operator_limit():
     assert g.ematch(tower(MAX_PATTERN_OPERATORS)) == []
     with pytest.raises(EGraphError):
         g.ematch(tower(MAX_PATTERN_OPERATORS + 1))
+
+
+# ---------------------------------------------------------------------------
+# Queries on a rebuilt graph against references that assume nothing of it.
+
+def _dfs_represents(g, cid, t):
+    """True when the class contains t as a concrete tree: the depth-first
+    search over (class, subterm) pairs that the hashcons lookup replaced.
+    Each pair is memoized, and it reads False while its own search is
+    still open, so cycles through the graph terminate."""
+    find, classes = g.find, g.classes
+    memo = {}
+    # Frames: [key, subterm, candidate e-nodes, candidate, child].
+    stack = []
+
+    def enter(c, node):
+        """The memoized answer, or None after opening a frame."""
+        key = (find(c), id(node))
+        hit = memo.get(key)
+        if hit is None:
+            memo[key] = False
+            arity = len(node.children)
+            candidates = [e for e in classes[key[0]].nodes
+                          if e[0] is node.op and len(e) - 1 == arity]
+            stack.append([key, node, candidates, 0, 0])
+        return hit
+
+    result = enter(cid, t)
+    while stack:
+        frame = stack[-1]
+        key, node, candidates, k, child = frame
+        if result is False:  # this candidate failed; try the next one
+            k, child = k + 1, 0
+        elif result is True:  # this child is represented; go on
+            child += 1
+        if k == len(candidates) or child == len(node.children):
+            result = k < len(candidates)
+            memo[key] = result
+            stack.pop()
+            continue
+        frame[3], frame[4] = k, child
+        result = enter(candidates[k][child + 1], node.children[child])
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+       st.sampled_from([None, "trig", "assoc"]))
+def test_represents_equals_depth_first_reference(seed, n_terms, ruleset):
+    rng = random.Random(seed)
+    g = EGraph()
+    added = [random_term(rng, depth=rng.randint(1, 4)) for _ in range(n_terms)]
+    ids = [g.add_term(t) for t in added]
+    g.rebuild()
+    for _ in range(rng.randint(0, 4)):
+        g.union(rng.choice(ids), rng.randrange(len(g._uf)))
+    g.rebuild()
+    if ruleset is not None:
+        run_iteration(g, _STEP_RULESETS[ruleset], BackoffScheduler())
+    # Every subterm of an added term is in some class; the random ones,
+    # and the others asked of the wrong class, mostly are not.
+    queries = [sub for t in added for _, sub in positions(t)]
+    queries += [random_term(rng, depth=rng.randint(0, 3)) for _ in range(8)]
+    classes = sorted(g.classes)
+    for t in queries:
+        for cid in rng.sample(classes, min(len(classes), 12)) + ids:
+            assert g.represents(cid, t) == _dfs_represents(g, cid, t)
+    for cid, t in zip(ids, added):
+        assert g.represents(cid, t)
+
+
+@pytest.mark.parametrize("kind", ["nonzero", "literal"])
+def test_guard_decides_alike_on_terms_and_classes(kind):
+    rule = Rule("guarded", P("?a"), P("?a"), Guard(kind, "?a"))
+    g = EGraph()
+    bound = [P(text) for text in ("0", "1", "1/2", "true", "false", "x",
+                                  "(- 1 1)", "(sin 0)")]
+    ids = [g.add_term(t) for t in bound]
+    g.rebuild()
+    got = [g.guard_passes(rule, {"?a": cid}) for cid in ids]
+    assert got == [rule.guard.passes(t) for t in bound]
+    want = {"nonzero": [False, True, True, True, True, True, False, True],
+            "literal": [True, True, True, False, False, False, True, False]}
+    assert got == want[kind]
 
 
 # ---------------------------------------------------------------------------

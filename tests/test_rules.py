@@ -230,7 +230,7 @@ def _reference_match(p, t):
             elif bound != tt:
                 return None
             continue
-        if pp.op is not tt.op or pp.value != tt.value:
+        if pp.op is not tt.op:
             return None
         stack.extend(zip(pp.children, tt.children))
     return subst
@@ -246,7 +246,7 @@ def _reference_instantiate(p, subst):
     if not p.children:
         return p
     return Term(p.op, tuple(_reference_instantiate(c, subst)
-                            for c in p.children), p.value)
+                            for c in p.children))
 
 
 def _fresh(t):
@@ -259,7 +259,7 @@ def _spell(p, subst):
     so equal occurrences of a repeated variable are distinct objects."""
     if is_pattern_var(p):
         return _fresh(subst[p.op.name])
-    return Term(p.op, tuple(_spell(c, subst) for c in p.children), p.value)
+    return Term(p.op, tuple(_spell(c, subst) for c in p.children))
 
 
 def _abstract(t, rng, names=("?a", "?b", "?c")):
@@ -273,7 +273,7 @@ def _abstract(t, rng, names=("?a", "?b", "?c")):
                 return leaf(chosen[node])
             name = chosen.setdefault(node, rng.choice(names))
             return leaf(name)
-        return Term(node.op, tuple(walk(c) for c in node.children), node.value)
+        return Term(node.op, tuple(walk(c) for c in node.children))
 
     return walk(t)
 
@@ -294,7 +294,7 @@ def _same_nodes(got, want, bindings, pattern_leaves):
         if id(b) in bindings or id(b) in pattern_leaves:
             assert a is b
             continue
-        assert a.op is b.op and a.value == b.value
+        assert a.op is b.op
         assert len(a.children) == len(b.children)
         stack.extend(zip(a.children, b.children))
 
@@ -330,8 +330,8 @@ def test_compiled_patterns_agree_with_reference(seed):
         p = _abstract(t, rng)
         t = _fresh(t)
     if rng.random() < 0.4:
-        # Perturb one subterm; a numeral-named leaf without a value
-        # differs from the numeral only in its value.
+        # Perturb one subterm; leaf("2") is the numeral 2, the same
+        # interned symbol that parsing "2" gives.
         pos, _ = rng.choice(list(positions(t)))
         new = leaf("2") if rng.random() < 0.3 else random_term(rng, 2)
         t = replace_at(t, pos, new)

@@ -28,7 +28,6 @@ from rewrite_arena.rules import (
     fold_node,
     instantiate,
     match_pattern,
-    term_constant,
 )
 from rewrite_arena.rulesets import halide_ruleset
 from rewrite_arena.stochastic import (
@@ -285,8 +284,7 @@ def test_unsound_validator_forces_restart():
         flagged.append(t)
         return False
 
-    cfg = RunConfig(workers=1, budget=1, seed=1, max_steps=200,
-                    validate_every=5)
+    cfg = RunConfig(workers=1, budget=1, seed=1, max_steps=200)
     res = run_chain(case.input_term, case.ruleset, case.cost_model, cfg,
                     validator=reject_everything)
     assert res.unsound_restarts > 0
@@ -395,7 +393,7 @@ def _reference_proposals(t, ruleset):
         if ruleset.fold_constants and sub.children:
             values = []
             for k in sub.children:
-                v = term_constant(k)
+                v = k.op.value
                 if v is None:
                     break
                 values.append(v)

@@ -12,13 +12,14 @@ from rewrite_arena.terms import (
     replace_at,
     subterm_at,
     symbol,
+    variables,
 )
 from helpers import random_term
 
 
 def test_parse_leaf_variable():
     t = parse_sexpr("x")
-    assert not t.children and t.op.name == "x" and t.value is None
+    assert not t.children and t.op.name == "x" and t.op.value is None
 
 
 def test_parse_matmul_chain_five_nodes():
@@ -33,10 +34,20 @@ def test_parse_pythagorean_nine_nodes():
 
 
 def test_parse_numbers_exact():
-    assert parse_sexpr("3").value == 3
-    assert parse_sexpr("-2").value == -2
-    assert parse_sexpr("2.5").value * 2 == 5
-    assert parse_sexpr("1/3").value * 3 == 1
+    assert parse_sexpr("3").op.value == 3
+    assert parse_sexpr("-2").op.value == -2
+    assert parse_sexpr("2.5").op.value * 2 == 5
+    assert parse_sexpr("1/3").op.value * 3 == 1
+
+
+def test_literal_value_lives_on_the_symbol():
+    assert leaf("2") == number(2) and leaf("2").op is parse_sexpr("2.0").op
+    assert leaf("true").op.value is True and leaf("false").op.value is False
+    assert leaf("x").op.value is None and symbol("sin", 1).value is None
+    assert leaf("3abc").op.value is None
+    # Only numerals are left out of the candidate variables.
+    assert variables(parse_sexpr("(+ x (- 1/2 (&& true y)))")) == {
+        "x", "true", "y"}
 
 
 def test_parse_comments_and_whitespace():
