@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .costs import (
     AstSize,
@@ -32,6 +32,7 @@ from .rulesets import (
     needle_ruleset,
     trig_ruleset,
 )
+from .stochastic import RunConfig
 from .terms import Term, TermError, TRUE, leaf, parse_sexpr, print_sexpr, symbol
 
 
@@ -423,9 +424,24 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         validate=bool(spec.get("validate")),
         checkpointing=bool(spec.get("checkpointing")),
         time_limit=None if time_limit is None else float(time_limit),
-        stochastic_overrides=spec.get("stochastic_overrides"),
-        eqsat_overrides=spec.get("eqsat_overrides"),
+        stochastic_overrides=_overrides(spec, "stochastic_overrides"),
+        eqsat_overrides=_overrides(spec, "eqsat_overrides"),
     )
+
+
+def _overrides(spec: dict, key: str) -> dict | None:
+    """A case's tuning overrides, checked by building the config they tune."""
+    from .runner import EqsatConfig  # runner imports this module
+
+    overrides = spec.get(key)
+    if overrides is None:
+        return None
+    config = RunConfig if key == "stochastic_overrides" else EqsatConfig
+    unknown = set(overrides) - {f.name for f in fields(config)}
+    if unknown:
+        raise ValueError(f"unknown {key} field {sorted(unknown)[0]!r}")
+    config(**overrides)
+    return overrides
 
 
 def suite_to_json(name: str, cases: list[BenchmarkCase]) -> str:

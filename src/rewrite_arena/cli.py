@@ -157,13 +157,19 @@ def _checked(make, *args, **kwargs):
 
 
 def _eqsat_config(args) -> EqsatConfig:
-    return EqsatConfig(**_set_flags(args, "eqsat"))
+    return _checked(EqsatConfig, **_set_flags(args, "eqsat"))
+
+
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise UsageError(f"--count must be at least 1, got {count}")
 
 
 def _load_cases(args, cfg: RunConfig):
     suite = args.suite
     if suite == "matmul":
         n = 10 if args.n is None else args.n
+        _check_count(args.count)
         rng = random.Random(cfg.seed)
         return [_checked(gen_matmul_chain, n, args.dim_lo, args.dim_hi, rng,
                          name=f"matmul-{n}-{k}")
@@ -261,6 +267,7 @@ def _bench_task(payload):
 
 
 def _cmd_gen(args) -> int:
+    _check_count(args.count)
     rng = random.Random(args.seed)
     cases = [_checked(gen_matmul_chain, args.n, args.dim_lo, args.dim_hi,
                       rng, name=f"matmul-{args.n}-{k}")
@@ -276,6 +283,8 @@ def _cmd_scale(args, parser) -> int:
         workers_list = [int(w) for w in args.workers_list.split(",") if w]
     except ValueError:
         parser.error("--workers-list must be comma-separated integers")
+    if not workers_list:
+        raise UsageError("--workers-list names no worker count")
     for workers in workers_list:  # a bad count fails before any run
         _checked(replace, cfg, workers=workers, budget=workers)
     suites = builtin_suites()

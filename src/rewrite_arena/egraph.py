@@ -128,7 +128,9 @@ class EGraph:
         constant = self._make_constant(node)
         if constant is not None:
             cls.constant = constant
-            self._dirty = True
+            # Rebuild materializes the literal, unless node already is it.
+            if len(node) > 1 or constant_term(constant).op is not node[0]:
+                self._dirty = True
         return cid
 
     def add_term(self, t: Term) -> EClassId:

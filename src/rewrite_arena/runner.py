@@ -33,6 +33,14 @@ class EqsatConfig:
     match_limit: int = 1000
     ban_length: int = 5
 
+    def __post_init__(self):
+        if min(self.iterations, self.nodes, self.match_limit,
+               self.ban_length) < 0:
+            raise ValueError("iteration, node, match and ban limits must "
+                             "not be negative")
+        if self.pulse_iterations < 1:
+            raise ValueError("pulse_iterations must be at least 1")
+
 
 @dataclass
 class SaturationReport:

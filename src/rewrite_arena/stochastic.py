@@ -67,6 +67,10 @@ class RunConfig:
             raise ValueError("periods and worker count must be at least 1")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be at least 1 chain")
+        if min(self.max_steps or 0, self.max_proposals or 0) < 0:
+            raise ValueError("max_steps and max_proposals must not be negative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and not negative")
 
     @property
     def chains(self) -> int:
@@ -166,41 +170,33 @@ class _Candidate:
         return self.term
 
 
-def _result_hash(t: Term, pos: Position, new_sub: Term) -> int:
-    """Structural hash of replace_at(t, pos, new_sub) without building it."""
-    spine = []
-    cur = t
-    for idx in pos:
-        spine.append((cur, idx))
-        cur = cur.children[idx]
-    h = new_sub._hash
-    for node, idx in reversed(spine):
-        hashes = [c._hash for c in node.children]
-        hashes[idx] = h
-        h = hash((node.op.name, *hashes))
-    return h
+def _result_key(pos: Position, old_sub: Term, new_sub: Term):
+    """(position, replacement) of the smallest subtree holding every change
+    that rewriting old_sub at pos into new_sub makes, or None for none.
+    It depends only on the result: two rewrites of one term give the same
+    term exactly when their keys are equal."""
+    while old_sub.op is new_sub.op:
+        diff = [i for i, (a, b) in enumerate(zip(old_sub.children,
+                                                 new_sub.children))
+                if a is not b and (a._hash != b._hash or a != b)]
+        if len(diff) != 1:
+            return (pos, new_sub) if diff else None
+        i = diff[0]
+        pos += (i,)
+        old_sub, new_sub = old_sub.children[i], new_sub.children[i]
+    return pos, new_sub
 
 
 def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
     """All one-step rewrites of t, deduplicated by result: the one enumerator.
 
     Order is position-major (preorder), rule-minor (ruleset order, then
-    constant folding), first occurrence kept, identity excluded.  The
-    result hash is a first filter; a candidate is dropped only when its
-    result equals that of a kept candidate with the same hash.
+    constant folding), first occurrence kept, identity excluded.  A
+    candidate is kept when its _result_key is new, so no result term is
+    built or hashed.
     """
     out: list[_Candidate] = []
-    seen: dict[int, list[_Candidate]] = {}
-
-    def keep(pos, sub, new_sub, rule_name):
-        same_hash = seen.setdefault(_result_hash(t, pos, new_sub), [])
-        if same_hash and any(_same_result(t, kept, pos, new_sub)
-                             for kept in same_hash):
-            return
-        candidate = _Candidate(rule_name, pos, sub, new_sub)
-        same_hash.append(candidate)
-        out.append(candidate)
-
+    seen: set = set()
     for pos, sub in positions(t):
         for rule in ruleset.rules_for_root(sub.op.name):
             subst = match_pattern(rule.lhs, sub)
@@ -209,13 +205,22 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
             if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
                 continue
             new_sub = instantiate(rule.rhs, subst)
-            if new_sub != sub:
-                keep(pos, sub, new_sub, rule.name)
+            if new_sub.op is not sub.op:
+                key = pos, new_sub
+            elif (key := _result_key(pos, sub, new_sub)) is None:
+                continue
+            n = len(seen)
+            seen.add(key)
+            if len(seen) > n:
+                out.append(_Candidate(rule.name, pos, sub, new_sub))
         if ruleset.fold_constants and sub.children:
             # A fold turns a node with children into a leaf, never itself.
             new_sub = fold_step(sub.op.name, sub.children)
             if new_sub is not None:
-                keep(pos, sub, new_sub, FOLD_RULE_NAME)
+                n = len(seen)
+                seen.add((pos, new_sub))
+                if len(seen) > n:
+                    out.append(_Candidate(FOLD_RULE_NAME, pos, sub, new_sub))
     return out
 
 
@@ -229,14 +234,6 @@ def proposals(t: Term, ruleset: Ruleset) -> list[Proposal]:
     """All one-step rewrites of t, materialized, in enumeration order."""
     return [Proposal(c.materialize(t), c.rule, c.position)
             for c in _enumerate_candidates(t, ruleset)]
-
-
-def _same_result(t: Term, kept: _Candidate, pos: Position,
-                 new_sub: Term) -> bool:
-    """Whether kept's result equals replace_at(t, pos, new_sub)."""
-    if kept.position == pos:
-        return kept.new_sub == new_sub
-    return kept.materialize(t) == replace_at(t, pos, new_sub)
 
 
 def _deltas(t: Term, candidates: list[_Candidate], model: CostModel,

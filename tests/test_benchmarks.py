@@ -271,8 +271,13 @@ _MODELS = st.one_of(
     _DIMS.map(MatMulScalarOps),
     _terms(_LEAVES).map(GoalIndicator),
 )
-_OVERRIDES = st.none() | st.dictionaries(
-    st.sampled_from(["explore", "n_soft", "iterations", "match_limit"]),
+# Suite files accept only fields of the config an override tunes, with
+# values it accepts: n_soft of 100 or more keeps the default explore valid.
+_STOCHASTIC_OVERRIDES = st.none() | st.dictionaries(
+    st.sampled_from(["n_soft", "n_hard", "max_steps", "max_proposals"]),
+    st.integers(100, 10**7), min_size=1)
+_EQSAT_OVERRIDES = st.none() | st.dictionaries(
+    st.sampled_from(["iterations", "nodes", "match_limit", "ban_length"]),
     st.integers(1, 10**7), min_size=1)
 
 _CASES = st.builds(
@@ -290,8 +295,8 @@ _CASES = st.builds(
     validate=st.booleans(),
     checkpointing=st.booleans(),
     time_limit=st.none() | st.floats(0.1, 100),
-    stochastic_overrides=_OVERRIDES,
-    eqsat_overrides=_OVERRIDES,
+    stochastic_overrides=_STOCHASTIC_OVERRIDES,
+    eqsat_overrides=_EQSAT_OVERRIDES,
 )
 
 

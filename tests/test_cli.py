@@ -273,6 +273,37 @@ def test_malformed_suite_case_exits_2_naming_it(tmp_path, capsys, mutate,
     assert "internal error" not in err
 
 
+_NEEDLE = ["bench", "needle", "--n", "3", "--engine"]
+
+
+@pytest.mark.parametrize("args, mutate, message", [
+    ([*_NEEDLE, "eqsat", "--iterations", "-1"], None, "negative"),
+    ([*_NEEDLE, "eqsat", "--match-limit", "-1"], None, "negative"),
+    ([*_NEEDLE, "eqsat-pulsed", "--pulse-iterations", "0"], None,
+     "pulse_iterations"),
+    ([*_NEEDLE, "stochastic", "--max-proposals", "-5"], None, "negative"),
+    ([*_NEEDLE, "stochastic", "--beta", "-1"], None, "beta"),
+    ([*_NEEDLE, "stochastic", "--beta", "inf"], None, "beta"),
+    (["bench", "matmul", "--count", "0"], None, "--count"),
+    (["gen", "matmul", "--count", "0"], None, "--count"),
+    (["scale", "--workers-list", ","], None, "--workers-list"),
+    (["--engine", "eqsat"],
+     lambda spec: spec.update(eqsat_overrides={"bogus": 1}), "'bogus'"),
+    (["--engine", "eqsat"],
+     lambda spec: spec.update(stochastic_overrides={"max_proposals": -5}),
+     "negative"),
+])
+def test_out_of_range_tuning_exits_2_with_a_message(tmp_path, capsys, args,
+                                                    mutate, message):
+    if mutate is not None:
+        args = ["bench", str(_write_suite(tmp_path, mutate)), *args]
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert mutate is None or "matmul-3-1" in err
+
+
 def test_non_suite_json_exits_2(tmp_path):
     for text in ("{not json", "[1, 2]", '{"suite": "s"}'):
         path = tmp_path / "bad.json"

@@ -646,6 +646,21 @@ def test_ematch_pattern_operator_limit():
         g.ematch(tower(MAX_PATTERN_OPERATORS + 1))
 
 
+def test_a_literal_leaf_needs_no_rebuild():
+    # A numeral is its own literal: no union, nothing to materialize.
+    g = EGraph()
+    root = g.add_term(P("(+ x 1)"))
+    assert g.represents(root, P("(+ x 1)"))
+    # 2/4 and (+ 1 1) denote literals the rebuild still has to add.
+    for t, literal in ((Term(symbol("2/4", 0)), "1/2"), (P("(+ 1 1)"), "2")):
+        g = EGraph()
+        cid = g.add_term(t)
+        with pytest.raises(EGraphError):
+            g.represents(cid, P(literal))
+        g.rebuild()
+        assert g.represents(cid, P(literal)) and g.represents(cid, t)
+
+
 # ---------------------------------------------------------------------------
 # Queries on a rebuilt graph against references that assume nothing of it.
 

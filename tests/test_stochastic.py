@@ -22,7 +22,6 @@ from rewrite_arena.benchmarks import (
     matmul_case_from_dims,
     trig_suite,
 )
-from rewrite_arena import stochastic
 from rewrite_arena.rules import (
     constant_term,
     fold_node,
@@ -38,7 +37,7 @@ from rewrite_arena.stochastic import (
     replay_trace,
     sample_index,
 )
-from rewrite_arena.terms import positions, replace_at
+from rewrite_arena.terms import leaf, positions, replace_at, term
 
 
 def P(text):
@@ -372,10 +371,11 @@ def test_stochastic_golden_rows(name):
             res.proposals, res.hard_restarts, res.unsound_restarts) == row
 
 
-def _reference_proposals(t, ruleset):
+def _reference_proposals(t, ruleset, dedup=True):
     """All one-step rewrites of t, deduplicated by result term, written
     independently of the engine: position-major (preorder), rule-minor
-    (ruleset order, then constant folding), identity never proposed."""
+    (ruleset order, then constant folding), identity never proposed.
+    With dedup off, every non-identity rewrite is kept."""
     out = []
     seen = set()
     for pos, sub in positions(t):
@@ -386,7 +386,7 @@ def _reference_proposals(t, ruleset):
             if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
                 continue
             candidate = replace_at(t, pos, instantiate(rule.rhs, subst))
-            if candidate == t or candidate in seen:
+            if candidate == t or dedup and candidate in seen:
                 continue
             seen.add(candidate)
             out.append(Proposal(candidate, rule.name, pos))
@@ -401,7 +401,7 @@ def _reference_proposals(t, ruleset):
                 folded = fold_node(sub.op.name, values)
                 if folded is not None:
                     candidate = replace_at(t, pos, constant_term(folded))
-                    if candidate != t and candidate not in seen:
+                    if candidate != t and not (dedup and candidate in seen):
                         seen.add(candidate)
                         out.append(Proposal(candidate, "fold", pos))
     return out
@@ -432,20 +432,48 @@ def _enumerated(terms):
             for t, rs in terms]
 
 
-def test_dedup_confirms_hash_hits_by_equality(monkeypatch):
-    terms = _dedup_terms()
-    want = [[(p.rule, p.position, p.term) for p in _reference_proposals(t, rs)]
-            for t, rs in terms]
+def _reference(terms, dedup=True):
+    """(rule, position, result) of each rewrite the reference proposes."""
+    return [[(p.rule, p.position, p.term)
+             for p in _reference_proposals(t, rs, dedup)] for t, rs in terms]
+
+
+def _assert_dedups_like_reference(terms):
+    want = _reference(terms)
     # Order and deduplication match the reference.
     assert _enumerated(terms) == want
-    # Every result hash collides: only the equality check tells the
-    # candidates apart, and it keeps exactly the same list.
-    monkeypatch.setattr(stochastic, "_result_hash", lambda t, pos, s: 0)
-    assert _enumerated(terms) == want
-    # With no hash ever repeated nothing is dropped, so the lists above
+    # Without deduplication the reference keeps more, so the lists above
     # did drop duplicate results.
-    fresh = iter(range(10**9))
-    monkeypatch.setattr(stochastic, "_result_hash",
-                        lambda t, pos, s: next(fresh))
-    undeduplicated = _enumerated(terms)
-    assert sum(map(len, undeduplicated)) > sum(map(len, want))
+    assert sum(map(len, _reference(terms, dedup=False))) > sum(map(len, want))
+
+
+def test_dedup_matches_reference_on_seeded_walks():
+    _assert_dedups_like_reference(_dedup_terms())
+
+
+# Rewrites that collide across positions: lift and left change only a
+# child, which down rewrites too; comm's two directions agree; two and a
+# fold of (+ 1 1) agree; comm of (+ x x) changes nothing.
+_COLLIDING_RULES = """
+lift: (f (h ?y)) => (f (k ?y))
+down: (h ?y) => (k ?y)
+comm: (+ ?a ?b) <=> (+ ?b ?a)
+left: (+ (h ?y) ?z) => (+ (k ?y) ?z)
+two: (f (+ 1 1)) => (f 2)
+"""
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return leaf(rng.choice(["x", "y", "0", "1", "2"]))
+    op = rng.choice(["f", "h", "k", "+", "+"])
+    return term(op, *[_random_term(rng, depth - 1)
+                      for _ in range(2 if op == "+" else 1)])
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_dedup_matches_reference_on_colliding_rewrites(fold):
+    rs = parse_ruleset(_COLLIDING_RULES, "colliding", fold_constants=fold)
+    rng = random.Random(int(fold))
+    _assert_dedups_like_reference([(_random_term(rng, 6), rs)
+                                   for _ in range(400)])
