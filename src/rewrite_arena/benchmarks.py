@@ -32,7 +32,7 @@ from .rulesets import (
     needle_ruleset,
     trig_ruleset,
 )
-from .stochastic import RunConfig
+from .stochastic import RunConfig, check_time_limit
 from .terms import Term, TermError, TRUE, leaf, parse_sexpr, print_sexpr, symbol
 
 
@@ -407,6 +407,8 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
     time_limit = spec.get("time_limit", 10.0)
+    time_limit = None if time_limit is None else float(time_limit)
+    check_time_limit(time_limit)
     dims = None
     if "dims" in spec:
         dims = {k: (int(v[0]), int(v[1])) for k, v in spec["dims"].items()}
@@ -423,7 +425,7 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         intended=parse_sexpr(spec["intended"]) if "intended" in spec else None,
         validate=bool(spec.get("validate")),
         checkpointing=bool(spec.get("checkpointing")),
-        time_limit=None if time_limit is None else float(time_limit),
+        time_limit=time_limit,
         stochastic_overrides=_overrides(spec, "stochastic_overrides"),
         eqsat_overrides=_overrides(spec, "eqsat_overrides"),
     )

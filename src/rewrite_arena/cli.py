@@ -8,6 +8,7 @@ environment variable overrides --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -228,9 +229,14 @@ def _write_out(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     tmp = output + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, output)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, output)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise UsageError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _pinned_fields(args) -> frozenset[str]:
@@ -240,6 +246,8 @@ def _pinned_fields(args) -> frozenset[str]:
 
 def _cmd_bench(args, parser) -> int:
     _check_engine_flags(args, parser)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _run_config(args)
     eqsat_cfg = _eqsat_config(args)
     cases = _load_cases(args, cfg)

@@ -2,16 +2,16 @@
 
 Every model maps a term to a finite non-negative number and is a pure
 function of the term (given fixed model parameters).  Costs are evaluated
-iteratively and cached per term node, keyed by a per-model token, so the
-near-copies produced during proposal generation re-cost only their fresh
-spines.
+iteratively and cached per term node, keyed by the model object itself, so
+the near-copies produced during proposal generation re-cost only their
+fresh spines.  A memo entry keeps its model alive, so a key is never
+reused by another model.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .terms import Term, TermError, Position
+from .terms import Term, TermError, positions, postorder
 
 
 class CostError(TermError):
@@ -24,8 +24,6 @@ class DimensionError(CostError):
 
 DimEnv = dict[str, tuple[int, int]]
 
-_TOKENS = itertools.count()
-
 
 class CostModel:
     """Base: subclasses define _combine(op_name, child_values) -> value.
@@ -35,18 +33,6 @@ class CostModel:
     extraction folds it over e-nodes.  `_scalar` maps a value to the cost
     that is compared.
     """
-
-    def __init__(self):
-        self._token = next(_TOKENS)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_token", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._token = next(_TOKENS)
 
     def _combine(self, op_name: str, child_values: list):
         raise NotImplementedError
@@ -64,37 +50,35 @@ class CostModel:
         return None
 
     def cost(self, t: Term):
-        token = self._token
         memo = t._memo
         if memo is not None:
-            cached = memo.get(token)
+            cached = memo.get(self)
             if cached is not None:
                 return self._scalar(cached)
         stack = [(t, False)]
         while stack:
             node, expanded = stack.pop()
             memo = node._memo
-            if memo is not None and token in memo:
+            if memo is not None and self in memo:
                 continue
             if expanded:
-                vals = [c._memo[token] for c in node.children]
+                vals = [c._memo[self] for c in node.children]
                 if memo is None:
                     memo = node._memo = {}
-                memo[token] = self._combine(node.op.name, vals)
+                memo[self] = self._combine(node.op.name, vals)
             else:
                 stack.append((node, True))
                 for c in node.children:
                     cm = c._memo
-                    if cm is None or token not in cm:
+                    if cm is None or self not in cm:
                         stack.append((c, False))
-        return self._scalar(t._memo[token])
+        return self._scalar(t._memo[self])
 
 
 class WeightedAstSize(CostModel):
     """Node cost = weight(op) + sum of child costs; default weight 1."""
 
     def __init__(self, weights: dict[str, float] | None = None):
-        super().__init__()
         self.weights = dict(weights or {})
 
     def _combine(self, op_name, child_values):
@@ -145,7 +129,6 @@ class MatMulScalarOps(CostModel):
     """
 
     def __init__(self, dims: DimEnv):
-        super().__init__()
         self.dims = dict(dims)
 
     def _combine(self, op_name, child_values):
@@ -172,8 +155,8 @@ class MatMulScalarOps(CostModel):
         # change localizes whenever the replacement preserves it.
         self.cost(old_sub)
         self.cost(new_sub)
-        c_old, r_old, k_old = old_sub._memo[self._token]
-        c_new, r_new, k_new = new_sub._memo[self._token]
+        c_old, r_old, k_old = old_sub._memo[self]
+        c_new, r_new, k_new = new_sub._memo[self]
         if (r_old, k_old) != (r_new, k_new):
             return None
         return c_new - c_old
@@ -186,7 +169,6 @@ class GoalIndicator(CostModel):
     """Flat landscape: 0 for the goal term, 1 for everything else."""
 
     def __init__(self, goal: Term):
-        super().__init__()
         self.goal = goal
 
     def cost(self, t: Term):
@@ -199,34 +181,23 @@ class GoalIndicator(CostModel):
 def dims_of(env: DimEnv, t: Term) -> tuple[int, int]:
     """(rows, cols) of a matrix expression; errors name the position."""
     out: dict[int, tuple[int, int]] = {}
-    stack: list[tuple[Term, Position, bool]] = [(t, (), False)]
-    while stack:
-        node, pos, expanded = stack.pop()
-        if expanded:
-            if not node.children:
-                try:
-                    out[id(node)] = env[node.op.name]
-                except KeyError:
-                    raise CostError(
-                        f"unbound matrix leaf {node.op.name!r} at position {list(pos)}"
-                    ) from None
+    for node in postorder(t):
+        name, kids = node.op.name, node.children
+        if not kids and name in env:
+            out[id(node)] = env[name]
+            continue
+        if name == "*" and len(kids) == 2:
+            (rl, kl), (rr, kr) = out[id(kids[0])], out[id(kids[1])]
+            if kl == rr:
+                out[id(node)] = (rl, kr)
                 continue
-            if node.op.name != "*" or len(node.children) != 2:
-                raise CostError(
-                    f"non-product node {node.op.name!r} at position {list(pos)}"
-                )
-            rl, kl = out[id(node.children[0])]
-            rr, kr = out[id(node.children[1])]
-            if kl != rr:
-                raise DimensionError(
-                    f"dimension mismatch at position {list(pos)}: "
-                    f"{rl}x{kl} times {rr}x{kr}"
-                )
-            out[id(node)] = (rl, kr)
-        else:
-            stack.append((node, pos, True))
-            for idx in range(len(node.children) - 1, -1, -1):
-                stack.append((node.children[idx], pos + (idx,), False))
+        where = list(next(pos for pos, sub in positions(t) if sub is node))
+        if not kids:
+            raise CostError(f"unbound matrix leaf {name!r} at position {where}")
+        if name != "*" or len(kids) != 2:
+            raise CostError(f"non-product node {name!r} at position {where}")
+        raise DimensionError(f"dimension mismatch at position {where}: "
+                             f"{rl}x{kl} times {rr}x{kr}")
     return out[id(t)]
 
 

@@ -40,7 +40,7 @@ from .rules import (
     fold_node,
     is_pattern_var,
 )
-from .terms import Term, TermError, print_sexpr
+from .terms import Term, TermError, postorder, print_sexpr
 
 EClassId = int
 ENode = tuple  # (Symbol, child EClassId, ...) -- children canonical at creation
@@ -135,18 +135,9 @@ class EGraph:
 
     def add_term(self, t: Term) -> EClassId:
         ids: dict[int, EClassId] = {}
-        stack: list[tuple[Term, bool]] = [(t, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in ids:
-                continue
-            if expanded:
-                ids[id(node)] = self.add_enode(
-                    node.op, [ids[id(c)] for c in node.children])
-            else:
-                stack.append((node, True))
-                for c in node.children:
-                    stack.append((c, False))
+        for node in postorder(t):
+            ids[id(node)] = self.add_enode(
+                node.op, [ids[id(c)] for c in node.children])
         return ids[id(t)]
 
     # -- union and rebuild ------------------------------------------------------
@@ -270,23 +261,15 @@ class EGraph:
     def represents(self, cid: EClassId, t: Term) -> bool:
         """True when the class contains t as a concrete tree.
 
-        Looks t's nodes up in the hashcons bottom-up, with an explicit
-        stack.  On a rebuilt graph its keys and classes are canonical, so
-        a subterm is in some class exactly when this finds it.
+        Looks t's nodes up in the hashcons bottom-up.  On a rebuilt graph
+        its keys and classes are canonical, so a subterm is in some class
+        exactly when this finds it.
         """
         if self._dirty:
             raise EGraphError("represents needs a rebuilt graph")
         lookup = self.hashcons.get
         ids: dict[int, EClassId] = {}
-        stack: list[tuple[Term, bool]] = [(t, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in ids:
-                continue
-            if not expanded:
-                stack.append((node, True))
-                stack.extend((c, False) for c in node.children)
-                continue
+        for node in postorder(t):
             found = lookup((node.op, *[ids[id(c)] for c in node.children]))
             if found is None:
                 return False

@@ -13,11 +13,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .terms import Term, TermError
+from .operators import OPERATORS
+from .terms import Term, TermError, postorder, variables
 
 EvalEnv = dict[str, float]
-
-DIV_EPS = 1e-9
 
 _SMALL_INTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
@@ -48,16 +47,8 @@ Verdict = Equivalent | Inequivalent | Inconclusive
 
 def eval_numeric(t: Term, env: EvalEnv) -> float | None:
     """Evaluate t at env; None where mathematically undefined."""
-    # Post-order with an explicit stack; None propagates upward.
     values: dict[int, float | None] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            for c in node.children:
-                stack.append((c, False))
-            continue
+    for node in postorder(t):
         args = [values[id(c)] for c in node.children]
         values[id(node)] = _eval_node(node, args, env)
     return values[id(t)]
@@ -72,67 +63,18 @@ def _eval_node(node: Term, args: list[float | None], env: EvalEnv) -> float | No
             return float(env[name])
         except KeyError:
             raise UnknownOperatorError(f"variable {name!r} not bound") from None
-    if any(a is None for a in args):
+    if None in args:  # undefinedness propagates upward
         return None
     try:
-        if name == "+":
-            return args[0] + args[1]
-        if name == "-":
-            return args[0] - args[1]
-        if name == "*":
-            return args[0] * args[1]
-        if name == "/":
-            return None if abs(args[1]) < DIV_EPS else args[0] / args[1]
-        if name == "neg":
-            return -args[0]
-        if name == "pow":
-            base, exp = args
-            if base < 0 and exp != int(exp):
-                return None
-            if base == 0 and exp < 0:
-                return None
-            return math.pow(base, exp)
-        if name == "sqrt":
-            return None if args[0] < 0 else math.sqrt(args[0])
-        if name == "log":
-            return None if args[0] <= 0 else math.log(args[0])
-        if name == "exp":
-            return math.exp(args[0])
-        if name == "abs":
-            return abs(args[0])
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "tan":
-            return None if abs(math.cos(args[0])) < DIV_EPS else math.tan(args[0])
-        if name == "min":
-            return min(args)
-        if name == "max":
-            return max(args)
-        if name == "<":
-            return 1.0 if args[0] < args[1] else 0.0
-        if name == "<=":
-            return 1.0 if args[0] <= args[1] else 0.0
-        if name == ">":
-            return 1.0 if args[0] > args[1] else 0.0
-        if name == ">=":
-            return 1.0 if args[0] >= args[1] else 0.0
-        if name == "==":
-            return 1.0 if args[0] == args[1] else 0.0
-        if name == "!=":
-            return 1.0 if args[0] != args[1] else 0.0
-        if name == "&&":
-            return 1.0 if args[0] > 0.5 and args[1] > 0.5 else 0.0
-        if name == "||":
-            return 1.0 if args[0] > 0.5 or args[1] > 0.5 else 0.0
-        if name == "!":
-            return 0.0 if args[0] > 0.5 else 1.0
+        evaluate = OPERATORS[name][2]
+    except KeyError:
+        raise UnknownOperatorError(f"cannot evaluate operator {name!r}") from None
+    if evaluate is None:
+        return None
+    try:
+        return evaluate(*args)
     except (OverflowError, ValueError):
         return None
-    if name in ("int", "d"):
-        return None
-    raise UnknownOperatorError(f"cannot evaluate operator {name!r}")
 
 
 def _sample_env(variables: list[str], index: int, rng: random.Random) -> EvalEnv:
@@ -158,8 +100,6 @@ def fuzz_equiv(a: Term, b: Term, samples: int = 50, tol: float = 1e-6,
     where the sides disagree beyond the relative tolerance is returned as
     an Inequivalent witness.
     """
-    from .terms import variables
-
     if rng is None:
         rng = random.Random(0)
     names = sorted(variables(a) | variables(b))

@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .operators import OPERATORS
 from .terms import (
     Term,
     TermError,
     Position,
     number,
+    postorder,
     print_sexpr,
     replace_at,
     subterm_at,
@@ -48,14 +50,7 @@ def is_pattern_var(t: Term) -> bool:
 
 
 def pattern_vars(p: Term) -> set[str]:
-    out = set()
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if is_pattern_var(node):
-            out.add(node.op.name)
-        stack.extend(node.children)
-    return out
+    return {node.op.name for node in postorder(p) if is_pattern_var(node)}
 
 
 def match_pattern(p: Term, t: Term) -> Substitution | None:
@@ -207,57 +202,16 @@ def _compile_builder(pattern: Term):
 # ---------------------------------------------------------------------------
 # Exact constant folding (shared by guards, proposal folding, and analyses).
 
-_ARITH_OPS = frozenset({"+", "-", "*", "/", "pow", "neg", "min", "max", "abs"})
-_COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
-_LOGIC_OPS = frozenset({"&&", "||", "!"})
-
 # Folded values are exact rationals or booleans.
 Constant = Fraction | bool
 
 
 def fold_node(op_name: str, args: list[Constant]):
     """Fold one operator over constant arguments; None if undefined/unknown."""
-    if op_name in _ARITH_OPS:
-        if any(isinstance(a, bool) for a in args):
-            return None
-        if op_name == "+":
-            return args[0] + args[1]
-        if op_name == "-":
-            return args[0] - args[1]
-        if op_name == "*":
-            return args[0] * args[1]
-        if op_name == "/":
-            return None if args[1] == 0 else args[0] / args[1]
-        if op_name == "neg":
-            return -args[0]
-        if op_name == "min":
-            return min(args)
-        if op_name == "max":
-            return max(args)
-        if op_name == "abs":
-            return abs(args[0])
-        if op_name == "pow":
-            base, exp = args
-            if exp.denominator != 1 or abs(exp.numerator) > 64:
-                return None
-            if base == 0 and exp < 0:
-                return None
-            return base ** exp.numerator
-    if op_name in _COMPARE_OPS:
-        if any(isinstance(a, bool) for a in args):
-            return None
-        a, b = args
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-                "==": a == b, "!=": a != b}[op_name]
-    if op_name in _LOGIC_OPS:
-        if not all(isinstance(a, bool) for a in args):
-            return None
-        if op_name == "&&":
-            return args[0] and args[1]
-        if op_name == "||":
-            return args[0] or args[1]
-        return not args[0]
-    return None
+    kind, fold, _ = OPERATORS.get(op_name, (None, None, None))
+    if fold is None or not all(isinstance(a, kind) for a in args):
+        return None
+    return fold(*args)
 
 
 def constant_term(value: Constant) -> Term:
@@ -282,21 +236,12 @@ def const_fold(t: Term) -> Term:
     """Fold every constant subterm exactly; unfoldable parts are kept as-is."""
     if not t.children:
         return t
-    # Post-order with an explicit stack, keyed by node identity.
     done: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in done:
-            continue
+    for node in postorder(t):
         if not node.children:
             done[id(node)] = node
             continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-            continue
-        kids = tuple(done[id(c)] for c in node.children)
+        kids = tuple([done[id(c)] for c in node.children])
         folded = fold_step(node.op.name, kids)
         if folded is not None:
             done[id(node)] = folded

@@ -40,6 +40,13 @@ class EmptyCandidateSetError(ValueError):
     pass
 
 
+def check_time_limit(limit: float | None) -> None:
+    """Reject a time limit that is neither None nor finite and not negative."""
+    if limit is not None and not (math.isfinite(limit) and limit >= 0):
+        raise ValueError(f"time_limit must be finite and not negative, "
+                         f"got {limit}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Hyperparameters for stochastic search.
@@ -71,6 +78,7 @@ class RunConfig:
             raise ValueError("max_steps and max_proposals must not be negative")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be finite and not negative")
+        check_time_limit(self.time_limit)
 
     @property
     def chains(self) -> int:
@@ -284,8 +292,13 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     candidates: list[_Candidate] | None = None
     deltas: list = []
     solved = target_cost is not None and best_cost <= target_cost
+    restart = False
 
     while not solved:
+        if restart:
+            restart = False
+            t, cost_t, n, n_stall, candidates = t0, model.cost(t0), 0, 0, None
+            trace.clear()
         if deadline is not None and time.monotonic() >= deadline:
             break
         if cfg.max_steps is not None and steps >= cfg.max_steps:
@@ -296,8 +309,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             if not has_budget:
                 break
             hard_restarts += 1
-            t, cost_t, n, n_stall, candidates = t0, model.cost(t0), 0, 0, None
-            trace.clear()
+            restart = True
             continue
 
         if candidates is None:
@@ -326,19 +338,16 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         if cfg.record_trace:
             trace.append((chosen.rule, chosen.position))
 
-        if validator is not None and accepted % VALIDATE_EVERY == 0:
-            if not validator(t):
-                unsound_restarts += 1
-                t, cost_t, n, n_stall, candidates = t0, model.cost(t0), 0, 0, None
-                trace.clear()
-                continue
+        # The periodic check comes first, then the new-best check on the
+        # same step: the validator seeds each check from its call count.
+        if validator is not None and (
+                accepted % VALIDATE_EVERY == 0 and not validator(t)
+                or cost_t < best_cost and not validator(t)):
+            unsound_restarts += 1
+            restart = True
+            continue
 
         if cost_t < best_cost:
-            if validator is not None and not validator(t):
-                unsound_restarts += 1
-                t, cost_t, n, n_stall, candidates = t0, model.cost(t0), 0, 0, None
-                trace.clear()
-                continue
             best = t
             best_cost = cost_t
             n_stall = 0

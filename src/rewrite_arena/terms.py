@@ -330,13 +330,30 @@ def positions(t: Term) -> Iterator[tuple[Position, Term]]:
             stack.append((pos + (idx,), node.children[idx]))
 
 
-def variables(t: Term) -> set[str]:
-    """Names of arity-0 non-numeral leaves (candidate variables)."""
-    out = set()
-    stack = [t]
+def postorder(t: Term) -> Iterator[Term]:
+    """Each distinct node of t once, after its children, last child first.
+
+    Shared subterms are yielded once, by identity.  The order is the one
+    e-class ids follow when the e-graph adds a term.
+    """
+    seen: set[int] = set()
+    stack: list[Term | None] = [t]
     while stack:
         node = stack.pop()
-        if not node.children and not isinstance(node.op.value, Fraction):
-            out.add(node.op.name)
-        stack.extend(node.children)
-    return out
+        if node is None:  # a marker: the node under it has its children done
+            node = stack.pop()
+        elif id(node) in seen:
+            continue
+        elif node.children:
+            stack.append(node)
+            stack.append(None)
+            stack.extend(node.children)
+            continue
+        seen.add(id(node))
+        yield node
+
+
+def variables(t: Term) -> set[str]:
+    """Names of arity-0 non-numeral leaves (candidate variables)."""
+    return {node.op.name for node in postorder(t)
+            if not node.children and not isinstance(node.op.value, Fraction)}

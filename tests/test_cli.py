@@ -292,9 +292,23 @@ _NEEDLE = ["bench", "needle", "--n", "3", "--engine"]
     (["--engine", "eqsat"],
      lambda spec: spec.update(stochastic_overrides={"max_proposals": -5}),
      "negative"),
+    # A NaN time limit never expired; a negative one ran nothing.
+    ([*_NEEDLE, "stochastic", "--workers", "1", "--time-limit", "nan"], None,
+     "time_limit"),
+    ([*_NEEDLE, "eqsat", "--time-limit", "-1"], None, "time_limit"),
+    (["--engine", "eqsat"],
+     lambda spec: spec.update(time_limit=float("nan")), "time_limit"),
+    (["--engine", "eqsat"], lambda spec: spec.update(time_limit=-1),
+     "time_limit"),
+    ([*_NEEDLE, "eqsat", "--jobs", "0"], None, "--jobs"),
+    ([*_NEEDLE, "eqsat", "--jobs", "-1"], None, "--jobs"),
+    # {missing} is a directory that does not exist.
+    ([*_NEEDLE, "eqsat", "--output", "{missing}/x.csv"], None, "x.csv"),
+    (["gen", "matmul", "--output", "{missing}/x.json"], None, "x.json"),
 ])
 def test_out_of_range_tuning_exits_2_with_a_message(tmp_path, capsys, args,
                                                     mutate, message):
+    args = [a.replace("{missing}", str(tmp_path / "missing")) for a in args]
     if mutate is not None:
         args = ["bench", str(_write_suite(tmp_path, mutate)), *args]
     code, out = run_cli(args)
@@ -302,6 +316,14 @@ def test_out_of_range_tuning_exits_2_with_a_message(tmp_path, capsys, args,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert mutate is None or "matmul-3-1" in err
+
+
+def test_unwritable_output_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    code, _ = run_cli([*_NEEDLE, "eqsat", "--output", str(target)])
+    assert code == 2 and "cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "out.tmp").exists()
 
 
 def test_non_suite_json_exits_2(tmp_path):

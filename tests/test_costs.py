@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from rewrite_arena.costs import (
     WeightedAstSize,
     integ_cost,
 )
-from rewrite_arena.terms import replace_at
+from rewrite_arena.terms import Term, replace_at, symbol
 from helpers import random_term
 
 DIMS = {"A": (2, 3), "B": (3, 4), "C": (4, 5)}
@@ -51,6 +52,37 @@ def test_dims_of_examples():
     assert "position" in str(err.value)
     with pytest.raises(CostError):
         dims_of({}, P("Q"))
+
+
+def test_dims_of_names_the_position_of_the_one_fault():
+    times, q, mismatch = symbol("*", 2), P("Q"), P("(* A C)")
+    cases = [
+        (P("Q"), "unbound matrix leaf 'Q' at position []"),
+        (P("(* (* A B) (* C Q))"), "unbound matrix leaf 'Q' at position [1, 1]"),
+        (P("(* (* A B) (+ C C))"), "non-product node '+' at position [1]"),
+        (P("(* A (* (* B (* C C)) C))"),
+         "dimension mismatch at position [1, 0, 1]: 4x5 times 4x5"),
+        # A faulty subterm shared by identity is named at its first
+        # position in left-to-right order.
+        (Term(times, (Term(times, (P("A"), mismatch)), mismatch)),
+         "dimension mismatch at position [0, 1]: 2x3 times 4x5"),
+        (Term(times, (q, Term(times, (P("B"), q)))),
+         "unbound matrix leaf 'Q' at position [0]"),
+    ]
+    for t, message in cases:
+        with pytest.raises(CostError) as err:
+            dims_of(DIMS, t)
+        assert str(err.value) == message
+
+
+def test_cost_memo_is_kept_per_model_object():
+    t = P("(int (sin x) x)")
+    light, heavy = WeightedAstSize({"int": 1}), WeightedAstSize({"int": 100})
+    assert [light.cost(t), heavy.cost(t), light.cost(t)] == [4, 103, 4]
+    # An unpickled copy is a new object, with memo entries of its own.
+    copy = pickle.loads(pickle.dumps(heavy))
+    assert copy is not heavy and copy.cost(t) == 103
+    assert light in t._memo and heavy in t._memo and copy in t._memo
 
 
 def test_matmul_errors():

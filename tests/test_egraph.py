@@ -29,7 +29,12 @@ from rewrite_arena.benchmarks import (
     matmul_case_from_dims,
     trig_suite,
 )
-from rewrite_arena.costs import DimensionError, IntegSquare, WeightedAstSize
+from rewrite_arena.costs import (
+    DimensionError,
+    IntegSquare,
+    WeightedAstSize,
+    dims_of,
+)
 from rewrite_arena.egraph import (
     MAX_PATTERN_OPERATORS,
     EGraphError,
@@ -44,10 +49,18 @@ from rewrite_arena.rules import (
     instantiate,
     is_pattern_var,
     parse_ruleset,
+    pattern_vars,
 )
 from rewrite_arena.runner import run_case_eqsat
 from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
-from rewrite_arena.terms import Symbol, Term, leaf, positions, symbol
+from rewrite_arena.terms import (
+    Symbol,
+    Term,
+    leaf,
+    positions,
+    symbol,
+    variables,
+)
 from helpers import random_term
 
 
@@ -490,12 +503,18 @@ def test_pulse_honours_scheduler_limits():
 
 
 def test_depth_ten_thousand_without_recursion():
-    plus = symbol("+", 2)
+    plus, times = symbol("+", 2), symbol("*", 2)
     ground, open_chain = P("1"), leaf("x")
+    pattern, product = leaf("?z"), leaf("A")
     for _ in range(10_000):
         ground = Term(plus, (P("1"), ground))
         open_chain = Term(plus, (P("1"), open_chain))
+        pattern = Term(plus, (P("?y"), pattern))
+        product = Term(times, (product, leaf("A")))
     assert P(print_sexpr(open_chain)) == open_chain
+    assert variables(open_chain) == {"x"}
+    assert pattern_vars(pattern) == {"?y", "?z"}
+    assert dims_of({"A": (3, 3)}, product) == (3, 3)
     assert const_fold(ground) == P("10001")
     assert const_fold(open_chain) is open_chain
     assert eval_numeric(open_chain, {"x": 2.0}) == 10_002.0

@@ -7,8 +7,11 @@ from rewrite_arena.terms import (
     ArityError,
     InvalidPositionError,
     ParseError,
+    Symbol,
+    Term,
     node_count,
     positions,
+    postorder,
     replace_at,
     subterm_at,
     symbol,
@@ -48,6 +51,26 @@ def test_literal_value_lives_on_the_symbol():
     # Only numerals are left out of the candidate variables.
     assert variables(parse_sexpr("(+ x (- 1/2 (&& true y)))")) == {
         "x", "true", "y"}
+
+
+def test_postorder_children_first_last_child_first():
+    # Built from uninterned symbols: other tests intern "f" at arity 1.
+    f, g = Symbol("f", 2), Symbol("g", 2)
+    t = Term(f, (Term(g, (leaf("a"), leaf("b"))), leaf("c")))
+    assert [print_sexpr(n) for n in postorder(t)] == [
+        "c", "b", "a", "(g a b)", "(f (g a b) c)"]
+    # A subterm shared by identity is yielded once; equal copies are not.
+    shared = t.children[0]
+    nodes = list(postorder(Term(f, (shared, shared))))
+    assert len(nodes) == 4 and sum(n is shared for n in nodes) == 1
+    copy = Term(g, (leaf("a"), leaf("b")))
+    assert len(list(postorder(Term(f, (shared, copy))))) == 7
+    chain = leaf("x")
+    for _ in range(10_000):
+        chain = term("neg", chain)
+    nodes = list(postorder(chain))
+    assert len(nodes) == 10_001 and nodes[0].op.name == "x"
+    assert nodes[-1] is chain
 
 
 def test_parse_comments_and_whitespace():
