@@ -3,6 +3,7 @@
 # programming oracle, both engines, and pulsing for large chains.
 
 import random
+import time
 
 from rewrite_arena import (
     RunConfig,
@@ -11,7 +12,7 @@ from rewrite_arena import (
     gen_matmul_chain,
     search,
 )
-from rewrite_arena.runner import run_case_eqsat, run_case_eqsat_pulsed
+from rewrite_arena.runner import run_case, run_case_eqsat
 
 # The DP oracle agrees with exhaustive enumeration on small chains.
 rng = random.Random(0)
@@ -26,9 +27,9 @@ print(f"\nchain of 40 matrices; left-associated cost "
       f"{case.cost_model.cost(case.input_term)}, optimum {case.oracle_cost}")
 
 # Stochastic search with a few parallel chains closes the gap quickly.
-cfg = RunConfig(workers=2, budget=2, seed=3, time_limit=5.0)
+cfg = RunConfig(workers=2, budget=2, seed=3)
 result = search(case.input_term, case.ruleset, case.cost_model, cfg,
-                target_cost=case.oracle_cost)
+                target_cost=case.oracle_cost, deadline=time.monotonic() + 5.0)
 print(f"stochastic: cost {result.best_cost} "
       f"(ratio {result.best_cost / case.oracle_cost:.4f}, "
       f"{result.proposals} proposals, {result.wall_time:.1f}s)")
@@ -42,7 +43,7 @@ print(f"eqsat:      cost {r.best_cost} (ratio {r.ratio and 1/r.ratio:.4f},"
 # For big chains the e-graph cannot saturate; pulsing (short saturations
 # reseeded from the current best term) keeps it near-optimal.
 big = gen_matmul_chain(150, 1, 20, random.Random(7))
-r = run_case_eqsat_pulsed(big, time_limit=5.0)
+r = run_case(big, "eqsat-pulsed", cfg, time_limit=5.0)
 print(f"\nchain of 150, pulsed eqsat: {r.best_cost} vs optimum "
       f"{big.oracle_cost} (x{r.best_cost / big.oracle_cost:.4f}, "
       f"{r.units} total iterations)")

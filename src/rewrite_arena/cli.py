@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import random
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .benchmarks import (
     SuiteError,
@@ -29,10 +31,11 @@ from .runner import (
     CSV_COLUMNS,
     EqsatConfig,
     aggregate,
+    check_extractable,
     run_suite,
     scaling_report,
 )
-from .stochastic import RunConfig
+from .stochastic import RunConfig, check_time_limit
 
 # Each tuning flag -> (engine, the config field it sets, type, help).  The
 # field is also the flag's argparse dest.  A flag given on the command line
@@ -146,7 +149,9 @@ def _run_config(args) -> RunConfig:
                              f"got {env_seed!r}") from None
     # The CLI runs 8 workers unless told otherwise; RunConfig's default is 1.
     fields = {"workers": 8, **_set_flags(args, "stochastic")}
-    return _checked(RunConfig, time_limit=args.time_limit, seed=seed, **fields)
+    cfg = _checked(RunConfig, seed=seed, **fields)
+    _checked(check_time_limit, args.time_limit)
+    return cfg
 
 
 def _checked(make, *args, **kwargs):
@@ -224,15 +229,23 @@ def _emit(rows: list[dict], summary: dict | None, fmt: str,
     _write_out(text, output)
 
 
-def _write_out(text: str, output: str | None) -> None:
+def _write_out(text: str | None, output: str | None) -> None:
+    """Write text to output via a temporary file, or to stdout.  With text
+    None, only check that output can be written, before any case runs."""
     if output is None:
-        sys.stdout.write(text)
+        if text is not None:
+            sys.stdout.write(text)
         return
     tmp = output + ".tmp"
     try:
+        if os.path.isdir(output):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, output)
+            fh.write(text or "")
+        if text is None:
+            os.remove(tmp)
+        else:
+            os.replace(tmp, output)
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -251,27 +264,22 @@ def _cmd_bench(args, parser) -> int:
     cfg = _run_config(args)
     eqsat_cfg = _eqsat_config(args)
     cases = _load_cases(args, cfg)
-    pinned = _pinned_fields(args)
+    for case in cases:
+        _checked(check_extractable, case, args.engine)
+    _write_out(None, args.output)
+    run = partial(run_suite, engine=args.engine, cfg=cfg, eqsat_cfg=eqsat_cfg,
+                  time_limit=args.time_limit, pinned=_pinned_fields(args))
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_bench_task,
-                                   [(case, args.engine, cfg, eqsat_cfg,
-                                     args.time_limit, pinned)
-                                    for case in cases]))
+            chunks = list(pool.map(run, [[case] for case in cases]))
         results = [r for chunk in chunks for r in chunk]
     else:
-        results = run_suite(cases, args.engine, cfg, eqsat_cfg,
-                            args.time_limit, pinned)
+        results = run(cases)
     rows = [r.row() for r in results]
     _emit(rows, aggregate(results), args.format, args.output, CSV_COLUMNS)
     return 0
-
-
-def _bench_task(payload):
-    case, engine, cfg, eqsat_cfg, time_limit, pinned = payload
-    return run_suite([case], engine, cfg, eqsat_cfg, time_limit, pinned)
 
 
 def _cmd_gen(args) -> int:
@@ -298,6 +306,7 @@ def _cmd_scale(args, parser) -> int:
     suites = builtin_suites()
     if args.suite not in suites:
         raise UsageError(f"unknown suite {args.suite!r}")
+    _write_out(None, args.output)
     time_limit = args.time_limit if args.time_limit is not None else 10.0
     rows = scaling_report(suites[args.suite], workers_list, cfg,
                           time_limit=time_limit)

@@ -37,6 +37,11 @@ class CostModel:
     def _combine(self, op_name: str, child_values: list):
         raise NotImplementedError
 
+    @property
+    def extractable(self) -> bool:
+        """Whether e-graph extraction can fold a per-node rule of this model."""
+        return type(self)._combine is not CostModel._combine
+
     def _scalar(self, value):
         return value
 

@@ -566,7 +566,7 @@ def extract(g: EGraph, root: EClassId, model: CostModel) -> tuple[Term, float]:
     Folds the model's `_combine` over e-nodes to a fixpoint, keeping per
     class the best combined value and the e-node that reaches it.
     """
-    if type(model)._combine is CostModel._combine:
+    if not model.extractable:
         raise ExtractionError(f"{model!r} has no per-node cost rule; "
                               "check goal representation instead")
     combine, scalar, find = model._combine, model._scalar, g.find

@@ -1,7 +1,10 @@
 """Run benchmark cases through the engines and collect result rows.
 
-The equality saturation loop and pulsing live here: they call
-run_iteration and extract through this module's names.
+run_case is the one case runner: it applies a case's tuning, picks its
+cost model, turns its time limit into a deadline, calls the engine, and
+judges the answer into one row.  The equality saturation loop and pulsing
+live here too: they call run_iteration and extract through this module's
+names.
 """
 from __future__ import annotations
 
@@ -113,7 +116,7 @@ def saturate(g: EGraph, root: EClassId, ruleset: Ruleset,
 
 def pulse(t0: Term, ruleset: Ruleset, model: CostModel,
           cfg: EqsatConfig = EqsatConfig(),
-          time_limit: float | None = 10.0,
+          deadline: float | None = None,
           checkpointing: bool = False,
           target_cost: float | None = None) -> tuple[Term, list[SaturationReport]]:
     """Repeatedly saturate a fresh e-graph seeded with the current best term.
@@ -122,7 +125,6 @@ def pulse(t0: Term, ruleset: Ruleset, model: CostModel,
     term is adopted only when strictly cheaper, so the cost of the carried
     term never increases across pulses.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     per_pulse = replace(cfg, iterations=cfg.pulse_iterations)
     best = t0
     best_cost = model.cost(t0)
@@ -180,12 +182,6 @@ CSV_COLUMNS = ["engine", "case", "best_cost", "oracle_cost", "ratio", "solved",
                "wall_time_s"]
 
 
-def _ratio(oracle: float | None, found: float) -> float | None:
-    if oracle is None or found <= 0:
-        return None
-    return oracle / found
-
-
 def _tuned(cfg, overrides: dict | None, pinned: frozenset[str]):
     """cfg with a case's tuning overrides applied, except pinned fields."""
     kept = {k: v for k, v in (overrides or {}).items() if k not in pinned}
@@ -200,22 +196,18 @@ def _early_target(case: BenchmarkCase) -> float | None:
     return target
 
 
-def run_case_stochastic(case: BenchmarkCase, cfg: RunConfig,
-                        time_limit: float | None = None,
-                        early_exit: bool = True,
-                        pinned: frozenset[str] = frozenset()) -> CaseResult:
-    """Run one case; `pinned` names config fields suite tuning must not touch."""
-    model = case.model_for("stochastic")
-    limit = case.time_limit if time_limit is None else time_limit
-    cfg = replace(_tuned(cfg, case.stochastic_overrides, pinned),
-                  time_limit=limit)
+# Each engine maps (case, tuned config, cost model, deadline, early_exit)
+# to (best term, best cost, work units, hard restarts, unsound restarts).
+
+def _stochastic(case: BenchmarkCase, cfg: RunConfig, model: CostModel,
+                deadline: float | None, early_exit: bool):
     validator = None
     if case.validate:
         validator = EquivalenceValidator(case.input_term, seed=cfg.seed)
     result = search(case.input_term, case.ruleset, model, cfg,
                     validator=validator,
-                    target_cost=_early_target(case) if early_exit else None)
-    solved = judge(case, result.best_term, model)
+                    target_cost=_early_target(case) if early_exit else None,
+                    deadline=deadline)
     for chain in result.chains:
         if chain.unsound_witness is not None:
             w = chain.unsound_witness
@@ -224,20 +216,8 @@ def run_case_stochastic(case: BenchmarkCase, cfg: RunConfig,
                   f"(lhs={w['lhs']:.6g}, rhs={w['rhs']:.6g})",
                   file=sys.stderr)
             break
-    return CaseResult(
-        engine="stochastic",
-        case=case.name,
-        best_cost=result.best_cost,
-        oracle_cost=case.oracle_cost,
-        ratio=_ratio(case.oracle_cost, result.best_cost),
-        solved=solved,
-        units=result.proposals,
-        unit_kind="proposals",
-        hard_restarts=result.hard_restarts,
-        unsound_restarts=result.unsound_restarts,
-        wall_time=result.wall_time,
-        best_term=print_sexpr(result.best_term),
-    )
+    return (result.best_term, result.best_cost, result.proposals,
+            result.hard_restarts, result.unsound_restarts)
 
 
 def _solved_in_graph(g: EGraph, root, case: BenchmarkCase, model,
@@ -252,21 +232,16 @@ def _solved_in_graph(g: EGraph, root, case: BenchmarkCase, model,
     return checks[-1][1] <= crit.value
 
 
-def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
-                   time_limit: float | None = None,
-                   pinned: frozenset[str] = frozenset()) -> CaseResult:
-    """Saturate with checkpointing as configured; stop early once solved."""
-    eqsat_cfg = _tuned(eqsat_cfg or EqsatConfig(), case.eqsat_overrides, pinned)
-    model = case.model_for("eqsat")
-    limit = case.time_limit if time_limit is None else time_limit
-    started = time.monotonic()
-    deadline = None if limit is None else started + limit
+def _eqsat(case: BenchmarkCase, cfg: EqsatConfig, model: CostModel,
+           deadline: float | None, early_exit: bool):
+    """Saturate with checkpointing as configured."""
     g = EGraph()
     root = g.add_term(case.input_term)
     checks: list = []
     extract_from, report = saturate(
-        g, root, case.ruleset, eqsat_cfg, case.checkpointing, deadline,
-        solved=lambda g, root: _solved_in_graph(g, root, case, model, checks))
+        g, root, case.ruleset, cfg, case.checkpointing, deadline,
+        solved=(lambda g, root: _solved_in_graph(g, root, case, model, checks))
+        if early_exit else None)
 
     if isinstance(case.criterion, ReachTerm):
         ok = extract_from.represents(root, case.criterion.goal)
@@ -278,74 +253,101 @@ def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
         best_term, best_cost = checks[-1]
     else:
         best_term, best_cost = extract(extract_from, root, model)
-    solved = judge(case, best_term, model)
-    return CaseResult(
-        engine="eqsat",
-        case=case.name,
-        best_cost=best_cost,
-        oracle_cost=case.oracle_cost,
-        ratio=_ratio(case.oracle_cost, best_cost),
-        solved=solved,
-        units=report.iterations,
-        unit_kind="iterations",
-        wall_time=time.monotonic() - started,
-        best_term=print_sexpr(best_term),
-    )
+    return best_term, best_cost, report.iterations, 0, 0
 
 
-def run_case_eqsat_pulsed(case: BenchmarkCase,
-                          eqsat_cfg: EqsatConfig | None = None,
-                          time_limit: float | None = None,
-                          pinned: frozenset[str] = frozenset()) -> CaseResult:
-    eqsat_cfg = _tuned(eqsat_cfg or EqsatConfig(), case.eqsat_overrides, pinned)
-    model = case.model_for("eqsat")
-    limit = case.time_limit if time_limit is None else time_limit
-    started = time.monotonic()
+def _pulsed(case: BenchmarkCase, cfg: EqsatConfig, model: CostModel,
+            deadline: float | None, early_exit: bool):
     best, reports = pulse(
-        case.input_term, case.ruleset, model, eqsat_cfg,
-        time_limit=limit,
-        checkpointing=case.checkpointing,
-        target_cost=_early_target(case),
-    )
-    best_cost = model.cost(best)
-    return CaseResult(
-        engine="eqsat-pulsed",
-        case=case.name,
-        best_cost=best_cost,
-        oracle_cost=case.oracle_cost,
-        ratio=_ratio(case.oracle_cost, best_cost),
-        solved=judge(case, best, model),
-        units=sum(r.iterations for r in reports),
-        unit_kind="iterations",
-        wall_time=time.monotonic() - started,
-        best_term=print_sexpr(best),
-    )
+        case.input_term, case.ruleset, model, cfg, deadline,
+        case.checkpointing, _early_target(case) if early_exit else None)
+    return best, model.cost(best), sum(r.iterations for r in reports), 0, 0
+
+
+# engine -> (engine function, what its work units count)
+_ENGINES = {
+    "stochastic": (_stochastic, "proposals"),
+    "eqsat": (_eqsat, "iterations"),
+    "eqsat-pulsed": (_pulsed, "iterations"),
+}
+
+
+def check_extractable(case: BenchmarkCase, engine: str) -> None:
+    """Reject an e-graph engine that would have to extract a term under a
+    cost model with no per-node rule.  Pulsing always extracts; plain
+    saturation does unless the case's goal is a term."""
+    if engine == "eqsat-pulsed" or (engine in ("eqsat", "both") and not
+                                    isinstance(case.criterion, ReachTerm)):
+        model = case.model_for("eqsat")
+        if not model.extractable:
+            raise ValueError(f"case {case.name}: engine {engine} must "
+                             f"extract a term, but {model!r} has no "
+                             f"per-node cost rule")
 
 
 def run_case(case: BenchmarkCase, engine: str, cfg: RunConfig,
              eqsat_cfg: EqsatConfig | None = None,
              time_limit: float | None = None,
-             pinned: frozenset[str] = frozenset()) -> list[CaseResult]:
-    if engine == "both":
-        return (run_case(case, "stochastic", cfg, eqsat_cfg, time_limit, pinned)
-                + run_case(case, "eqsat", cfg, eqsat_cfg, time_limit, pinned))
+             pinned: frozenset[str] = frozenset(),
+             early_exit: bool = True) -> CaseResult:
+    """Run one case through one engine and judge its answer.
+
+    The case's tuning is applied except for `pinned` config fields;
+    `time_limit` (else the case's own) becomes one deadline; with
+    `early_exit` the engine stops once the case is solved.  Every engine's
+    row times the same span, from tuning to judging.
+    """
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    run, unit_kind = _ENGINES[engine]
+    started = time.monotonic()
     if engine == "stochastic":
-        return [run_case_stochastic(case, cfg, time_limit, pinned=pinned)]
-    if engine == "eqsat":
-        return [run_case_eqsat(case, eqsat_cfg, time_limit, pinned=pinned)]
-    if engine == "eqsat-pulsed":
-        return [run_case_eqsat_pulsed(case, eqsat_cfg, time_limit, pinned=pinned)]
-    raise ValueError(f"unknown engine {engine!r}")
+        tuned = _tuned(cfg, case.stochastic_overrides, pinned)
+    else:
+        tuned = _tuned(eqsat_cfg or EqsatConfig(), case.eqsat_overrides,
+                       pinned)
+    model = case.model_for(engine)
+    limit = case.time_limit if time_limit is None else time_limit
+    deadline = None if limit is None else started + limit
+    best, best_cost, units, hard, unsound = run(case, tuned, model, deadline,
+                                                early_exit)
+    return CaseResult(
+        engine=engine,
+        case=case.name,
+        best_cost=best_cost,
+        oracle_cost=case.oracle_cost,
+        ratio=(None if case.oracle_cost is None or best_cost <= 0
+               else case.oracle_cost / best_cost),
+        solved=judge(case, best, model),
+        units=units,
+        unit_kind=unit_kind,
+        hard_restarts=hard,
+        unsound_restarts=unsound,
+        wall_time=time.monotonic() - started,
+        best_term=print_sexpr(best),
+    )
+
+
+def run_case_stochastic(case: BenchmarkCase, cfg: RunConfig,
+                        time_limit: float | None = None,
+                        early_exit: bool = True) -> CaseResult:
+    return run_case(case, "stochastic", cfg, time_limit=time_limit,
+                    early_exit=early_exit)
+
+
+def run_case_eqsat(case: BenchmarkCase, eqsat_cfg: EqsatConfig | None = None,
+                   time_limit: float | None = None) -> CaseResult:
+    return run_case(case, "eqsat", RunConfig(), eqsat_cfg, time_limit)
 
 
 def run_suite(cases: list[BenchmarkCase], engine: str, cfg: RunConfig,
               eqsat_cfg: EqsatConfig | None = None,
               time_limit: float | None = None,
               pinned: frozenset[str] = frozenset()) -> list[CaseResult]:
-    results: list[CaseResult] = []
-    for case in cases:
-        results.extend(run_case(case, engine, cfg, eqsat_cfg, time_limit, pinned))
-    return results
+    """One row per case and engine; `both` runs stochastic, then eqsat."""
+    engines = ("stochastic", "eqsat") if engine == "both" else (engine,)
+    return [run_case(case, e, cfg, eqsat_cfg, time_limit, pinned)
+            for case in cases for e in engines]
 
 
 def aggregate(results: list[CaseResult]) -> dict:
@@ -363,30 +365,17 @@ def aggregate(results: list[CaseResult]) -> dict:
             "total": len(rows),
             "mean_ratio": (sum(ratios) / len(ratios)) if ratios else None,
         }
-    stoc = {e for e in engines if e == "stochastic"}
-    eqsats = {e for e in engines if e.startswith("eqsat")}
-    if stoc and eqsats:
-        eq = sorted(eqsats)[0]
-        both = only_eq = only_st = neither = 0
+    eqsats = [e for e in engines if e.startswith("eqsat")]
+    if "stochastic" in engines and eqsats:
+        partition = dict.fromkeys(("both_solved", "only_eqsat",
+                                   "only_stochastic", "neither"), 0)
         for case_rows in by_case.values():
-            s = case_rows.get("stochastic")
-            q = case_rows.get(eq)
-            if s is None or q is None:
-                continue
-            if s.solved and q.solved:
-                both += 1
-            elif q.solved:
-                only_eq += 1
-            elif s.solved:
-                only_st += 1
-            else:
-                neither += 1
-        summary["partition"] = {
-            "both_solved": both,
-            "only_eqsat": only_eq,
-            "only_stochastic": only_st,
-            "neither": neither,
-        }
+            s, q = case_rows.get("stochastic"), case_rows.get(eqsats[0])
+            if s is not None and q is not None:
+                partition["both_solved" if s.solved and q.solved else
+                          "only_eqsat" if q.solved else
+                          "only_stochastic" if s.solved else "neither"] += 1
+        summary["partition"] = partition
     return summary
 
 
@@ -397,21 +386,16 @@ def scaling_report(cases: list[BenchmarkCase], workers_list: list[int],
     rows = []
     for workers in workers_list:
         wcfg = replace(cfg, workers=workers, budget=workers)
-        proposals = 0
-        wall = 0.0
-        solved = 0
-        for case in cases:
-            res = run_case_stochastic(case, wcfg, time_limit=time_limit,
-                                      early_exit=early_exit)
-            proposals += res.units
-            wall += res.wall_time
-            solved += int(res.solved)
+        results = [run_case(case, "stochastic", wcfg, time_limit=time_limit,
+                            early_exit=early_exit) for case in cases]
+        proposals = sum(r.units for r in results)
+        wall = sum(r.wall_time for r in results)
         rows.append({
             "workers": workers,
             "proposals": proposals,
             "wall_time_s": round(wall, 3),
             "proposals_per_sec": round(proposals / wall, 1) if wall else 0.0,
-            "solved": solved,
+            "solved": sum(r.solved for r in results),
             "cases": len(cases),
             "seed": cfg.seed,
         })

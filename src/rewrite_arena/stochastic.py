@@ -60,7 +60,6 @@ class RunConfig:
     n_soft: int = 1000
     explore: int = 100
     n_hard: int = 5000
-    time_limit: float | None = None
     workers: int = 1
     seed: int = 0
     max_steps: int | None = None
@@ -78,7 +77,6 @@ class RunConfig:
             raise ValueError("max_steps and max_proposals must not be negative")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be finite and not negative")
-        check_time_limit(self.time_limit)
 
     @property
     def chains(self) -> int:
@@ -270,8 +268,6 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     """
     if rng is None:
         rng = random.Random(chain_seed(cfg.seed, chain_index))
-    if deadline is None and cfg.time_limit is not None:
-        deadline = time.monotonic() + cfg.time_limit
     started = time.monotonic()
     has_budget = (deadline is not None or cfg.max_steps is not None
                   or cfg.max_proposals is not None)
@@ -387,15 +383,15 @@ def _chain_task(args) -> RunResult:
 
 
 def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
-           validator=None, target_cost: float | None = None) -> SearchResult:
+           validator=None, target_cost: float | None = None,
+           deadline: float | None = None) -> SearchResult:
     """Run cfg.chains independent chains and keep the best result.
 
     Per-chain seeds derive deterministically from cfg.seed and the chain
-    index, so results do not depend on worker scheduling.  Ties are broken
-    by the lowest chain index.
+    index, so results do not depend on worker scheduling.  Every chain
+    stops at the one deadline.  Ties are broken by the lowest chain index.
     """
     started = time.monotonic()
-    deadline = None if cfg.time_limit is None else started + cfg.time_limit
     n_chains = cfg.chains
     tasks = [(t0, ruleset, model, cfg, validator, i, deadline, target_cost)
              for i in range(n_chains)]

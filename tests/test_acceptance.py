@@ -31,8 +31,8 @@ from rewrite_arena import (
 from rewrite_arena.costs import MatMulScalarOps, integ_cost
 from rewrite_arena.rulesets import trig_ruleset
 from rewrite_arena.runner import (
+    run_case,
     run_case_eqsat,
-    run_case_eqsat_pulsed,
     run_case_stochastic,
     scaling_report,
 )
@@ -76,7 +76,7 @@ def test_c02_oracle_equivalence():
 
 
 def test_c03_matmul_stochastic_within_one_percent():
-    cfg = RunConfig(workers=8, seed=1, time_limit=10.0)
+    cfg = RunConfig(workers=8, seed=1)
     hits = 0
     runs = []
     for n in (10, 50, 100):
@@ -84,7 +84,8 @@ def test_c03_matmul_stochastic_within_one_percent():
             case = gen_matmul_chain(n, 1, 20, random.Random(9000 + 17 * n + k))
             target = case.oracle_cost * 1.01
             result = search(case.input_term, case.ruleset, case.cost_model,
-                            cfg, target_cost=target)
+                            cfg, target_cost=target,
+                            deadline=time.monotonic() + 10.0)
             ratio = result.best_cost / case.oracle_cost
             runs.append(ratio)
             hits += ratio <= 1.01
@@ -105,7 +106,7 @@ def test_c04_matmul_eqsat_exact_and_pulsed():
             exact = False
             break
     case200 = gen_matmul_chain(200, 1, 20, random.Random(4242))
-    pulsed = run_case_eqsat_pulsed(case200, time_limit=10.0)
+    pulsed = run_case(case200, "eqsat-pulsed", RunConfig(), time_limit=10.0)
     pulse_ratio = pulsed.best_cost / case200.oracle_cost
     ok = exact and worst_time <= 10.0 and pulse_ratio <= 1.05
     assert _report(4, "EqSat exact for all n <= 30 in 10s; pulsed within 5% "

@@ -15,6 +15,7 @@ from rewrite_arena.cli import (
     build_parser,
     main,
 )
+from rewrite_arena import runner
 from rewrite_arena.runner import CSV_COLUMNS, EqsatConfig
 from rewrite_arena.stochastic import RunConfig
 
@@ -326,6 +327,53 @@ def test_unwritable_output_leaves_no_temporary_file(tmp_path, capsys):
     assert not (tmp_path / "out.tmp").exists()
 
 
+def _no_case_may_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("a case ran before the command was rejected")
+
+    # Every engine starts in search or saturate.
+    for name in ("run_case", "search", "saturate"):
+        monkeypatch.setattr(runner, name, refuse)
+
+
+@pytest.mark.parametrize("args", [
+    [*_NEEDLE, "eqsat"],
+    ["scale", "--suite", "halide-mini", "--workers-list", "1"],
+])
+def test_unwritable_output_fails_before_any_case_runs(tmp_path, capsys,
+                                                      monkeypatch, args):
+    _no_case_may_run(monkeypatch)
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out = run_cli([*args, "--output", str(target)])
+    assert code == 2 and out == ""
+    assert "cannot write" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_pulsing_a_case_without_per_node_costs_exits_2(capsys, monkeypatch):
+    _no_case_may_run(monkeypatch)
+    code, out = run_cli(["bench", "needle", "--engine", "eqsat-pulsed"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "needle-8" in err
+    assert "eqsat-pulsed" in err and "internal error" not in err
+
+
+def test_extracting_a_case_without_per_node_costs_exits_2(tmp_path, capsys,
+                                                          monkeypatch):
+    def goal_cost(spec):
+        spec["cost"] = {"model": "goal_indicator", "goal": spec["input"]}
+
+    path = _write_suite(tmp_path, goal_cost)
+    _no_case_may_run(monkeypatch)
+    code, out = run_cli(["bench", str(path), "--engine", "eqsat"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "matmul-3-1" in err
+    assert "engine eqsat " in err and "internal error" not in err
+
+
 def test_non_suite_json_exits_2(tmp_path):
     for text in ("{not json", "[1, 2]", '{"suite": "s"}'):
         path = tmp_path / "bad.json"
@@ -348,3 +396,52 @@ def test_gen_suite_file_rows_equal_direct_bench(tmp_path):
     assert rows == strip_wall_time(direct)
     solved = rows[0].index("solved")
     assert [r[solved] for r in rows[1:]] == ["1", "1", "1"]
+
+
+# CSV rows minus wall_time_s of two seeded runs that repeat exactly.
+_GOLDEN_HALIDE_BOTH = """\
+engine,case,best_cost,oracle_cost,ratio,solved,units,unit_kind,hard_restarts,unsound_restarts
+stochastic,halide-paper,0,,,1,63,proposals,0,0
+eqsat,halide-paper,0,,,1,4,iterations,0,0
+stochastic,halide-add-cancel,0,,,1,4,proposals,0,0
+eqsat,halide-add-cancel,0,,,1,1,iterations,0,0
+stochastic,halide-lt-next,0,,,1,3,proposals,0,0
+eqsat,halide-lt-next,0,,,1,1,iterations,0,0
+stochastic,halide-min-comm,0,,,1,25,proposals,0,0
+eqsat,halide-min-comm,0,,,1,2,iterations,0,0
+stochastic,halide-le-min,0,,,1,2,proposals,0,0
+eqsat,halide-le-min,0,,,1,1,iterations,0,0
+stochastic,halide-le-max,0,,,1,2,proposals,0,0
+eqsat,halide-le-max,0,,,1,1,iterations,0,0
+stochastic,halide-add-zero,0,,,1,9,proposals,0,0
+eqsat,halide-add-zero,0,,,1,2,iterations,0,0
+stochastic,halide-lt-sub,0,,,1,2,proposals,0,0
+eqsat,halide-lt-sub,0,,,1,1,iterations,0,0
+stochastic,halide-total,0,,,1,1,proposals,0,0
+eqsat,halide-total,0,,,1,1,iterations,0,0
+stochastic,halide-max-shift,0,,,1,63,proposals,0,0
+eqsat,halide-max-shift,0,,,1,4,iterations,0,0
+stochastic,halide-max-same,0,,,1,2,proposals,0,0
+eqsat,halide-max-same,0,,,1,2,iterations,0,0
+stochastic,halide-min-shift,9,,,0,3004,proposals,6,0
+eqsat,halide-min-shift,0,,,1,4,iterations,0,0
+"""
+
+_GOLDEN_MATMUL_PULSED = """\
+engine,case,best_cost,oracle_cost,ratio,solved,units,unit_kind,hard_restarts,unsound_restarts
+eqsat-pulsed,matmul-12-0,1150,1150,1.0,1,9,iterations,0,0
+eqsat-pulsed,matmul-12-1,960,960,1.0,1,6,iterations,0,0
+"""
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["halide-mini", "--engine", "both", "--workers", "1", "--seed", "1",
+      "--max-proposals", "3000"], _GOLDEN_HALIDE_BOTH),
+    (["matmul", "--n", "12", "--count", "2", "--seed", "1", "--engine",
+      "eqsat-pulsed"], _GOLDEN_MATMUL_PULSED),
+])
+def test_bench_rows_match_golden(args, golden):
+    code, out = run_cli(["bench", *args, "--format", "csv"])
+    assert code == 0
+    assert strip_wall_time(out) == [tuple(line.split(","))
+                                    for line in golden.splitlines()]

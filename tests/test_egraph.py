@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -394,7 +395,8 @@ def test_pulse_monotone_and_matches_saturate_for_one_pulse():
     single, _ = _saturate_extract(case.input_term, case.ruleset,
                                   case.cost_model, EqsatConfig(iterations=3))
     pulsed, reports = pulse(case.input_term, case.ruleset, case.cost_model,
-                            EqsatConfig(pulse_iterations=3), time_limit=5.0)
+                            EqsatConfig(pulse_iterations=3),
+                            deadline=time.monotonic() + 5.0)
     model = case.cost_model
     assert model.cost(pulsed) <= model.cost(single)
     # extraction cost never increases across pulses (adopt-if-better)
@@ -406,7 +408,8 @@ def test_single_pulse_equals_saturate_with_same_limit():
     single, _ = _saturate_extract(case.input_term, case.ruleset,
                                   case.cost_model, EqsatConfig(iterations=10))
     pulsed, reports = pulse(case.input_term, case.ruleset, case.cost_model,
-                            EqsatConfig(pulse_iterations=10), time_limit=5.0)
+                            EqsatConfig(pulse_iterations=10),
+                            deadline=time.monotonic() + 5.0)
     assert pulsed == single
     # the first pulse saturated, so the second cannot improve and stops
     assert len(reports) <= 2
@@ -429,7 +432,8 @@ def test_pulse_beats_single_shot_on_long_chain():
                                   case.cost_model,
                                   EqsatConfig(iterations=3, nodes=50000))
     pulsed, _ = pulse(case.input_term, case.ruleset, case.cost_model,
-                      EqsatConfig(pulse_iterations=3), time_limit=6.0)
+                      EqsatConfig(pulse_iterations=3),
+                      deadline=time.monotonic() + 6.0)
     model = case.cost_model
     assert model.cost(pulsed) <= model.cost(single)
 
@@ -492,12 +496,13 @@ def test_quiet_iteration_with_banned_rule_is_not_saturation():
 def test_pulse_honours_scheduler_limits():
     case = gen_matmul_chain(6, 1, 9, random.Random(9))
     improved, _ = pulse(case.input_term, case.ruleset, case.cost_model,
-                        EqsatConfig(pulse_iterations=3), time_limit=5.0)
+                        EqsatConfig(pulse_iterations=3),
+                        deadline=time.monotonic() + 5.0)
     assert improved != case.input_term
     # With a match limit of zero every rule is banned at once.
     stuck, reports = pulse(case.input_term, case.ruleset, case.cost_model,
                            EqsatConfig(pulse_iterations=3, match_limit=0),
-                           time_limit=5.0)
+                           deadline=time.monotonic() + 5.0)
     assert stuck == case.input_term
     assert [r.stop_reason for r in reports] == ["iteration_limit"]
 
