@@ -31,7 +31,7 @@ from .runner import (
     CSV_COLUMNS,
     EqsatConfig,
     aggregate,
-    check_extractable,
+    check_runnable,
     run_suite,
     scaling_report,
 )
@@ -265,7 +265,7 @@ def _cmd_bench(args, parser) -> int:
     eqsat_cfg = _eqsat_config(args)
     cases = _load_cases(args, cfg)
     for case in cases:
-        _checked(check_extractable, case, args.engine)
+        _checked(check_runnable, case, args.engine)
     _write_out(None, args.output)
     run = partial(run_suite, engine=args.engine, cfg=cfg, eqsat_cfg=eqsat_cfg,
                   time_limit=args.time_limit, pinned=_pinned_fields(args))

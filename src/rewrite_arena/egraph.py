@@ -7,13 +7,15 @@ repair is deferred: rebuild() re-canonicalizes every node and merges
 congruent classes to a fixpoint, skipping the last pass when the previous
 one shows it would unite nothing.
 
-E-matching and instantiation follow egg's compiled patterns: each side of
+E-matching and application follow egg's compiled patterns: each side of
 a rule compiles once to generated straight-line Python, kept in the
 pattern term's memo, through the same compile-once helpers that build the
 stochastic engine's term matchers and builders in rules.py.  A left-hand
 side becomes nested loops over class nodes with op, arity and
-variable-equality tests; a right-hand side becomes a post-order builder
-that looks each e-node up in the hashcons before it makes a class.
+variable-equality tests that emit flat match tuples (root, v1, v2, ...);
+a rule's right-hand side becomes one loop over those tuples that builds
+it post-order, looking each e-node up in the hashcons before it makes a
+class, and unions it into the match's root.
 
 ematch and represents need a rebuilt graph and raise EGraphError on one
 with unions not yet repaired.  On a rebuilt graph each canonical e-node
@@ -33,7 +35,6 @@ from .costs import CostModel
 from .rules import (
     Rule,
     Ruleset,
-    Substitution,
     _compiled,
     _define,
     constant_term,
@@ -44,6 +45,7 @@ from .terms import Term, TermError, postorder, print_sexpr
 
 EClassId = int
 ENode = tuple  # (Symbol, child EClassId, ...) -- children canonical at creation
+Match = tuple  # (root EClassId, one EClassId per pattern variable)
 
 
 class EGraphError(TermError):
@@ -293,33 +295,35 @@ class EGraph:
 
     # -- e-matching -----------------------------------------------------------
 
-    def ematch(self, pattern: Term) -> list[tuple[Substitution, EClassId]]:
-        """All matches of the pattern; variables bind canonical e-class ids.
+    def ematch(self, pattern: Term) -> list[Match]:
+        """All matches (root, v1, v2, ...); variables, in the order of
+        `matcher(pattern).names`, bind canonical e-class ids.
 
         Matches come in class order, then node order, then children left to
-        right.  Each match is found exactly once: the substitution fixes
-        every pattern node's e-node bottom-up, and on a rebuilt graph the
-        hashcons holds each canonical e-node in one class.
+        right.  Each match is found exactly once: the bindings fix every
+        pattern node's e-node bottom-up, and on a rebuilt graph the hashcons
+        holds each canonical e-node in one class.
         """
         if self._dirty:
             raise EGraphError("ematch needs a rebuilt graph")
-        return _compiled(pattern, _MATCHER, _compile_matcher)(self.classes)
+        return matcher(pattern)(self.classes)
 
     # -- rule application -------------------------------------------------------
 
-    def guard_passes(self, rule: Rule, subst: Substitution) -> bool:
-        if rule.guard is None:
-            return True
-        return rule.guard.admits(
-            self.classes[self.find(subst[rule.guard.var])].constant)
+    def guarded(self, rule: Rule, hits: list[Match]) -> list[Match]:
+        """The rule's matches whose guard admits its variable's class."""
+        guard = rule.guard
+        if guard is None:
+            return hits
+        at = matcher(rule.lhs).names.index(guard.var) + 1
+        admits, classes, find = guard.admits, self.classes, self.find
+        return [hit for hit in hits if admits(classes[find(hit[at])].constant)]
 
-    def add_instantiated(self, pattern: Term, subst: Substitution) -> EClassId:
-        """Add the pattern under subst; the class of its root."""
-        try:
-            build = pattern._memo[_BUILDER]
-        except (TypeError, KeyError):  # no memo yet, or not compiled yet
-            build = _compiled(pattern, _BUILDER, _compile_builder)
-        return build(self, subst)
+    def add_instantiated(self, rule: Rule, hits: list[Match]) -> None:
+        """Add the rule's rhs under each lhs match; union it into the root."""
+        names = matcher(rule.lhs).names
+        _compiled(rule.rhs, (_APPLIER, names),
+                  lambda rhs: _compile_applier(names, rhs))(self, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +332,26 @@ class EGraph:
 # in the pattern term's own memo.
 
 _MATCHER = "egraph.matcher"
-_BUILDER = "egraph.builder"
+_APPLIER = "egraph.applier"
 
 # Python allows 20 nested loops: one over classes, one per operator node.
 MAX_PATTERN_OPERATORS = 19
 
 
+def matcher(pattern: Term):
+    """The pattern's compiled e-matcher; EGraphError if it cannot compile."""
+    return _compiled(pattern, _MATCHER, _compile_matcher)
+
+
 def _compile_matcher(pattern: Term):
-    """`match(classes)`: all (substitution, root) matches, in search order.
+    """`match(classes)`: all (root, v1, v2, ...) matches, in search order.
 
     The pattern is walked in pre-order.  An operator node loops over the
     nodes of its class and tests op identity and arity; a numeral or
     constant leaf tests that its e-node is in the class; a variable's first
     occurrence names the class it sits in, and each later one tests that
-    class for equality.  Class ids in nodes are taken to be canonical.
+    class for equality.  Class ids in nodes are taken to be canonical.  The
+    function's `names` lists the variables in that first-binding order.
     """
     env: dict[str, object] = {}
     body = ["    out = []", "    append = out.append"]
@@ -387,36 +397,38 @@ def _compile_matcher(pattern: Term):
             depth += 2
             emit(f"_, {', '.join(kids)} = {node}")
             stack.extend(reversed(list(zip(p.children, kids))))
-    subst = ", ".join(f"{name!r}: {cls}" for name, cls in bound.items())
-    emit(f"append(({{{subst}}}, c0))")
+    emit(f"append(({', '.join(['c0', *bound.values()])},))")
     body.append("    return out")
-    return _define(pattern, "match", "classes", body, env)
+    match = _define(pattern, "match", "classes", body, env)
+    match.names = tuple(bound)
+    return match
 
 
-def _compile_builder(pattern: Term):
-    """`build(g, subst)`: add the pattern to g; the class of its root.
+def _compile_applier(names: tuple[str, ...], rhs: Term):
+    """`apply(g, hits)`: per match (root, v1, ...), binding `names` in order,
+    build rhs post-order and union it into the root when they differ.
 
-    Post-order: a variable loads its bound class once and makes it
-    canonical, an operator node looks its e-node up in the hashcons and
-    makes a new class only on a miss.
+    A variable makes its class canonical once; an operator node looks its
+    e-node up in the hashcons and makes a new class only on a miss.
     """
     env: dict[str, object] = {}
-    body = ["    uf, find, lookup, add_new = g._uf, g.find, g.hashcons.get, g._add_new"]
-    bound: dict[str, str] = {}  # variable -> local holding its class
+    slot = {name: f"v{i}" for i, name in enumerate(names)}
+    body = ["    uf, find, lookup, add_new, union = (",
+            "        g._uf, g.find, g.hashcons.get, g._add_new, g.union)",
+            f"    for {', '.join(['r', *slot.values()])}, in hits:"]
+    seen: set[str] = set()  # variables made canonical so far
     done: list[str] = []  # locals of the finished subpatterns, a stack
     slots = 0  # locals c0, c1, ... hold the classes built so far
-    stack: list[tuple[Term, bool]] = [(pattern, False)]
+    stack: list[tuple[Term, bool]] = [(rhs, False)]
     while stack:
         p, expanded = stack.pop()
         if is_pattern_var(p):
-            name = p.op.name
-            if name not in bound:
-                cid = bound[name] = f"c{slots}"
-                slots += 1
-                body.append(f"    {cid} = subst[{name!r}]")
-                body.append(f"    if uf[{cid}] != {cid}:")
-                body.append(f"        {cid} = find({cid})")
-            done.append(bound[name])
+            cid = slot[p.op.name]
+            if cid not in seen:
+                seen.add(cid)
+                body.append(f"        if uf[{cid}] != {cid}:")
+                body.append(f"            {cid} = find({cid})")
+            done.append(cid)
         elif expanded:
             arity = len(p.children)
             kids = done[len(done) - arity:]
@@ -425,18 +437,19 @@ def _compile_builder(pattern: Term):
             env[op] = p.op
             cid = f"c{slots}"
             slots += 1
-            body.append(f"    node = ({', '.join([op, *kids])},)")
-            body.append(f"    {cid} = lookup(node)")
-            body.append(f"    if {cid} is None:")
-            body.append(f"        {cid} = add_new(node)")
-            body.append(f"    elif uf[{cid}] != {cid}:")
-            body.append(f"        {cid} = find({cid})")
+            body += [f"        node = ({', '.join([op, *kids])},)",
+                     f"        {cid} = lookup(node)",
+                     f"        if {cid} is None:",
+                     f"            {cid} = add_new(node)",
+                     f"        elif uf[{cid}] != {cid}:",
+                     f"            {cid} = find({cid})"]
             done.append(cid)
         else:
             stack.append((p, True))
             stack.extend((c, False) for c in reversed(p.children))
-    body.append(f"    return {done[0]}")
-    return _define(pattern, "build", "g, subst", body, env)
+    body += ["        if uf[r] != r:", "            r = find(r)",
+             f"        if r != {done[0]}:", f"            union(r, {done[0]})"]
+    return _define(rhs, "apply", "g, hits", body, env)
 
 
 @dataclass
@@ -482,7 +495,7 @@ class BackoffScheduler:
 def _cyclic_gc_paused():
     """Keep the cyclic garbage collector off for the block.
 
-    An iteration allocates substitutions, e-nodes and classes by the
+    An iteration allocates match tuples, e-nodes and classes by the
     hundred thousand and frees them by reference counting; none of them
     forms a cycle.  With the collector on, that churn set off full
     collections that walked the whole e-graph again and again, about a
@@ -516,12 +529,12 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
 
     Matches are collected against the pre-iteration graph for all rules
     first (guards checked against the constant analysis at match time),
-    then all right-hand sides are instantiated and unioned, then the graph
-    is rebuilt once.
+    then each rule's right-hand sides are added and unioned in one applier
+    loop, then the graph is rebuilt once.
     """
     with _cyclic_gc_paused():
         unions_before = g.union_count
-        matched: list[tuple[Rule, list[tuple[Substitution, EClassId]]]] = []
+        matched: list[tuple[Rule, list[Match]]] = []
         banned: list[str] = []
         total_matches = 0
         for rule in ruleset:
@@ -534,15 +547,10 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
                 # Newly banned: this iteration's matches are dropped too.
                 banned.append(rule.name)
                 continue
-            if rule.guard is not None:
-                hits = [hit for hit in hits if g.guard_passes(rule, hit[0])]
-            matched.append((rule, hits))
+            matched.append((rule, g.guarded(rule, hits)))
         applied = 0
-        add_instantiated, union = g.add_instantiated, g.union
         for rule, hits in matched:
-            rhs = rule.rhs
-            for subst, root in hits:
-                union(root, add_instantiated(rhs, subst))
+            g.add_instantiated(rule, hits)
             applied += len(hits)
         g.rebuild()
         return IterationReport(

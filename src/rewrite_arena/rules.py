@@ -12,7 +12,7 @@ the pattern term's memo.  match_pattern runs a matcher that tests op
 identity node by node (a literal's value lives on its interned symbol) and
 binds or compares variables; instantiate runs a builder that constructs the
 right-hand side in post-order.  The e-graph compiles its own e-matchers and
-builders through the same helpers.
+appliers through the same helpers.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def instantiate(p: Term, subst: Substitution) -> Term:
 # Compiled patterns.  A pattern compiles once, on first use, to a
 # straight-line Python function generated as source and exec-ed.  The
 # pattern term keeps its functions in its own memo, so they live as long
-# as the rule's terms.  The e-graph compiles its e-matchers and builders
+# as the rule's terms.  The e-graph compiles its e-matchers and appliers
 # through the same two helpers.  match_pattern and instantiate read the memo
 # inline: a call through _compiled added about a fifth to each match.
 

@@ -19,7 +19,9 @@ from .egraph import (
     BackoffScheduler,
     EClassId,
     EGraph,
+    EGraphError,
     extract,
+    matcher,
     run_iteration,
 )
 from .equivalence import EquivalenceValidator
@@ -272,10 +274,19 @@ _ENGINES = {
 }
 
 
-def check_extractable(case: BenchmarkCase, engine: str) -> None:
-    """Reject an e-graph engine that would have to extract a term under a
-    cost model with no per-node rule.  Pulsing always extracts; plain
-    saturation does unless the case's goal is a term."""
+def check_runnable(case: BenchmarkCase, engine: str) -> None:
+    """Reject an e-graph engine that cannot e-match a left-hand side of the
+    case, or that would have to extract a term under a cost model with no
+    per-node rule.  Pulsing always extracts; plain saturation does unless
+    the case's goal is a term."""
+    if engine == "stochastic":
+        return
+    for rule in case.ruleset:
+        try:
+            matcher(rule.lhs)
+        except EGraphError as exc:
+            raise ValueError(f"case {case.name}: rule {rule.name}: "
+                             f"{exc}") from None
     if engine == "eqsat-pulsed" or (engine in ("eqsat", "both") and not
                                     isinstance(case.criterion, ReachTerm)):
         model = case.model_for("eqsat")

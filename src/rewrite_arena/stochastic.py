@@ -315,12 +315,15 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         if not candidates:
             # Dead end: the term cannot move, so every step up to the stall
             # limit (or the step cap) is an empty stall step; take them all.
+            # At t0 itself the chain ends: every restart would come back.
             stalled = cfg.n_hard - n_stall
             if cfg.max_steps is not None:
                 stalled = min(stalled, cfg.max_steps - steps)
             n += stalled
             n_stall += stalled
             steps += stalled
+            if t is t0:
+                break
             continue
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta

@@ -374,6 +374,50 @@ def test_extracting_a_case_without_per_node_costs_exits_2(tmp_path, capsys,
     assert "engine eqsat " in err and "internal error" not in err
 
 
+def _deep_suite(tmp_path, time_limit):
+    """A suite file whose second case has a rule too deep to e-match."""
+    deep = "(f " * 20 + "?x" + ")" * 20
+
+    def case(name, rule):
+        return {"name": name, "input": "(g a)", "rules": [rule],
+                "cost": {"model": "ast_size"},
+                "criterion": {"kind": "target_cost", "value": 1},
+                "time_limit": time_limit}
+
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"schema": 1, "suite": "deep", "cases": [
+        case("shallow", "peel: (f ?x) => ?x"),
+        case("stuck", f"deep: {deep} => ?x")]}))
+    return path
+
+
+@pytest.mark.parametrize("engine", ["eqsat", "eqsat-pulsed", "both"])
+def test_a_rule_too_deep_to_ematch_exits_2(tmp_path, capsys, monkeypatch,
+                                           engine):
+    _no_case_may_run(monkeypatch)
+    code, out = run_cli(["bench", str(_deep_suite(tmp_path, 1.0)),
+                         "--engine", engine])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "stuck" in err and "deep" in err
+    assert "internal error" not in err
+
+
+def test_a_stochastic_chain_stuck_at_its_start_ends(tmp_path):
+    # Neither case's start term admits a rewrite, and no time limit is
+    # set: only the proposal cap could end the chain, and none is proposed.
+    path = _deep_suite(tmp_path, None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rewrite_arena.cli", "bench", str(path),
+         "--engine", "stochastic", "--workers", "1", "--max-proposals",
+         "100", "--format", "csv"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+    assert [(r["case"], r["units"], r["hard_restarts"]) for r in rows] == [
+        ("shallow", "0", "0"), ("stuck", "0", "0")]
+
+
 def test_non_suite_json_exits_2(tmp_path):
     for text in ("{not json", "[1, 2]", '{"suite": "s"}'):
         path = tmp_path / "bad.json"

@@ -40,6 +40,8 @@ from rewrite_arena.egraph import (
     MAX_PATTERN_OPERATORS,
     EGraphError,
     ExtractionError,
+    IterationReport,
+    matcher,
 )
 from rewrite_arena.equivalence import eval_numeric
 from rewrite_arena.rules import (
@@ -53,7 +55,11 @@ from rewrite_arena.rules import (
     pattern_vars,
 )
 from rewrite_arena.runner import run_case_eqsat
-from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
+from rewrite_arena.rulesets import (
+    assoc_ruleset,
+    halide_ruleset,
+    trig_ruleset,
+)
 from rewrite_arena.terms import (
     Symbol,
     Term,
@@ -189,10 +195,13 @@ def test_ematch_nested_product():
     g = EGraph()
     g.add_term(P("(* A (* B C))"))
     g.rebuild()
-    hits = g.ematch(P("(* ?a (* ?b ?c))"))
+    pattern = P("(* ?a (* ?b ?c))")
+    hits = g.ematch(pattern)
     assert len(hits) == 1
-    subst, root = hits[0]
-    assert g.find(subst["?a"]) == g.find(g.add_term(P("A")))
+    assert matcher(pattern).names == ("?a", "?b", "?c")
+    root, a, b, c = hits[0]
+    assert g.find(a) == g.find(g.add_term(P("A")))
+    assert g.find(c) == g.find(g.add_term(P("C")))
 
 
 def test_ematch_after_union_matches_in_shared_class():
@@ -203,7 +212,7 @@ def test_ematch_after_union_matches_in_shared_class():
     g.rebuild()
     for pattern in (P("(* (* ?a ?b) ?c)"), P("(* ?a (* ?b ?c))")):
         hits = g.ematch(pattern)
-        assert any(g.find(root) == g.find(left) for _, root in hits)
+        assert any(g.find(hit[0]) == g.find(left) for hit in hits)
 
 
 def test_ematch_nonlinear_pattern():
@@ -623,21 +632,28 @@ def test_compiled_ematch_equals_brute_force(terms, unions, rebuilt):
             g.represents(ids[0], terms[0])
         return
     for pattern in MATCH_PATTERNS:
-        found = [(root, frozenset(subst.items()))
-                 for subst, root in g.ematch(pattern)]
+        names = matcher(pattern).names
+        found = [(root, frozenset(zip(names, bound)))
+                 for root, *bound in g.ematch(pattern)]
         assert len(found) == len(set(found)), "duplicate match"
         assert set(found) == _brute_force_matches(g, pattern)
-    # Instantiating a right-hand side lands in the class that adding the
-    # same term, with each variable's class spelled out, lands in.
+    # Applying a rule puts its right-hand side, with each variable's class
+    # spelled out as a term of that class, in the class of the match root.
     size = AstSize()
     concrete = {cid: extract(g, cid, size)[0] for cid in g.classes}
+    rules = [Rule(f"r{k}", lhs, rhs) for k, (lhs, rhs) in enumerate(REWRITES)]
     # Match everything first: a new literal class leaves the graph dirty.
-    matched = [(rhs, g.ematch(lhs)) for lhs, rhs in REWRITES]
-    for rhs, hits in matched:
-        for subst, _ in hits:
-            got = g.add_instantiated(rhs, subst)
-            spelled = instantiate(rhs, {v: concrete[c] for v, c in subst.items()})
-            assert g.find(got) == g.find(g.add_term(spelled))
+    matched = [(rule, g.ematch(rule.lhs)) for rule in rules]
+    spelled = []
+    for rule, hits in matched:
+        names = matcher(rule.lhs).names
+        for root, *bound in hits:
+            spelled.append((root, instantiate(
+                rule.rhs, {v: concrete[c] for v, c in zip(names, bound)})))
+        g.add_instantiated(rule, hits)
+    g.rebuild()
+    for root, t in spelled:
+        assert g.represents(root, t)
 
 
 def test_add_instantiated_canonicalizes_stale_bindings():
@@ -648,9 +664,11 @@ def test_add_instantiated_canonicalizes_stale_bindings():
     g.union(big, x)  # the two-node class leads, so x's id goes stale
     g.rebuild()
     assert g.find(x) != x
-    nodes = g.num_nodes()
-    got = g.add_instantiated(P("(* ?a ?b)"), {"?a": x, "?b": y})
-    assert got == g.find(product) and g.num_nodes() == nodes
+    nodes, unions = g.num_nodes(), g.union_count
+    # The product is found under the canonical x, and it is its own root.
+    rule = Rule("same", P("(* ?a ?b)"), P("(* ?a ?b)"))
+    g.add_instantiated(rule, [(g.find(product), x, y)])
+    assert g.num_nodes() == nodes and g.union_count == unions
 
 
 def test_ematch_pattern_operator_limit():
@@ -762,11 +780,133 @@ def test_guard_decides_alike_on_terms_and_classes(kind):
                                   "(- 1 1)", "(sin 0)")]
     ids = [g.add_term(t) for t in bound]
     g.rebuild()
-    got = [g.guard_passes(rule, {"?a": cid}) for cid in ids]
+    got = [g.guarded(rule, [(cid, cid)]) == [(cid, cid)] for cid in ids]
     assert got == [rule.guard.passes(t) for t in bound]
     want = {"nonzero": [False, True, True, True, True, True, False, True],
             "literal": [True, True, True, False, False, False, True, False]}
     assert got == want[kind]
+
+
+# ---------------------------------------------------------------------------
+# Flat match tuples and one applier per rule against the dict path they
+# replaced: an interpretive matcher that yields {variable: class} dicts in
+# the compiled matcher's order, and per match a post-order builder and a
+# union call.
+
+def _dict_matches(g, p, cid, subst):
+    """Each extension of subst matching p in class cid: class order, node
+    order, children left to right."""
+    if is_pattern_var(p):
+        name = p.op.name
+        if name not in subst:
+            yield {**subst, name: cid}
+        elif subst[name] == cid:
+            yield subst
+        return
+    for node in g.classes[cid].nodes:
+        if node[0] is p.op and len(node) == len(p.children) + 1:
+            yield from _dict_children(g, p.children, node[1:], subst)
+
+
+def _dict_children(g, patterns, kids, subst):
+    if not patterns:
+        yield subst
+        return
+    for bound in _dict_matches(g, patterns[0], kids[0], subst):
+        yield from _dict_children(g, patterns[1:], kids[1:], bound)
+
+
+def _dict_instantiate(g, p, subst, canonical):
+    """The class of p under subst, built post-order through the hashcons;
+    each variable made canonical at its first occurrence."""
+    if is_pattern_var(p):
+        name = p.op.name
+        if name not in canonical:
+            canonical[name] = g.find(subst[name])
+        return canonical[name]
+    node = (p.op, *[_dict_instantiate(g, c, subst, canonical)
+                    for c in p.children])
+    cid = g.hashcons.get(node)
+    return g._add_new(node) if cid is None else g.find(cid)
+
+
+def _dict_iteration(g, ruleset, scheduler, iteration):
+    """run_iteration through substitution dicts, one union per match."""
+    unions_before = g.union_count
+    matched, banned, total = [], [], 0
+    for rule in ruleset:
+        if not scheduler.can_run(rule.name, iteration):
+            banned.append(rule.name)
+            continue
+        hits = [(subst, cid) for cid in g.classes
+                for subst in _dict_matches(g, rule.lhs, cid, {})]
+        total += len(hits)
+        if scheduler.record(rule.name, len(hits), iteration):
+            banned.append(rule.name)
+            continue
+        if rule.guard is not None:
+            hits = [(subst, cid) for subst, cid in hits if rule.guard.admits(
+                g.classes[g.find(subst[rule.guard.var])].constant)]
+        matched.append((rule, hits))
+    applied = 0
+    for rule, hits in matched:
+        for subst, root in hits:
+            g.union(root, _dict_instantiate(g, rule.rhs, subst, {}))
+        applied += len(hits)
+    g.rebuild()
+    return IterationReport(iteration, total, applied,
+                           g.union_count - unions_before, g.num_nodes(),
+                           g.num_classes(), g.contradiction, banned)
+
+
+def _halide_term(rng, depth, boolean=True):
+    """A random term over halide-mini's signature."""
+    if boolean:
+        if depth <= 0 or rng.random() < 0.15:
+            return P(rng.choice(("true", "false")))
+        if rng.random() < 0.4:
+            return Term(symbol(rng.choice(("&&", "||")), 2),
+                        (_halide_term(rng, depth - 1),
+                         _halide_term(rng, depth - 1)))
+        return Term(symbol(rng.choice(("<", "<=", "==")), 2),
+                    (_halide_term(rng, depth - 1, False),
+                     _halide_term(rng, depth - 1, False)))
+    if depth <= 0 or rng.random() < 0.3:
+        return P(rng.choice(("x", "y", "0", "1", "2")))
+    return Term(symbol(rng.choice(("+", "-", "max", "min")), 2),
+                (_halide_term(rng, depth - 1, False),
+                 _halide_term(rng, depth - 1, False)))
+
+
+# Between them: guards, literal and bare-variable right-hand sides, and
+# non-linear left-hand sides such as (- ?a ?a) => 0.
+_APPLY_RULESETS = {"trig": trig_ruleset(), "halide-mini": halide_ruleset(),
+                   "assoc": assoc_ruleset()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+       st.sampled_from(sorted(_APPLY_RULESETS)), st.integers(1, 4),
+       st.sampled_from([3, 30, 1000]))
+def test_applier_equals_dict_reference(seed, n_terms, name, iterations,
+                                       match_limit):
+    ruleset = _APPLY_RULESETS[name]
+    rng = random.Random(seed)
+    g = EGraph()
+    for _ in range(n_terms):
+        depth = rng.randint(1, 4)
+        g.add_term(_halide_term(rng, depth) if name == "halide-mini"
+                   else random_term(rng, depth))
+    g.rebuild()
+    ref = g.copy()
+    schedulers = [BackoffScheduler(match_limit, 2) for _ in range(2)]
+    for k in range(iterations):
+        if g.num_nodes() > 1500:
+            break
+        got = run_iteration(g, ruleset, schedulers[0], k)
+        want = _dict_iteration(ref, ruleset, schedulers[1], k)
+        assert got == want
+        assert _graph_state(g) == _graph_state(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -141,12 +142,13 @@ def test_empty_ruleset_exits_after_n_hard_stalls():
 def _dead_end_reference(moves_first, n_hard, max_steps):
     """(steps, hard_restarts, proposals), counted one step at a time, of a
     chain that makes one non-improving move from t0 (if `moves_first`) and
-    then sits at a term with no candidates."""
+    then sits at a term with no candidates.  Stuck at t0 itself, the chain
+    ends at the stall limit, since every restart would come back."""
     steps = restarts = proposals = stall = 0
     at_start = True
     while max_steps is None or steps < max_steps:
         if stall >= n_hard:
-            if max_steps is None:
+            if max_steps is None or not moves_first:
                 break
             restarts += 1
             stall, at_start = 0, True
@@ -168,6 +170,17 @@ def test_dead_end_stall_arithmetic(text, max_steps):
     res = run_chain(P("a"), rs, AstSize(), cfg)
     assert (res.steps, res.hard_restarts, res.proposals) == \
         _dead_end_reference(bool(text), 40, max_steps)
+
+
+def test_a_chain_stuck_at_its_start_ends_under_any_budget():
+    # No rule applies to t0; with a deadline and a proposal cap the chain
+    # used to restart into t0 without end, making no proposals.
+    rs = parse_ruleset("peel: (f ?x) => ?x", name="stuck")
+    cfg = RunConfig(workers=1, budget=1, seed=0, n_hard=40, max_proposals=100)
+    started = time.monotonic()
+    res = run_chain(P("(g a)"), rs, AstSize(), cfg, deadline=started + 60)
+    assert (res.steps, res.hard_restarts, res.proposals) == (40, 0, 0)
+    assert time.monotonic() - started < 30
 
 
 def test_explore_equal_nsoft_is_pure_random_walk():
