@@ -399,7 +399,7 @@ def _compile_matcher(pattern: Term):
             stack.extend(reversed(list(zip(p.children, kids))))
     emit(f"append(({', '.join(['c0', *bound.values()])},))")
     body.append("    return out")
-    match = _define(pattern, "match", "classes", body, env)
+    match = _define(print_sexpr(pattern), "match", "classes", body, env)
     match.names = tuple(bound)
     return match
 
@@ -449,7 +449,7 @@ def _compile_applier(names: tuple[str, ...], rhs: Term):
             stack.extend((c, False) for c in reversed(p.children))
     body += ["        if uf[r] != r:", "            r = find(r)",
              f"        if r != {done[0]}:", f"            union(r, {done[0]})"]
-    return _define(rhs, "apply", "g, hits", body, env)
+    return _define(print_sexpr(rhs), "apply", "g, hits", body, env)
 
 
 @dataclass

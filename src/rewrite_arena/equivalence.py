@@ -2,10 +2,11 @@
 
 Terms are evaluated as IEEE doubles over an assignment of their variables.
 Evaluation is partial: division by (near) zero, logs of non-positives, and
-integral/derivative nodes are undefined and yield None.  Fuzzing compares
-two terms pointwise, skipping points where either side is undefined, which
-is exactly how a rewrite can relate terms on the intersection of their
-domains.
+integral/derivative nodes are undefined and yield None, as does a numeral
+too large for a double.  eval_points evaluates a term at every sample point
+in one walk.  Fuzzing compares two terms pointwise, skipping points where
+either side is undefined, which is exactly how a rewrite can relate terms
+on the intersection of their domains.
 """
 from __future__ import annotations
 
@@ -47,34 +48,44 @@ Verdict = Equivalent | Inequivalent | Inconclusive
 
 def eval_numeric(t: Term, env: EvalEnv) -> float | None:
     """Evaluate t at env; None where mathematically undefined."""
-    values: dict[int, float | None] = {}
+    return eval_points(t, [env])[0]
+
+
+def eval_points(t: Term, envs: list[EvalEnv]) -> list[float | None]:
+    """Evaluate t at each env in one walk: each node holds one value per
+    point, None where undefined (as is a numeral too large for a double).
+    An unknown operator raises where its arguments are defined."""
+    undefined = [None] * len(envs)
+    values: dict[int, list] = {}
     for node in postorder(t):
-        args = [values[id(c)] for c in node.children]
-        values[id(node)] = _eval_node(node, args, env)
+        name, value = node.op.name, node.op.value
+        if node.children:
+            rows = list(zip(*[values[id(c)] for c in node.children]))
+            if name not in OPERATORS and any(None not in a for a in rows):
+                raise UnknownOperatorError(f"cannot evaluate operator {name!r}")
+            evaluate = OPERATORS.get(name, (None, None, None))[2]
+            column = []
+            for args in rows:
+                if evaluate is None or None in args:  # None propagates up
+                    column.append(None)
+                    continue
+                try:
+                    column.append(evaluate(*args))
+                except (OverflowError, ValueError):
+                    column.append(None)
+        elif value is not None:  # a numeral, or true/false as 1/0
+            try:
+                column = [float(value)] * len(envs)
+            except OverflowError:
+                column = undefined
+        else:
+            try:
+                column = [float(env[name]) for env in envs]
+            except KeyError:
+                raise UnknownOperatorError(
+                    f"variable {name!r} not bound") from None
+        values[id(node)] = column
     return values[id(t)]
-
-
-def _eval_node(node: Term, args: list[float | None], env: EvalEnv) -> float | None:
-    name = node.op.name
-    if not node.children:
-        if node.op.value is not None:  # a numeral, or true/false as 1/0
-            return float(node.op.value)
-        try:
-            return float(env[name])
-        except KeyError:
-            raise UnknownOperatorError(f"variable {name!r} not bound") from None
-    if None in args:  # undefinedness propagates upward
-        return None
-    try:
-        evaluate = OPERATORS[name][2]
-    except KeyError:
-        raise UnknownOperatorError(f"cannot evaluate operator {name!r}") from None
-    if evaluate is None:
-        return None
-    try:
-        return evaluate(*args)
-    except (OverflowError, ValueError):
-        return None
 
 
 def _sample_env(variables: list[str], index: int, rng: random.Random) -> EvalEnv:
@@ -103,11 +114,9 @@ def fuzz_equiv(a: Term, b: Term, samples: int = 50, tol: float = 1e-6,
     if rng is None:
         rng = random.Random(0)
     names = sorted(variables(a) | variables(b))
+    envs = [_sample_env(names, index, rng) for index in range(samples)]
     passed = 0
-    for index in range(samples):
-        env = _sample_env(names, index, rng)
-        va = eval_numeric(a, env)
-        vb = eval_numeric(b, env)
+    for env, va, vb in zip(envs, eval_points(a, envs), eval_points(b, envs)):
         if va is None or vb is None:
             continue
         if math.isnan(va) or math.isnan(vb):

@@ -6,7 +6,7 @@ argument is an instance of `kind`.  `evaluate` is the float evaluation,
 where a boolean is 1.0 or 0.0.  A None entry means the operator is
 undefined in that mode, and either function returns None where it is
 undefined at its arguments, as division is at 0.  rules.fold_node reads
-the exact side; equivalence.eval_numeric reads the float side.
+the exact side; equivalence.eval_points reads the float side.
 """
 from __future__ import annotations
 

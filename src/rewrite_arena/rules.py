@@ -6,13 +6,14 @@ right-hand side, optionally gated by a syntactic guard evaluated after exact
 constant folding of the bound subterm.  One-step rewrites of a term are
 enumerated in stochastic.py, which also holds the `proposals` view.
 
-Patterns are compiled, as egg compiles them: on first use, each pattern
-becomes a straight-line Python function, generated as source and kept in
-the pattern term's memo.  match_pattern runs a matcher that tests op
-identity node by node (a literal's value lives on its interned symbol) and
-binds or compares variables; instantiate runs a builder that constructs the
-right-hand side in post-order.  The e-graph compiles its own e-matchers and
-appliers through the same helpers.
+Patterns are compiled, as egg compiles them, to straight-line Python
+generated on first use.  A matcher tests op identity node by node (a
+literal's value lives on its interned symbol) and binds or compares
+variables; a builder constructs a right-hand side in post-order.  From the
+same two emitters a Ruleset compiles, per root operator, one rewriter
+that runs every rule that can match there; candidate enumeration calls it
+at each position.  match_pattern and instantiate run one pattern's
+matcher or builder.  The e-graph compiles through the same helpers.
 """
 from __future__ import annotations
 
@@ -59,29 +60,19 @@ def match_pattern(p: Term, t: Term) -> Substitution | None:
     Non-linear patterns (a variable occurring twice) require structurally
     equal bindings.
     """
-    try:
-        match = p._memo[_MATCHER]
-    except (TypeError, KeyError):  # no memo yet, or not compiled yet
-        match = _compiled(p, _MATCHER, _compile_matcher)
-    return match(t)
+    return _compiled(p, _MATCHER, _compile_matcher)(t)
 
 
 def instantiate(p: Term, subst: Substitution) -> Term:
     """p with each pattern variable replaced by its binding in subst."""
-    try:
-        build = p._memo[_BUILDER]
-    except (TypeError, KeyError):  # no memo yet, or not compiled yet
-        build = _compiled(p, _BUILDER, _compile_builder)
-    return build(subst)
+    return _compiled(p, _BUILDER, _compile_builder)(subst)
 
 
 # ---------------------------------------------------------------------------
-# Compiled patterns.  A pattern compiles once, on first use, to a
-# straight-line Python function generated as source and exec-ed.  The
-# pattern term keeps its functions in its own memo, so they live as long
-# as the rule's terms.  The e-graph compiles its e-matchers and appliers
-# through the same two helpers.  match_pattern and instantiate read the memo
-# inline: a call through _compiled added about a fifth to each match.
+# Compiled patterns.  Code is generated as source, exec-ed once on first use
+# and kept by what it serves: a pattern term's own memo for one pattern's
+# matcher or builder, the Ruleset for its per-root rewriters.  The e-graph
+# compiles its e-matchers and appliers through _compiled and _define too.
 
 _MATCHER = "rules.matcher"
 _BUILDER = "rules.builder"
@@ -97,66 +88,53 @@ def _compiled(pattern: Term, key: str, compile_function):
     return function
 
 
-def _define(pattern: Term, name: str, params: str, body: list[str],
-            env: dict):
-    """Exec `def name(params): body` with env as its globals."""
+def _define(label: str, name: str, params: str, body: list[str], env: dict):
+    """Exec `def name(params): body` with env as its globals; tracebacks
+    name the code `<label>`."""
     source = "\n".join([f"def {name}({params}):", *body])
-    exec(compile(source, f"<pattern {print_sexpr(pattern)}>", "exec"), env)
+    exec(compile(source, f"<{label}>", "exec"), env)
     # Popped, so the function and its globals form no cycle: reference
-    # counting frees both with the pattern term.
+    # counting frees both with what holds the function.
     return env.pop(name)
 
 
-def _compile_matcher(pattern: Term):
-    """`match(t0)`: the substitution matching the pattern at t0, or None.
-
-    The pairs (pattern node, subterm) are visited as a stack pops them:
-    the root, then each node's children last to first.  An operator or
-    literal node tests op identity, then unpacks the subterm's children; a variable's first occurrence binds its subterm, and each
-    later one compares with `!=` against that binding.
+def _emit_match(pattern: Term, env: dict, bound: dict[str, str],
+                body: list[str], kids: list[str] | None = None) -> None:
+    """Append to body, inside a `while True:`, the tests that match pattern
+    at local t0 and `break` on failure.  An operator or literal node tests
+    op identity, then unpacks its subterm's children; a variable's first
+    occurrence binds its subterm in `bound`, each later one compares with
+    `!=`.  Nodes go root first, then children last to first.  Given `kids`,
+    t0's op is taken as tested and its children as unpacked there.
     """
-    env: dict[str, object] = {}
-    body: list[str] = []
-    bound: dict[str, str] = {}  # variable -> local holding its binding
-    slots = 1  # locals t0, t1, ... hold the subterms under pattern nodes
-    stack = [(pattern, "t0")]
+    slots = 1  # locals t1, t2, ... hold the subterms under pattern nodes
+    stack = ([(pattern, "t0")] if kids is None or is_pattern_var(pattern)
+             else list(zip(pattern.children, kids)))
     while stack:
         p, t = stack.pop()
         if is_pattern_var(p):
             name = p.op.name
             if name in bound:
-                body.append(f"    if {bound[name]} != {t}:")
-                body.append("        return None")
+                body += [f"        if {bound[name]} != {t}:", "            break"]
             else:
                 bound[name] = t
             continue
         op = f"S{len(env)}"
         env[op] = p.op
-        body.append(f"    if {t}.op is not {op}:")
-        body.append("        return None")
+        body += [f"        if {t}.op is not {op}:", "            break"]
         if p.children:
-            kids = [f"t{slots + i}" for i in range(len(p.children))]
-            slots += len(kids)
-            body.append(f"    {', '.join(kids)}, = {t}.children")
-            stack.extend(zip(p.children, kids))
-    subst = ", ".join(f"{name!r}: {t}" for name, t in bound.items())
-    body.append(f"    return {{{subst}}}")
-    return _define(pattern, "match", "t0", body, env)
+            sub = [f"t{slots + i}" for i in range(len(p.children))]
+            slots += len(sub)
+            body.append(f"        {', '.join(sub)}, = {t}.children")
+            stack.extend(zip(p.children, sub))
 
 
-def _compile_builder(pattern: Term):
-    """`build(subst)`: the pattern with its variables replaced.
-
-    Each variable loads its binding once, in the order a left-to-right
-    walk first meets it, so the first missing one raises
-    UnboundVariableError.  Operator nodes are then built in post-order; a
-    literal leaf is the pattern's own leaf, shared by every result.
+def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
+                body: list[str]) -> str:
+    """Append to body the lines that build pattern in post-order; return
+    its local.  A variable is read from its local in `bound` (one missing
+    gets a new local there); a literal leaf is the pattern's own leaf.
     """
-    env: dict[str, object] = {"Term": Term,
-                              "UnboundVariableError": UnboundVariableError}
-    loads: list[str] = []
-    builds: list[str] = []
-    bound: dict[str, str] = {}  # variable -> local holding its binding
     done: list[str] = []  # locals of the finished subpatterns, a stack
     slots = 0  # locals c0, c1, ... hold the subterms built so far
     stack: list[tuple[Term, bool]] = [(pattern, False)]
@@ -167,7 +145,6 @@ def _compile_builder(pattern: Term):
             if name not in bound:
                 bound[name] = f"c{slots}"
                 slots += 1
-                loads.append(f"        {bound[name]} = subst[{name!r}]")
             done.append(bound[name])
         elif not p.children:
             # A ground leaf root makes a cycle (term, memo, function,
@@ -183,20 +160,73 @@ def _compile_builder(pattern: Term):
             env[op] = p.op
             cid = f"c{slots}"
             slots += 1
-            builds.append(f"    {cid} = Term({op}, ({', '.join(kids)},))")
+            body.append(f"        {cid} = Term({op}, ({', '.join(kids)},))")
             done.append(cid)
         else:
             stack.append((p, True))
             stack.extend((c, False) for c in reversed(p.children))
-    body = []
-    if loads:
-        body += ["    try:", *loads,
-                 "    except KeyError as missing:",
-                 "        raise UnboundVariableError(",
-                 "            f'unbound pattern variable {missing.args[0]}'"
-                 ") from None"]
-    body += [*builds, f"    return {done[0]}"]
-    return _define(pattern, "build", "subst", body, env)
+    return done[0]
+
+
+def _compile_matcher(pattern: Term):
+    """`match(t0)`: the substitution matching the pattern at t0, or None."""
+    env: dict[str, object] = {}
+    body = ["    while True:"]
+    bound: dict[str, str] = {}
+    _emit_match(pattern, env, bound, body)
+    subst = ", ".join(f"{name!r}: {t}" for name, t in bound.items())
+    body.append(f"        return {{{subst}}}")
+    return _define(print_sexpr(pattern), "match", "t0", body, env)
+
+
+def _compile_builder(pattern: Term):
+    """`build(subst)`: the pattern with its variables replaced.
+
+    Each variable loads its binding once, before anything is built, so
+    the first missing one raises UnboundVariableError.
+    """
+    env: dict[str, object] = {"Term": Term,
+                              "UnboundVariableError": UnboundVariableError}
+    bound: dict[str, str] = {}
+    builds: list[str] = []
+    result = _emit_build(pattern, env, bound, builds)
+    return _define(print_sexpr(pattern), "build", "subst", [
+        "    try:", *[f"        {t} = subst[{name!r}]"
+                     for name, t in bound.items()],
+        *builds, f"        return {result}",
+        "    except KeyError as missing:",
+        "        raise UnboundVariableError(",
+        "            f'unbound pattern variable {missing.args[0]}') from None"],
+        env)
+
+
+def _compile_rewriter(rules: tuple[Rule, ...], label: str):
+    """`rewrite(t0)`: [(rule name, rewritten t0), ...] over rules, in order.
+
+    rules share t0's root operator (Ruleset.rules_for_root), so it is not
+    tested and its children are unpacked once.  Each rule is one block:
+    its match, its guard through `Guard.passes`, its right-hand side.
+    """
+    env: dict[str, object] = {"Term": Term}
+    arity = max((len(r.lhs.children) for r in rules), default=0)
+    kids = [f"a{i}" for i in range(arity)]
+    body = ["    out = []"]
+    if kids:
+        body.append(f"    {', '.join(kids)}, = t0.children")
+    for rule in rules:
+        bound: dict[str, str] = {}
+        body.append("    while True:")
+        _emit_match(rule.lhs, env, bound, body, kids)
+        if rule.guard is not None:
+            guard = f"G{len(env)}"
+            env[guard] = rule.guard
+            body += [f"        if not {guard}.passes({bound[rule.guard.var]}):",
+                     "            break"]
+        result = _emit_build(rule.rhs, env, bound, body)
+        body += [f"        out.append(({rule.name!r}, {result}))",
+                 "        break"]
+    body.append("    return out")
+    return _define(label, "rewrite", "t0", body, env)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +348,9 @@ class Ruleset:
         self.name = name
         self.rules = tuple(rules)
         self.fold_constants = fold_constants
-        self._by_root: dict[str, tuple[Rule, ...]] = {}
+        # Compiled rewriters by root op name, and by the rules they run.
+        self._rewriters: dict[str, object] = {}
+        self._by_rules: dict[tuple[Rule, ...], object] = {}
 
     def __iter__(self):
         return iter(self.rules)
@@ -328,14 +360,24 @@ class Ruleset:
 
     def rules_for_root(self, op_name: str) -> tuple[Rule, ...]:
         """Rules whose LHS can possibly match a term headed by op_name."""
-        cached = self._by_root.get(op_name)
-        if cached is None:
-            cached = tuple(
-                r for r in self.rules
-                if is_pattern_var(r.lhs) or r.lhs.op.name == op_name
-            )
-            self._by_root[op_name] = cached
-        return cached
+        return tuple(r for r in self.rules
+                     if is_pattern_var(r.lhs) or r.lhs.op.name == op_name)
+
+    def rewriter(self, op_name: str):
+        """The compiled `rewrite(t)` for a term t headed by op_name: the
+        results of rules_for_root(op_name) at t, as [(rule name, term),
+        ...].  Roots with the same rules share one function."""
+        rewrite = self._rewriters.get(op_name)
+        if rewrite is None:
+            rules = self.rules_for_root(op_name)
+            rewrite = self._by_rules.get(rules) or _compile_rewriter(
+                rules, f"rewrites of {op_name} in {self.name}")
+            self._rewriters[op_name] = self._by_rules[rules] = rewrite
+        return rewrite
+
+    def __getstate__(self):
+        # Generated functions do not pickle; a copy compiles its own.
+        return {**self.__dict__, "_rewriters": {}, "_by_rules": {}}
 
     def __repr__(self):
         return f"Ruleset({self.name!r}, {len(self.rules)} rules)"

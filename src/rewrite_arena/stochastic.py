@@ -1,8 +1,9 @@
 """Metropolis-style rewrite search with restarts and parallel runs.
 
 Each chain walks over concrete terms: the candidate set is every one-step
-rewrite of the current term, and a successor is drawn with probability
-proportional to exp(-beta/2 * (C(t') - C(t))).  A periodic exploration
+rewrite of the current term, found at each position by the ruleset's
+compiled rewriter for that root operator, and a successor is drawn with
+probability proportional to exp(-beta/2 * (C(t') - C(t))).  A periodic exploration
 phase sets beta to 0; a chain that stops improving for too long either
 ends (when it has no other budget) or hard-restarts from the initial term.
 Chains are fully independent, so parallel runs share nothing but a
@@ -22,10 +23,10 @@ from .rules import (
     Ruleset,
     apply_rule_at,
     fold_step,
-    instantiate,
-    match_pattern,
+    instantiate,  # noqa: F401 -- unused here, but perfbench's tracer
+    match_pattern,  # noqa: F401 -- wraps these two names in this module
 )
-from .terms import Term, Position, positions, replace_at, subterm_at
+from .terms import Term, Position, replace_at, subterm_at
 
 _M64 = (1 << 64) - 1
 
@@ -196,21 +197,21 @@ def _result_key(pos: Position, old_sub: Term, new_sub: Term):
 def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
     """All one-step rewrites of t, deduplicated by result: the one enumerator.
 
-    Order is position-major (preorder), rule-minor (ruleset order, then
-    constant folding), first occurrence kept, identity excluded.  A
-    candidate is kept when its _result_key is new, so no result term is
-    built or hashed.
+    Order is position-major (preorder, as terms.positions), rule-minor
+    (ruleset order, then constant folding), first occurrence kept, identity
+    excluded.  A candidate is kept when its _result_key is new, so no
+    result term is built or hashed.
     """
     out: list[_Candidate] = []
     seen: set = set()
-    for pos, sub in positions(t):
-        for rule in ruleset.rules_for_root(sub.op.name):
-            subst = match_pattern(rule.lhs, sub)
-            if subst is None:
-                continue
-            if rule.guard is not None and not rule.guard.passes(subst[rule.guard.var]):
-                continue
-            new_sub = instantiate(rule.rhs, subst)
+    rewriters = ruleset._rewriters
+    fold = ruleset.fold_constants
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, sub = stack.pop()
+        kids = sub.children
+        rewrite = rewriters.get(sub.op.name) or ruleset.rewriter(sub.op.name)
+        for rule, new_sub in rewrite(sub):
             if new_sub.op is not sub.op:
                 key = pos, new_sub
             elif (key := _result_key(pos, sub, new_sub)) is None:
@@ -218,15 +219,17 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
             n = len(seen)
             seen.add(key)
             if len(seen) > n:
-                out.append(_Candidate(rule.name, pos, sub, new_sub))
-        if ruleset.fold_constants and sub.children:
+                out.append(_Candidate(rule, pos, sub, new_sub))
+        if fold and kids:
             # A fold turns a node with children into a leaf, never itself.
-            new_sub = fold_step(sub.op.name, sub.children)
+            new_sub = fold_step(sub.op.name, kids)
             if new_sub is not None:
                 n = len(seen)
                 seen.add((pos, new_sub))
                 if len(seen) > n:
                     out.append(_Candidate(FOLD_RULE_NAME, pos, sub, new_sub))
+        for idx in range(len(kids) - 1, -1, -1):
+            stack.append((pos + (idx,), kids[idx]))
     return out
 
 

@@ -489,3 +489,22 @@ def test_bench_rows_match_golden(args, golden):
     assert code == 0
     assert strip_wall_time(out) == [tuple(line.split(","))
                                     for line in golden.splitlines()]
+
+
+def test_validated_case_with_a_numeral_beyond_doubles_exits_0(tmp_path):
+    # 1e400 has no double: the validator must treat it as undefined, not
+    # crash with an OverflowError.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": 1, "suite": "big", "cases": [
+        {"name": "big", "input": "(+ (* x 1e400) 0)", "ruleset": "trig",
+         "cost": {"model": "ast_size"},
+         "criterion": {"kind": "target_cost", "value": 1},
+         "validate": True}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rewrite_arena.cli", "bench", str(path),
+         "--engine", "stochastic", "--workers", "1", "--max-proposals",
+         "200", "--format", "csv"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [r["case"] for r in csv.DictReader(io.StringIO(proc.stdout))] \
+        == ["big"]

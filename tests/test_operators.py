@@ -3,7 +3,7 @@
 `_ladder_fold_node` and `_ladder_eval_node` are the exact fold and the
 float evaluation as they were written before `operators.OPERATORS`, one
 `if name ==` test per operator.  Over a grid of arguments for every
-operator, the table-driven `rules.fold_node` and `equivalence._eval_node`
+operator, the table-driven `rules.fold_node` and `equivalence.eval_points`
 must give the same value, the same None, or raise the same exception type.
 """
 import itertools
@@ -12,10 +12,26 @@ from fractions import Fraction
 
 import pytest
 
-from rewrite_arena.equivalence import UnknownOperatorError, _eval_node
+from rewrite_arena.equivalence import UnknownOperatorError, eval_points
 from rewrite_arena.operators import DIV_EPS, OPERATORS
 from rewrite_arena.rules import fold_node
-from rewrite_arena.terms import Term, leaf, symbol
+from rewrite_arena.terms import Term, leaf, number, symbol, term
+
+_UNDEFINED = term("/", number(1), number(0))
+
+
+def _eval_node(node, args, env):
+    """node's operator over args, through eval_points: argument i is a
+    variable a<i> bound to it, or an undefined subterm where it is None."""
+    env = dict(env)
+    kids = []
+    for i, a in enumerate(args):
+        if a is None:
+            kids.append(_UNDEFINED)
+        else:
+            kids.append(leaf(f"a{i}"))
+            env[f"a{i}"] = a
+    return eval_points(Term(node.op, tuple(kids)) if kids else node, [env])[0]
 
 _ARITH = frozenset({"+", "-", "*", "/", "pow", "neg", "min", "max", "abs"})
 _COMPARE = frozenset({"<", "<=", ">", ">=", "==", "!="})

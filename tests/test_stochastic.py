@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 from dataclasses import replace
@@ -20,6 +21,7 @@ from rewrite_arena import (
 )
 from rewrite_arena.benchmarks import (
     halide_suite,
+    integration_suite,
     matmul_case_from_dims,
     trig_suite,
 )
@@ -420,19 +422,34 @@ def _reference_proposals(t, ruleset, dedup=True):
     return out
 
 
+# Rule shapes the suites lack: a bare-variable left-hand side, a
+# non-linear one with a literal right-hand side, and a guard on a nested
+# variable with a bare-variable right-hand side.
+_EDGE_RULES = """
+pad: ?a => (+ ?a 0)
+same: (- ?a ?a) => 0
+keep: (* ?a (/ ?b ?b)) => ?a if nonzero(?b)
+"""
+
+
 def _dedup_terms():
     """(term, ruleset) along a seeded 30-step walk from each suite input;
     trig walks reach terms such as (* 1 1) whose rewrites repeat."""
-    cases = [*trig_suite(), *halide_suite(),
-             matmul_case_from_dims([30, 5, 41, 12, 7, 33, 18, 2, 25, 9, 16,
-                                    40, 3], name="matmul-12")]
+    starts = [(case.input_term, case.ruleset) for case in [
+        *trig_suite(), *integration_suite(), *halide_suite(),
+        matmul_case_from_dims([30, 5, 41, 12, 7, 33, 18, 2, 25, 9, 16,
+                               40, 3], name="matmul-12")]]
+    for fold in (False, True):
+        rs = parse_ruleset(_EDGE_RULES, "edge", fold_constants=fold)
+        starts += [(P(text), rs) for text in (
+            "(* (- x x) (/ (+ y 1) (+ y 1)))", "(- (* 2 3) (* 2 3))",
+            "(* x (/ 0 0))")]
     rng = random.Random(0)
     out = []
-    for case in cases:
-        t = case.input_term
+    for t, ruleset in starts:
         for _ in range(30):
-            out.append((t, case.ruleset))
-            successors = _reference_proposals(t, case.ruleset)
+            out.append((t, ruleset))
+            successors = _reference_proposals(t, ruleset)
             if not successors:
                 break
             t = rng.choice(successors).term
@@ -462,6 +479,32 @@ def _assert_dedups_like_reference(terms):
 
 def test_dedup_matches_reference_on_seeded_walks():
     _assert_dedups_like_reference(_dedup_terms())
+
+
+def test_compiled_rewriters_survive_pickling():
+    case = trig_suite()[0]
+    rs = case.ruleset
+    terms = [(t, rs) for t, ruleset in _dedup_terms()
+             if ruleset.name == rs.name]
+    assert terms
+    before = _enumerated(terms)  # compiles rs's rewriters
+    assert rs._rewriters
+    copy = pickle.loads(pickle.dumps(rs))
+    assert _enumerated([(t, copy) for t, _ in terms]) == before
+    # Parallel chains get the already-used ruleset pickled.
+    model = case.model_for("stochastic")
+    seq, par = [search(case.input_term, rs, model,
+                       RunConfig(workers=workers, budget=3, seed=5,
+                                 max_steps=200),
+                       validator=EquivalenceValidator(case.input_term,
+                                                      seed=5))
+                for workers in (1, 2)]
+    assert (seq.best_term, seq.best_cost, seq.steps, seq.proposals,
+            seq.unsound_restarts) == (par.best_term, par.best_cost,
+                                      par.steps, par.proposals,
+                                      par.unsound_restarts)
+    assert [r.best_cost for r in seq.chains] == \
+        [r.best_cost for r in par.chains]
 
 
 # Rewrites that collide across positions: lift and left change only a

@@ -18,7 +18,10 @@ def test_traced_curated_run_counts_stochastic_layers():
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    for name in ("rules.match_pattern.calls", "rules.instantiate.calls",
+    # Matching and instantiation run inside the compiled rewriters that
+    # stochastic.enumerate calls, so the guards and the validator stand in
+    # for rules.match_pattern and rules.instantiate, which read 0.
+    for name in ("rules.guard.calls", "equivalence.validate.calls",
                  "stochastic.enumerate.calls", "terms.replace_at.calls",
                  "costs.delta_cost.calls"):
         assert metrics[name]["value"] > 0, name
