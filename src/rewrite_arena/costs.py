@@ -1,17 +1,18 @@
 """Cost models used by both search engines.
 
 Every model maps a term to a finite non-negative number and is a pure
-function of the term (given fixed model parameters).  Costs are evaluated
-iteratively and cached per term node, keyed by the model object itself, so
-the near-copies produced during proposal generation re-cost only their
-fresh spines.  A memo entry keeps its model alive, so a key is never
-reused by another model.
+function of the term (given fixed model parameters).  `cost` evaluates
+iteratively and caches a value per term node, keyed by the model object
+itself (a memo entry keeps its model alive, so no other model reuses the
+key).  `value` only reads that memo: a proposal's cost change combines
+just the nodes its rewrite built, from the memo entries of the rest, and
+stores nothing on them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .terms import Term, TermError, positions, postorder
+from .terms import Position, Term, TermError, positions, postorder, replace_at
 
 
 class CostError(TermError):
@@ -49,10 +50,49 @@ class CostModel:
         """Cost change from replacing old_sub by new_sub in any context.
 
         Returns None when the change cannot be localized (ancestor node
-        costs may depend on the subtree); callers then cost the full term.
+        costs may depend on the subtree); callers then take spliced_cost.
         Additive models always localize.
         """
         return None
+
+    def value(self, t: Term):
+        """t's memo entry, or its value combined from its children's, with
+        nothing stored.  Only the uncosted part recurses; an uncosted part
+        deeper than the recursion limit is read by one postorder walk."""
+        memo = t._memo
+        if memo is not None and self in memo:
+            return memo[self]
+        try:
+            return self._value(t)
+        except RecursionError:
+            vals = {}
+            for node in postorder(t):
+                memo = node._memo
+                vals[id(node)] = (
+                    memo[self] if memo is not None and self in memo
+                    else self._combine(node.op.name,
+                                       [vals[id(c)] for c in node.children]))
+            return vals[id(t)]
+
+    def _value(self, t: Term):
+        # The value of t, which has no memo entry; see value.
+        return self._combine(t.op.name, [
+            c._memo[self] if c._memo is not None and self in c._memo
+            else self._value(c) for c in t.children])
+
+    def spliced_cost(self, t: Term, pos: Position, new_sub: Term):
+        """Cost of t with new_sub at pos, t costed: new_sub's value combined
+        up the root path with the siblings' memo entries, nothing stored."""
+        spine = []
+        for i in pos:
+            spine.append(t)
+            t = t.children[i]
+        value = self.value(new_sub)
+        for node, i in zip(reversed(spine), reversed(pos)):
+            vals = [c._memo[self] for c in node.children]
+            vals[i] = value
+            value = self._combine(node.op.name, vals)
+        return self._scalar(value)
 
     def cost(self, t: Term):
         memo = t._memo
@@ -90,7 +130,7 @@ class WeightedAstSize(CostModel):
         return self.weights.get(op_name, 1) + sum(child_values)
 
     def delta_cost(self, old_sub, new_sub):
-        return self.cost(new_sub) - self.cost(old_sub)
+        return self.value(new_sub) - self.value(old_sub)
 
     def __repr__(self):
         return f"WeightedAstSize({self.weights!r})"
@@ -155,13 +195,24 @@ class MatMulScalarOps(CostModel):
     def _scalar(self, value):
         return value[0]
 
+    def _value(self, t):
+        # CostModel._value, with a product's triples unpacked, not listed.
+        if t.op.name != "*" or len(t.children) != 2:
+            return CostModel._value(self, t)
+        a, b = t.children
+        ma, mb = a._memo, b._memo
+        left = ma[self] if ma is not None and self in ma else self._value(a)
+        right = mb[self] if mb is not None and self in mb else self._value(b)
+        if left[2] != right[1]:
+            return self._combine("*", [left, right])  # raises
+        return (left[0] + right[0] + left[1] * left[2] * right[2],
+                left[1], right[2])
+
     def delta_cost(self, old_sub, new_sub):
         # Ancestor products depend only on the subtree's shape, so the
         # change localizes whenever the replacement preserves it.
-        self.cost(old_sub)
-        self.cost(new_sub)
-        c_old, r_old, k_old = old_sub._memo[self]
-        c_new, r_new, k_new = new_sub._memo[self]
+        c_old, r_old, k_old = self.value(old_sub)
+        c_new, r_new, k_new = self.value(new_sub)
         if (r_old, k_old) != (r_new, k_new):
             return None
         return c_new - c_old
@@ -178,6 +229,9 @@ class GoalIndicator(CostModel):
 
     def cost(self, t: Term):
         return 0 if t == self.goal else 1
+
+    def spliced_cost(self, t, pos, new_sub):
+        return self.cost(replace_at(t, pos, new_sub))
 
     def __repr__(self):
         return "GoalIndicator()"

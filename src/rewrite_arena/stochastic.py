@@ -159,8 +159,8 @@ def _draw(weights: list[float], rng: random.Random) -> int:
 class _Candidate:
     """One-step rewrite of old_sub at position into new_sub.
 
-    term is built lazily: only the sampled candidate, or one whose cost
-    change does not localize, pays for the spine rebuild."""
+    term is built lazily: only the sampled candidate pays for the spine
+    rebuild."""
 
     __slots__ = ("rule", "position", "old_sub", "new_sub", "term")
 
@@ -247,13 +247,14 @@ def proposals(t: Term, ruleset: Ruleset) -> list[Proposal]:
 
 def _deltas(t: Term, candidates: list[_Candidate], model: CostModel,
             base_cost) -> list:
-    """Each candidate's exact cost change: model.delta_cost, or the cost of
-    the whole result term when the change does not localize."""
+    """Each candidate's exact cost change, with t costed: model.delta_cost,
+    or model.spliced_cost when the change does not localize.  No memo
+    entry is written on a candidate."""
     out = []
     for c in candidates:
         delta = model.delta_cost(c.old_sub, c.new_sub)
         if delta is None:
-            delta = model.cost(c.materialize(t)) - base_cost
+            delta = model.spliced_cost(t, c.position, c.new_sub) - base_cost
         out.append(delta)
     return out
 

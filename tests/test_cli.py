@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +239,18 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "rewrite_arena.cli", "list"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "trig" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    import rewrite_arena
+
+    src = str(Path(rewrite_arena.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rewrite_arena", "list"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert "trig" in proc.stdout
 
 
