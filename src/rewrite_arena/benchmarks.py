@@ -1,14 +1,15 @@
-"""Benchmark cases, generators, oracles, and solved criteria.
+"""Benchmark cases, generators, oracles, solved criteria and suite files.
 
 A case bundles an input term, a ruleset, cost models for each engine, and
-a solved criterion.  The matmul suite is generated with a dynamic-
-programming oracle (cross-checked by exhaustive enumeration); the trig,
-integration, and inequality suites are curated so that every case has a
-known rewrite path and an intended solution.
+a solved criterion.  Matrix chains are generated with a dynamic-programming
+oracle (cross-checked by exhaustive enumeration).  The curated families,
+each case with a known rewrite path and intended solution, are rows of one
+table (_FAMILIES) that one builder turns into cases.
 """
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, fields
 
@@ -208,40 +209,18 @@ def needle_case(n: int) -> BenchmarkCase:
 # ---------------------------------------------------------------------------
 # Curated suites.
 
-def _curated(name: str, input_text: str, intended_text: str, ruleset: Ruleset,
-             cost_model: CostModel, stochastic_model: CostModel | None = None,
-             validate: bool = False, checkpointing: bool = False,
-             time_limit: float = 10.0,
-             stochastic_overrides: dict | None = None) -> BenchmarkCase:
-    input_term = parse_sexpr(input_text)
-    intended = parse_sexpr(intended_text)
-    target = cost_model.cost(intended)
-    return BenchmarkCase(
-        name=name,
-        input_term=input_term,
-        ruleset=ruleset,
-        cost_model=cost_model,
-        criterion=TargetCost(target),
-        oracle_cost=None,
-        stochastic_cost_model=stochastic_model,
-        intended=intended,
-        validate=validate,
-        checkpointing=checkpointing,
-        time_limit=time_limit,
-        stochastic_overrides=stochastic_overrides,
-    )
-
-
 # Short exploration bursts with frequent restarts suit the small curated
 # terms; long exploration diffuses an 11-node term into churn it cannot
 # exploit its way back from.
 _CURATED_SCHEDULE = {"explore": 10, "n_soft": 200, "n_hard": 300}
 
-
-def trig_suite() -> list[BenchmarkCase]:
-    rs = trig_ruleset()
-    size = AstSize()
-    cases = [
+# The curated families: suite -> (ruleset factory, cost model factory,
+# stochastic cost model factory or None, case options, rows).  A row is
+# (name, input, intended); an intended of None means the case must reach
+# `true`, any other is solved at its cost under the family's cost model.
+_FAMILIES = {
+    "trig": (trig_ruleset, AstSize, None,
+             {"validate": True, "checkpointing": True}, [
         ("trig-sin4-cos4", "(+ (- (pow (sin x) 4) (pow (cos x) 4)) 1)",
          "(* 2 (pow (sin x) 2))"),
         ("trig-pyth", "(+ (pow (sin x) 2) (pow (cos x) 2))", "1"),
@@ -258,19 +237,10 @@ def trig_suite() -> list[BenchmarkCase]:
         ("trig-pyth-minus", "(+ (pow (sin z) 2) (- (pow (cos z) 2) (sin z)))",
          "(- 1 (sin z))"),
         ("trig-div-self", "(/ (+ (sin x) 1) (+ (sin x) 1))", "1"),
-    ]
-    return [
-        _curated(name, inp, out, rs, size, validate=True, checkpointing=True,
-                 stochastic_overrides=dict(_CURATED_SCHEDULE))
-        for name, inp, out in cases
-    ]
-
-
-def integration_suite() -> list[BenchmarkCase]:
-    rs = integration_ruleset()
-    eqsat_model = WeightedAstSize({"int": 100, "d": 100})
-    stochastic_model = IntegSquare()
-    cases = [
+    ]),
+    "integration": (integration_ruleset,
+                    lambda: WeightedAstSize({"int": 100, "d": 100}),
+                    IntegSquare, {"checkpointing": True}, [
         ("integ-x-cos", "(int (* x (cos x)) x)", "(+ (* x (sin x)) (cos x))"),
         ("integ-x-plus-x", "(int (+ x x) x)", "(pow x 2)"),
         ("integ-cos", "(int (cos x) x)", "(sin x)"),
@@ -280,55 +250,58 @@ def integration_suite() -> list[BenchmarkCase]:
         ("integ-x-sin", "(int (* x (sin x)) x)", "(- (sin x) (* x (cos x)))"),
         ("integ-2x", "(int (* 2 x) x)", "(pow x 2)"),
         ("integ-zero", "(int (- (cos x) (cos x)) x)", "0"),
-    ]
-    return [
-        _curated(name, inp, out, rs, eqsat_model,
-                 stochastic_model=stochastic_model, validate=False,
-                 checkpointing=True,
-                 stochastic_overrides=dict(_CURATED_SCHEDULE))
-        for name, inp, out in cases
-    ]
+    ]),
+    "halide-mini": (halide_ruleset, lambda: WeightedAstSize({"true": 0}),
+                    None, {"time_limit": 3.0}, [
+        ("halide-paper", "(< (max i 2) (max (+ i 3) 3))", None),
+        ("halide-add-cancel", "(< (+ i 1) (+ i 2))", None),
+        ("halide-lt-next", "(< i (+ i 1))", None),
+        ("halide-min-comm", "(== (min i j) (min j i))", None),
+        ("halide-le-min", "(<= (min i j) i)", None),
+        ("halide-le-max", "(<= i (max i j))", None),
+        ("halide-add-zero", "(== (+ i 0) i)", None),
+        ("halide-lt-sub", "(< (- i 1) i)", None),
+        ("halide-total", "(|| (< i 5) (<= 5 i))", None),
+        ("halide-max-shift", "(< (max i 0) (max (+ i 1) 1))", None),
+        ("halide-max-same", "(== (max i i) i)", None),
+        ("halide-min-shift", "(< (min i 2) (+ (min i 1) 3))", None),
+    ]),
+}
+
+
+def _family(suite: str) -> list[BenchmarkCase]:
+    """A family's cases, sharing one ruleset and one object per model
+    (cost memos are keyed by the model object)."""
+    make_ruleset, make_model, make_stochastic, options, rows = _FAMILIES[suite]
+    ruleset, model = make_ruleset(), make_model()
+    stochastic_model = make_stochastic() if make_stochastic else None
+    cases = []
+    for name, input_text, intended_text in rows:
+        input_term = parse_sexpr(input_text)
+        intended = TRUE if intended_text is None else parse_sexpr(intended_text)
+        criterion = (ReachTrue() if intended_text is None
+                     else TargetCost(model.cost(intended)))
+        cases.append(BenchmarkCase(
+            name, input_term, ruleset, model, criterion,
+            stochastic_cost_model=stochastic_model, intended=intended,
+            stochastic_overrides=dict(_CURATED_SCHEDULE), **options))
+    return cases
+
+
+def trig_suite() -> list[BenchmarkCase]:
+    return _family("trig")
+
+
+def integration_suite() -> list[BenchmarkCase]:
+    return _family("integration")
 
 
 def halide_suite() -> list[BenchmarkCase]:
-    rs = halide_ruleset()
-    model = WeightedAstSize({"true": 0})
-    cases = [
-        ("halide-paper", "(< (max i 2) (max (+ i 3) 3))"),
-        ("halide-add-cancel", "(< (+ i 1) (+ i 2))"),
-        ("halide-lt-next", "(< i (+ i 1))"),
-        ("halide-min-comm", "(== (min i j) (min j i))"),
-        ("halide-le-min", "(<= (min i j) i)"),
-        ("halide-le-max", "(<= i (max i j))"),
-        ("halide-add-zero", "(== (+ i 0) i)"),
-        ("halide-lt-sub", "(< (- i 1) i)"),
-        ("halide-total", "(|| (< i 5) (<= 5 i))"),
-        ("halide-max-shift", "(< (max i 0) (max (+ i 1) 1))"),
-        ("halide-max-same", "(== (max i i) i)"),
-        ("halide-min-shift", "(< (min i 2) (+ (min i 1) 3))"),
-    ]
-    out = []
-    for name, inp in cases:
-        case = BenchmarkCase(
-            name=name,
-            input_term=parse_sexpr(inp),
-            ruleset=rs,
-            cost_model=model,
-            criterion=ReachTrue(),
-            intended=TRUE,
-            time_limit=3.0,
-            stochastic_overrides=dict(_CURATED_SCHEDULE),
-        )
-        out.append(case)
-    return out
+    return _family("halide-mini")
 
 
 def builtin_suites() -> dict[str, list[BenchmarkCase]]:
-    return {
-        "trig": trig_suite(),
-        "integration": integration_suite(),
-        "halide-mini": halide_suite(),
-    }
+    return {suite: _family(suite) for suite in _FAMILIES}
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +362,7 @@ def case_to_spec(case: BenchmarkCase) -> dict:
 def case_from_spec(spec: dict) -> BenchmarkCase:
     rules_field = spec.get("rules")
     if rules_field:
-        rules = []
-        for line in rules_field:
-            rules.extend(parse_rule_line(line))
+        rules = [r for line in rules_field for r in parse_rule_line(line)]
         ruleset = Ruleset(spec.get("ruleset", "custom"), rules,
                           fold_constants=bool(spec.get("fold_constants")))
     else:
@@ -399,7 +370,8 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     crit_spec = spec["criterion"]
     kind = crit_spec["kind"]
     if kind == "target_cost":
-        criterion: Criterion = TargetCost(crit_spec["value"])
+        criterion: Criterion = TargetCost(
+            _finite(crit_spec["value"], "criterion value"))
     elif kind == "reach_term":
         criterion = ReachTerm(parse_sexpr(crit_spec["goal"]))
     elif kind == "reach_true":
@@ -412,13 +384,14 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     dims = None
     if "dims" in spec:
         dims = {k: (int(v[0]), int(v[1])) for k, v in spec["dims"].items()}
-    return BenchmarkCase(
+    oracle = spec.get("oracle")
+    case = BenchmarkCase(
         name=spec["name"],
         input_term=parse_sexpr(spec["input"]),
         ruleset=ruleset,
         cost_model=model_from_spec(spec["cost"]),
         criterion=criterion,
-        oracle_cost=spec.get("oracle"),
+        oracle_cost=None if oracle is None else _finite(oracle, "oracle"),
         dims=dims,
         stochastic_cost_model=(model_from_spec(spec["stochastic_cost"])
                                if "stochastic_cost" in spec else None),
@@ -429,6 +402,16 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         stochastic_overrides=_overrides(spec, "stochastic_overrides"),
         eqsat_overrides=_overrides(spec, "eqsat_overrides"),
     )
+    for engine in ("eqsat", "stochastic"):
+        case.model_for(engine).cost(case.input_term)  # CostError if uncostable
+    return case
+
+
+def _finite(value, what: str):
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and -math.inf < value < math.inf):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return value
 
 
 def _overrides(spec: dict, key: str) -> dict | None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .terms import Position, Term, TermError, positions, postorder, replace_at
+from .terms import (Position, Term, TermError, parse_sexpr, positions,
+                    postorder, print_sexpr, replace_at)
 
 
 class CostError(TermError):
@@ -58,21 +59,14 @@ class CostModel:
     def value(self, t: Term):
         """t's memo entry, or its value combined from its children's, with
         nothing stored.  Only the uncosted part recurses; an uncosted part
-        deeper than the recursion limit is read by one postorder walk."""
+        deeper than the recursion limit is read by _walk into a local dict."""
         memo = t._memo
         if memo is not None and self in memo:
             return memo[self]
         try:
             return self._value(t)
         except RecursionError:
-            vals = {}
-            for node in postorder(t):
-                memo = node._memo
-                vals[id(node)] = (
-                    memo[self] if memo is not None and self in memo
-                    else self._combine(node.op.name,
-                                       [vals[id(c)] for c in node.children]))
-            return vals[id(t)]
+            return self._walk(t, {})
 
     def _value(self, t: Term):
         # The value of t, which has no memo entry; see value.
@@ -100,24 +94,36 @@ class CostModel:
             cached = memo.get(self)
             if cached is not None:
                 return self._scalar(cached)
+        return self._scalar(self._walk(t))
+
+    def _walk(self, t: Term, local: dict | None = None):
+        """t's value by one iterative bottom-up walk over its uncosted part,
+        stopping at memo entries.  Each value goes to its node's memo, or,
+        given `local`, to that dict by node id, with nothing stored."""
         stack = [(t, False)]
         while stack:
             node, expanded = stack.pop()
             memo = node._memo
-            if memo is not None and self in memo:
+            if (memo is not None and self in memo
+                    or local is not None and id(node) in local):
                 continue
             if expanded:
-                vals = [c._memo[self] for c in node.children]
-                if memo is None:
-                    memo = node._memo = {}
-                memo[self] = self._combine(node.op.name, vals)
+                value = self._combine(node.op.name, [
+                    c._memo[self] if c._memo is not None and self in c._memo
+                    else local[id(c)] for c in node.children])
+                if local is not None:
+                    local[id(node)] = value
+                elif memo is None:
+                    node._memo = {self: value}
+                else:
+                    memo[self] = value
             else:
                 stack.append((node, True))
                 for c in node.children:
                     cm = c._memo
                     if cm is None or self not in cm:
                         stack.append((c, False))
-        return self._scalar(t._memo[self])
+        return t._memo[self] if local is None else local[id(t)]
 
 
 class WeightedAstSize(CostModel):
@@ -271,8 +277,6 @@ def integ_cost(t: Term):
 # JSON specs, used by benchmark suite files.
 
 def model_to_spec(model: CostModel) -> dict:
-    from .terms import print_sexpr
-
     if isinstance(model, AstSize):
         return {"model": "ast_size"}
     if isinstance(model, WeightedAstSize):
@@ -288,8 +292,6 @@ def model_to_spec(model: CostModel) -> dict:
 
 
 def model_from_spec(spec: dict) -> CostModel:
-    from .terms import parse_sexpr
-
     kind = spec.get("model")
     if kind == "ast_size":
         return AstSize()

@@ -26,6 +26,7 @@ from .terms import (
     TermError,
     Position,
     number,
+    parse_sexpr,
     postorder,
     print_sexpr,
     replace_at,
@@ -401,8 +402,6 @@ def apply_rule_at(rule: Rule, t: Term, pos: Position) -> Term | None:
 # Patterns are s-expressions with ?v variables; ';' starts a comment.
 
 def parse_rule_line(line: str) -> list[Rule]:
-    from .terms import parse_sexpr
-
     if ":" not in line:
         raise RuleError(f"missing ':' in rule line: {line!r}")
     name, body = line.split(":", 1)

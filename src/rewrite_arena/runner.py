@@ -214,8 +214,8 @@ def _stochastic(case: BenchmarkCase, cfg: RunConfig, model: CostModel,
         if chain.unsound_witness is not None:
             w = chain.unsound_witness
             print(f"note: {case.name}: unsound rewrite caught in chain "
-                  f"{chain.chain_index} at {w['env']} "
-                  f"(lhs={w['lhs']:.6g}, rhs={w['rhs']:.6g})",
+                  f"{chain.chain_index} at {w.witness} "
+                  f"(lhs={w.lhs:.6g}, rhs={w.rhs:.6g})",
                   file=sys.stderr)
             break
     return (result.best_term, result.best_cost, result.proposals,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .costs import CostModel
+from .equivalence import Inequivalent
 from .rules import (
     Ruleset,
     apply_rule_at,
@@ -97,8 +98,8 @@ class RunResult:
     unsound_restarts: int = 0
     wall_time: float = 0.0
     best_trace: list[tuple[str, Position]] | None = None
-    # Example assignment where an unsound rewrite was caught, for reports.
-    unsound_witness: dict | None = None
+    # The validator's verdict on the last unsound rewrite caught, for reports.
+    unsound_witness: Inequivalent | None = None
 
 
 @dataclass
@@ -159,22 +160,19 @@ def _draw(weights: list[float], rng: random.Random) -> int:
 class _Candidate:
     """One-step rewrite of old_sub at position into new_sub.
 
-    term is built lazily: only the sampled candidate pays for the spine
-    rebuild."""
+    The result term is built only by materialize: only the sampled
+    candidate pays for the spine rebuild."""
 
-    __slots__ = ("rule", "position", "old_sub", "new_sub", "term")
+    __slots__ = ("rule", "position", "old_sub", "new_sub")
 
     def __init__(self, rule, position, old_sub, new_sub):
         self.rule = rule
         self.position = position
         self.old_sub = old_sub
         self.new_sub = new_sub
-        self.term = None
 
     def materialize(self, t: Term) -> Term:
-        if self.term is None:
-            self.term = replace_at(t, self.position, self.new_sub)
-        return self.term
+        return replace_at(t, self.position, self.new_sub)
 
 
 def _result_key(pos: Position, old_sub: Term, new_sub: Term):
@@ -289,15 +287,13 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     unsound_restarts = 0
     trace: list[tuple[str, Position]] = []
     best_trace: list[tuple[str, Position]] | None = None
-    candidates: list[_Candidate] | None = None
-    deltas: list = []
     solved = target_cost is not None and best_cost <= target_cost
     restart = False
 
     while not solved:
         if restart:
             restart = False
-            t, cost_t, n, n_stall, candidates = t0, model.cost(t0), 0, 0, None
+            t, cost_t, n, n_stall = t0, model.cost(t0), 0, 0
             trace.clear()
         if deadline is not None and time.monotonic() >= deadline:
             break
@@ -312,9 +308,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             restart = True
             continue
 
-        if candidates is None:
-            candidates = _enumerate_candidates(t, ruleset)
-            deltas = _deltas(t, candidates, model, cost_t)
+        candidates = _enumerate_candidates(t, ruleset)
         total_proposals += len(candidates)
         if not candidates:
             # Dead end: the term cannot move, so every step up to the stall
@@ -331,10 +325,10 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             continue
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
+        deltas = _deltas(t, candidates, model, cost_t)
         chosen = candidates[sample_index(deltas, beta_now, rng)]
         t = chosen.materialize(t)
         cost_t = model.cost(t)
-        candidates = None
         n += 1
         steps += 1
         accepted += 1
@@ -361,11 +355,6 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         else:
             n_stall += 1
 
-    witness = None
-    if unsound_restarts and getattr(validator, "last_failure", None) is not None:
-        failure = validator.last_failure
-        witness = {"env": failure.witness, "lhs": failure.lhs,
-                   "rhs": failure.rhs}
     return RunResult(
         best_term=best,
         best_cost=best_cost,
@@ -376,7 +365,8 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         unsound_restarts=unsound_restarts,
         wall_time=time.monotonic() - started,
         best_trace=best_trace,
-        unsound_witness=witness,
+        unsound_witness=(getattr(validator, "last_failure", None)
+                         if unsound_restarts else None),
     )
 
 
@@ -414,7 +404,6 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
                                  mp_context=ctx) as pool:
             results = list(pool.map(_chain_task, tasks))
 
-    results.sort(key=lambda r: r.chain_index)
     best = min(results, key=lambda r: (r.best_cost, r.chain_index))
     return SearchResult(
         best_term=best.best_term,

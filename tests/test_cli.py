@@ -276,15 +276,27 @@ def _write_suite(tmp_path, mutate):
     (lambda spec: spec.update(input="(* A1 A2"), "ParseError"),
     (lambda spec: spec.update(criterion={"kind": "nope"}), "ValueError"),
     (lambda spec: spec.update(dims={"A1": [2]}), "IndexError"),
+    # Each of these once ran into an internal error, or (NaN) a case that
+    # could never be solved.
+    (lambda spec: spec["cost"]["dims"].pop("A3"), "unbound matrix leaf 'A3'"),
+    (lambda spec: spec["cost"]["dims"].update(A2=[5, 4]),
+     "DimensionError: dimension mismatch"),
+    (lambda spec: spec["criterion"].update(value="abc"),
+     "criterion value must be a finite number, got 'abc'"),
+    (lambda spec: spec["criterion"].update(value=float("nan")), "got nan"),
+    (lambda spec: spec.update(oracle="abc"),
+     "oracle must be a finite number, got 'abc'"),
 ])
 def test_malformed_suite_case_exits_2_naming_it(tmp_path, capsys, mutate,
                                                 detail):
     path = _write_suite(tmp_path, mutate)
-    code, out = run_cli(["bench", str(path), "--engine", "eqsat"])
-    err = capsys.readouterr().err
-    assert code == 2 and out == ""
-    assert "matmul-3-1" in err and detail in err
-    assert "internal error" not in err
+    for engine in ("stochastic", "eqsat", "eqsat-pulsed", "both"):
+        code, out = run_cli(["bench", str(path), "--engine", engine,
+                             "--time-limit", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "", engine
+        assert "matmul-3-1" in err and detail in err
+        assert "internal error" not in err
 
 
 _NEEDLE = ["bench", "needle", "--n", "3", "--engine"]

@@ -300,10 +300,14 @@ def test_shape_changing_products_are_costed_along_the_root_path():
     assert str(got.value) == str(want.value)
 
 
-def test_deltas_write_no_memo_on_candidates():
-    from rewrite_arena.stochastic import _deltas
+def test_deltas_write_no_memo_on_candidates(monkeypatch):
+    from rewrite_arena.stochastic import _Candidate, _deltas
     from rewrite_arena.terms import postorder
 
+    built = []  # candidates materialized, by the walk or by _deltas
+    materialize = _Candidate.materialize
+    monkeypatch.setattr(_Candidate, "materialize",
+                        lambda c, t: built.append(c) or materialize(c, t))
     rng = random.Random(3)
     fresh_total = 0
     for case, models in _walk_starts():
@@ -312,10 +316,11 @@ def test_deltas_write_no_memo_on_candidates():
             old = {id(n) for n in postorder(t)}
             fresh = [n for c in candidates for n in postorder(c.new_sub)
                      if id(n) not in old and n._memo is None]
+            n_built = len(built)
             for model, base in zip(models, bases):
                 _deltas(t, candidates, model, base)
             assert all(n._memo is None for n in fresh), case.name
-            assert all(c.term is None for c in candidates)
+            assert len(built) == n_built  # no candidate term was built
             fresh_total += len(fresh)
     model, t, candidates = _product_candidates()
     _deltas(t, candidates, model, model.cost(t))

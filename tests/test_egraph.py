@@ -370,6 +370,33 @@ def test_saturate_iteration_limit_zero_returns_input():
     assert report.stop_reason == "iteration_limit"
 
 
+def test_saturate_stops_at_the_node_limit():
+    # Node-limited saturation of long matrix chains is where plain eqsat
+    # falls behind; a matmul-12 chain outgrows 50 e-nodes in a few steps.
+    case = gen_matmul_chain(12, 1, 20, random.Random(4))
+    cfg = EqsatConfig(nodes=50, match_limit=10**7)
+    g = EGraph()
+    root = g.add_term(case.input_term)
+    extract_from, report = saturate(g, root, case.ruleset, cfg)
+    assert report.stop_reason == "node_limit"
+    assert 0 < report.iterations < cfg.iterations
+    assert extract_from is g and g.num_nodes() > cfg.nodes
+    best, cost = extract(g, root, case.cost_model)
+    assert case.oracle_cost <= cost <= case.cost_model.cost(case.input_term)
+
+
+def test_saturate_stops_at_a_passed_deadline():
+    case = gen_matmul_chain(12, 1, 20, random.Random(4))
+    g = EGraph()
+    root = g.add_term(case.input_term)
+    extract_from, report = saturate(g, root, case.ruleset,
+                                    deadline=time.monotonic() - 1)
+    assert report.stop_reason == "time_limit"
+    assert report.iterations == 0
+    best, _ = extract(extract_from, root, case.cost_model)
+    assert best == case.input_term
+
+
 def test_saturate_contradiction_restores_checkpoint():
     trap = P("(/ (- x x) (- x x))")
     g = EGraph()

@@ -1,6 +1,8 @@
+import ast
 import math
 import pickle
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -20,17 +22,22 @@ from rewrite_arena import (
     search,
 )
 from rewrite_arena.benchmarks import (
+    BenchmarkCase,
+    TargetCost,
     halide_suite,
     integration_suite,
     matmul_case_from_dims,
     trig_suite,
 )
 from rewrite_arena.rules import (
+    Ruleset,
     constant_term,
     fold_node,
     instantiate,
     match_pattern,
+    parse_rule_line,
 )
+from rewrite_arena.runner import run_case
 from rewrite_arena.rulesets import halide_ruleset
 from rewrite_arena.stochastic import (
     EmptyCandidateSetError,
@@ -303,6 +310,25 @@ def test_unsound_validator_forces_restart():
                     validator=reject_everything)
     assert res.unsound_restarts > 0
     assert res.best_term == case.input_term
+
+
+def test_unsound_rewrite_note_names_the_witness_point(capsys):
+    # (sin ?x) => ?x is unsound: the validator catches every step to x, and
+    # the run's note names a point where the two sides differ.
+    ruleset = Ruleset("unsound", parse_rule_line("drop-sin: (sin ?x) => ?x"))
+    case = BenchmarkCase("drop-sin", P("(sin x)"), ruleset, AstSize(),
+                         TargetCost(1), validate=True, time_limit=None)
+    row = run_case(case, "stochastic", RunConfig(seed=1, max_steps=5))
+    assert row.unsound_restarts == 5 and not row.solved
+    note = re.fullmatch(r"note: drop-sin: unsound rewrite caught in chain 0 "
+                        r"at (\{.*\}) \(lhs=(\S+), rhs=(\S+)\)\n",
+                        capsys.readouterr().err)
+    assert note is not None
+    point, lhs, rhs = ast.literal_eval(note[1]), float(note[2]), float(note[3])
+    assert list(point) == ["x"]
+    assert lhs == pytest.approx(math.sin(point["x"]), rel=1e-5, abs=1e-6)
+    assert rhs == pytest.approx(point["x"], rel=1e-5, abs=1e-6)
+    assert abs(lhs - rhs) > 1e-3
 
 
 def test_search_parallel_equals_sequential():
