@@ -402,9 +402,30 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         stochastic_overrides=_overrides(spec, "stochastic_overrides"),
         eqsat_overrides=_overrides(spec, "eqsat_overrides"),
     )
-    for engine in ("eqsat", "stochastic"):
-        case.model_for(engine).cost(case.input_term)  # CostError if uncostable
+    models = {"cost": case.cost_model,
+              "stochastic_cost": case.stochastic_cost_model}
+    for field, model in models.items():
+        if model is None:
+            continue
+        model.cost(case.input_term)  # CostError if uncostable
+        if (kind == "target_cost" and criterion.value < 0
+                and not _may_cost_below_zero(model)):
+            raise ValueError(f"criterion value {criterion.value} is below 0, "
+                             f"which the {field} model never costs")
+        if dims is not None and isinstance(model, MatMulScalarOps):
+            for leaf_name in sorted(set(dims) | set(model.dims)):
+                if dims.get(leaf_name) != model.dims.get(leaf_name):
+                    raise ValueError(
+                        f"dims of {leaf_name!r} are {dims.get(leaf_name)}, "
+                        f"but the {field} model has "
+                        f"{model.dims.get(leaf_name)}")
     return case
+
+
+def _may_cost_below_zero(model: CostModel) -> bool:
+    # Of the models a spec names, only a negative weight costs below 0.
+    return (isinstance(model, WeightedAstSize)
+            and any(w < 0 for w in model.weights.values()))
 
 
 def _finite(value, what: str):

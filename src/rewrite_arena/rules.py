@@ -2,18 +2,20 @@
 
 A pattern is an ordinary term whose arity-0 leaves may be pattern variables
 (spelled ``?a``).  Rules rewrite a matched subterm into an instantiated
-right-hand side, optionally gated by a syntactic guard evaluated after exact
-constant folding of the bound subterm.  One-step rewrites of a term are
-enumerated in stochastic.py, which also holds the `proposals` view.
+right-hand side, optionally gated by a syntactic guard on the exact constant
+the bound subterm folds to (constant_of, memoized on the term's nodes).
+One-step rewrites of a term are enumerated in stochastic.py, which also
+holds the `proposals` view.
 
 Patterns are compiled, as egg compiles them, to straight-line Python
 generated on first use.  A matcher tests op identity node by node (a
 literal's value lives on its interned symbol) and binds or compares
-variables; a builder constructs a right-hand side in post-order.  From the
-same two emitters a Ruleset compiles, per root operator, one rewriter
-that runs every rule that can match there; candidate enumeration calls it
-at each position.  match_pattern and instantiate run one pattern's
-matcher or builder.  The e-graph compiles through the same helpers.
+variables; a builder constructs a right-hand side in post-order, each node
+inline with its hash, not through Term.__init__.  From the same two
+emitters a Ruleset compiles, per root operator, one rewriter that runs
+every rule that can match there; candidate enumeration calls it at each
+position.  match_pattern and instantiate run one pattern's matcher or
+builder.  The e-graph compiles through the same helpers.
 """
 from __future__ import annotations
 
@@ -135,7 +137,13 @@ def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
     """Append to body the lines that build pattern in post-order; return
     its local.  A variable is read from its local in `bound` (one missing
     gets a new local there); a literal leaf is the pattern's own leaf.
+
+    Each node is built inline, without a call to Term.__init__: a new
+    Term gets its four slots, with the hash that __init__ would compute.
+    The arity check is not emitted; it held when the pattern node was made
+    with the same interned symbol and as many children.
     """
+    env.update(Term=Term, new=object.__new__)
     done: list[str] = []  # locals of the finished subpatterns, a stack
     slots = 0  # locals c0, c1, ... hold the subterms built so far
     stack: list[tuple[Term, bool]] = [(pattern, False)]
@@ -161,7 +169,12 @@ def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
             env[op] = p.op
             cid = f"c{slots}"
             slots += 1
-            body.append(f"        {cid} = Term({op}, ({', '.join(kids)},))")
+            hashes = "".join(f", {k}._hash" for k in kids)
+            body += [f"        {cid} = new(Term)",
+                     f"        {cid}.op = {op}",
+                     f"        {cid}.children = ({', '.join(kids)},)",
+                     f"        {cid}._hash = hash(({p.op.name!r}{hashes}))",
+                     f"        {cid}._memo = None"]
             done.append(cid)
         else:
             stack.append((p, True))
@@ -186,8 +199,7 @@ def _compile_builder(pattern: Term):
     Each variable loads its binding once, before anything is built, so
     the first missing one raises UnboundVariableError.
     """
-    env: dict[str, object] = {"Term": Term,
-                              "UnboundVariableError": UnboundVariableError}
+    env: dict[str, object] = {"UnboundVariableError": UnboundVariableError}
     bound: dict[str, str] = {}
     builds: list[str] = []
     result = _emit_build(pattern, env, bound, builds)
@@ -208,7 +220,7 @@ def _compile_rewriter(rules: tuple[Rule, ...], label: str):
     tested and its children are unpacked once.  Each rule is one block:
     its match, its guard through `Guard.passes`, its right-hand side.
     """
-    env: dict[str, object] = {"Term": Term}
+    env: dict[str, object] = {}
     arity = max((len(r.lhs.children) for r in rules), default=0)
     kids = [f"a{i}" for i in range(arity)]
     body = ["    out = []"]
@@ -263,6 +275,38 @@ def fold_step(op_name: str, kids) -> Term | None:
     return None if folded is None else constant_term(folded)
 
 
+_CONSTANT = "rules.constant"
+
+
+def constant_of(t: Term) -> Constant | None:
+    """The exact constant t folds to, const_fold(t).op.value, or None.
+
+    A node with children keeps it in its memo under "rules.constant", next
+    to cost entries keyed by models, as an e-class keeps its constant.  One
+    iterative walk fills the nodes that have none, stopping at those that
+    do; a leaf's constant is its symbol's value.
+    """
+    if not t.children:
+        return t.op.value
+    if t._memo is not None and _CONSTANT in t._memo:
+        return t._memo[_CONSTANT]
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in node.children if c.children and (
+            c._memo is None or _CONSTANT not in c._memo)]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if node._memo is None:
+            node._memo = {}
+        # fold_node gives None for a None argument.
+        node._memo[_CONSTANT] = fold_node(
+            node.op.name, [constant_of(c) for c in node.children])
+    return t._memo[_CONSTANT]
+
+
 def const_fold(t: Term) -> Term:
     """Fold every constant subterm exactly; unfoldable parts are kept as-is."""
     if not t.children:
@@ -293,7 +337,8 @@ class Guard:
     kind "nonzero": the bound term, after exact constant folding, is not the
     literal 0.  kind "literal": the bound term folds to a numeric literal.
     Both engines decide through `admits`, on the constant the bound term or
-    class is known to equal (None when unknown).
+    class is known to equal (None when unknown): the e-graph reads its
+    class's constant, `passes` the term's, memoized by constant_of.
     """
 
     kind: str
@@ -311,7 +356,7 @@ class Guard:
         return rational
 
     def passes(self, bound: Term) -> bool:
-        return self.admits(const_fold(bound).op.value)
+        return self.admits(constant_of(bound))
 
 
 @dataclass(frozen=True)
@@ -349,6 +394,8 @@ class Ruleset:
         self.name = name
         self.rules = tuple(rules)
         self.fold_constants = fold_constants
+        # Whether some rule can rewrite a leaf: one with a leaf LHS.
+        self.rewrites_leaves = any(not r.lhs.children for r in self.rules)
         # Compiled rewriters by root op name, and by the rules they run.
         self._rewriters: dict[str, object] = {}
         self._by_rules: dict[tuple[Rule, ...], object] = {}

@@ -198,12 +198,14 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
     Order is position-major (preorder, as terms.positions), rule-minor
     (ruleset order, then constant folding), first occurrence kept, identity
     excluded.  A candidate is kept when its _result_key is new, so no
-    result term is built or hashed.
+    result term is built or hashed.  Leaves below the root are visited
+    only when some rule's LHS is a leaf.
     """
     out: list[_Candidate] = []
     seen: set = set()
     rewriters = ruleset._rewriters
     fold = ruleset.fold_constants
+    leaves = ruleset.rewrites_leaves  # a leaf never folds
     stack: list[tuple[Position, Term]] = [((), t)]
     while stack:
         pos, sub = stack.pop()
@@ -227,7 +229,8 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
                 if len(seen) > n:
                     out.append(_Candidate(FOLD_RULE_NAME, pos, sub, new_sub))
         for idx in range(len(kids) - 1, -1, -1):
-            stack.append((pos + (idx,), kids[idx]))
+            if leaves or kids[idx].children:
+                stack.append((pos + (idx,), kids[idx]))
     return out
 
 

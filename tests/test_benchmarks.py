@@ -302,8 +302,9 @@ _CASES = st.builds(
 
 @st.composite
 def _costable_cases(draw):
-    """Cases whose models can cost their input, as a suite file requires: a
-    case with a MatMulScalarOps model gets a matrix chain and its dims."""
+    """Cases whose models can cost their input and agree with its dims, as
+    a suite file requires: a case with a MatMulScalarOps model gets a
+    matrix chain, and its dims, if any, are the chain's."""
     case = draw(_CASES)
     models = (case.cost_model, case.stochastic_cost_model)
     if not any(isinstance(m, MatMulScalarOps) for m in models):
@@ -315,7 +316,8 @@ def _costable_cases(draw):
         for m in models)
     return dataclasses.replace(case, input_term=chain.input_term,
                                cost_model=cost_model,
-                               stochastic_cost_model=stochastic_model)
+                               stochastic_cost_model=stochastic_model,
+                               dims=case.dims and chain.dims)
 
 
 def _fields(case):
@@ -336,3 +338,14 @@ def _fields(case):
 def test_suite_file_roundtrips_every_case_field(case):
     _, (back,) = suite_from_json(suite_to_json("rt", [case]))
     assert _fields(back) == _fields(case)
+
+
+def test_suite_file_accepts_a_negative_target_only_when_it_can_be_met():
+    case = BenchmarkCase("neg", P("(+ x 1)"), builtin_ruleset("trig"),
+                         WeightedAstSize({"+": -5}), TargetCost(-1))
+    _, (back,) = suite_from_json(suite_to_json("s", [case]))
+    assert back.criterion == TargetCost(-1)
+    for stochastic in (AstSize(), IntegSquare()):
+        bad = dataclasses.replace(case, stochastic_cost_model=stochastic)
+        with pytest.raises(ValueError, match="stochastic_cost model never"):
+            suite_from_json(suite_to_json("s", [bad]))

@@ -286,6 +286,11 @@ def _write_suite(tmp_path, mutate):
     (lambda spec: spec["criterion"].update(value=float("nan")), "got nan"),
     (lambda spec: spec.update(oracle="abc"),
      "oracle must be a finite number, got 'abc'"),
+    # Both loaded, then ran without a word.
+    (lambda spec: spec["criterion"].update(value=-1),
+     "criterion value -1 is below 0, which the cost model never costs"),
+    (lambda spec: spec["dims"].update(A2=[7, 7]),
+     "dims of 'A2' are (7, 7), but the cost model has"),
 ])
 def test_malformed_suite_case_exits_2_naming_it(tmp_path, capsys, mutate,
                                                 detail):

@@ -17,14 +17,17 @@ from rewrite_arena.rules import (
     UnboundVariableError,
     apply_rule_at,
     const_fold,
+    constant_of,
     instantiate,
     is_pattern_var,
     match_pattern,
     parse_rule_line,
     pattern_vars,
 )
-from rewrite_arena.rulesets import assoc_ruleset, trig_ruleset
-from rewrite_arena.terms import Term, leaf, positions, replace_at
+from rewrite_arena.costs import AstSize, MatMulScalarOps
+from rewrite_arena.rulesets import assoc_ruleset, builtin_ruleset, trig_ruleset
+from rewrite_arena.terms import (Term, leaf, number, positions, replace_at,
+                                 term)
 from helpers import random_term
 
 
@@ -375,3 +378,102 @@ def test_compiled_patterns_handle_deep_patterns():
     assert instantiate(p, subst) == t
     bottom_differs = P("(sin " * (depth - 1) + "(cos x)" + ")" * (depth - 1))
     assert match_pattern(p, bottom_differs) is None
+
+
+def _built_nodes(result, inputs):
+    """The nodes of result that are not nodes of the inputs: the ones a
+    builder made."""
+    given = {id(n) for t in inputs for _, n in positions(t)}
+    return [n for _, n in positions(result) if id(n) not in given]
+
+
+def _assert_built_like_init(nodes):
+    for n in nodes:
+        assert type(n) is Term and n._memo is None
+        assert hash(n) == hash(Term(n.op, n.children))
+        assert P(print_sexpr(n)) == n
+
+
+@pytest.mark.parametrize("name", ["assoc", "trig", "integration", "halide",
+                                  "needle3"])
+def test_inline_built_nodes_equal_constructed_ones(name):
+    """Every right-hand-side node that a compiled rewriter or instantiate
+    builds hashes, compares and reads back as a node Term() builds."""
+    rs = builtin_ruleset(name)
+    rng = random.Random(name)
+    leaves = [n for r in rs.rules for _, n in positions(r.rhs)]
+    built = 0
+    for rule in rs.rules:
+        for _ in range(5):
+            subst = {v: random_term(rng, 2) for v in pattern_vars(rule.lhs)}
+            t = _spell(rule.lhs, subst)
+            for _, new in rs.rewriter(t.op.name)(t):
+                nodes = _built_nodes(new, [t, *leaves])
+                _assert_built_like_init(nodes)
+                built += len(nodes)
+            nodes = _built_nodes(instantiate(rule.rhs, subst),
+                                 [*subst.values(), *leaves])
+            _assert_built_like_init(nodes)
+            built += len(nodes)
+    assert built
+
+
+def _folding_term(rng, depth):
+    """A random term over exactly folded, undefined and unfolded operators."""
+    if depth == 0 or rng.random() < 0.25:
+        return leaf(rng.choice(["x", "0", "1", "2", "-1", "1/2", "true",
+                                "false"]))
+    op = rng.choice(["+", "-", "*", "/", "pow", "<", "==", "&&", "!", "neg",
+                     "sin", "min"])
+    arity = 1 if op in ("!", "neg", "sin") else 2
+    return term(op, *[_folding_term(rng, depth - 1) for _ in range(arity)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_constant_of_agrees_with_const_fold(seed):
+    rng = random.Random(seed)
+    t = _folding_term(rng, 5)
+    want = const_fold(t).op.value
+    subs = [n for _, n in positions(t)]
+    for n in rng.sample(subs, len(subs) // 3):  # warm some nodes first
+        assert constant_of(n) == const_fold(n).op.value
+    for _ in range(2):  # then t itself, cold or part warm, then warm
+        got = constant_of(t)
+        assert got == want and type(got) is type(want)
+    cold = _fresh(t)
+    assert cold._memo is None and constant_of(cold) == want
+
+
+def test_constant_of_walks_a_chain_deeper_than_the_recursion_limit():
+    t = number(0)
+    for _ in range(5000):
+        t = term("+", number(1), t)
+    assert constant_of(t) == const_fold(t).op.value == 5000
+    assert constant_of(t.children[1]) == 4999  # memoized on the way
+
+
+def test_memoized_constants_leave_cost_entries_alone():
+    cases = [
+        (AstSize(), "(/ (* (+ x 1) (- (* 2 3) 1)) (* y (* 2 3)))",
+         ["(* 2 3)", "x"]),
+        (MatMulScalarOps({"A": (2, 3), "B": (3, 4), "C": (4, 5)}),
+         "(* (* A B) C)", ["(* A (* B C))", "(* B C)"]),
+    ]
+    for model, text, news in cases:
+        plain = P(text)
+        want = model.cost(plain)
+        for costed_first in (True, False):
+            t = P(text)
+            if costed_first:
+                assert model.cost(t) == want
+            for _, n in positions(t):
+                assert constant_of(n) == const_fold(n).op.value
+            assert model.cost(t) == want
+            for (_, a), (_, b) in zip(positions(plain), positions(t)):
+                for new in news:
+                    assert model.delta_cost(b, P(new)) == \
+                        model.delta_cost(a, P(new))
+                if b.children:  # both entries side by side
+                    assert b._memo[model] == a._memo[model]
+                    assert "rules.constant" in b._memo

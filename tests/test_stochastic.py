@@ -7,6 +7,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewrite_arena import (
     AstSize,
@@ -31,6 +32,7 @@ from rewrite_arena.benchmarks import (
 )
 from rewrite_arena.rules import (
     Ruleset,
+    apply_rule_at,
     constant_term,
     fold_node,
     instantiate,
@@ -38,10 +40,11 @@ from rewrite_arena.rules import (
     parse_rule_line,
 )
 from rewrite_arena.runner import run_case
-from rewrite_arena.rulesets import halide_ruleset
+from rewrite_arena.rulesets import assoc_ruleset, halide_ruleset
 from rewrite_arena.stochastic import (
     EmptyCandidateSetError,
     Proposal,
+    _enumerate_candidates,
     chain_seed,
     proposals,
     replay_trace,
@@ -559,3 +562,53 @@ def test_dedup_matches_reference_on_colliding_rewrites(fold):
     rng = random.Random(int(fold))
     _assert_dedups_like_reference([(_random_term(rng, 6), rs)
                                    for _ in range(400)])
+
+
+def _brute_force(t, ruleset):
+    """(rule, position, result) of each rewrite of t: every rule applied at
+    every position, identity dropped, the first of equal results kept."""
+    out, seen = [], {t}
+    for pos, _ in positions(t):
+        for rule in ruleset.rules:
+            new = apply_rule_at(rule, t, pos)
+            if new is not None and new not in seen:
+                seen.add(new)
+                out.append((rule.name, pos, new))
+    return out
+
+
+_LEAF_RULESETS = [
+    parse_ruleset("pad: ?a => (+ ?a 0)\nneg: (neg ?a) => ?a", "variable-lhs"),
+    parse_ruleset("one: 1 => (neg (neg 1))\nflip: (+ ?a ?b) => (+ ?b ?a)",
+                  "literal-lhs"),
+]
+_TERMS = st.recursive(
+    st.sampled_from(["x", "0", "1"]).map(leaf),
+    lambda kids: st.one_of(st.builds(lambda a: term("neg", a), kids),
+                           st.builds(lambda a, b: term("+", a, b), kids,
+                                     kids)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TERMS)
+def test_rules_with_a_leaf_lhs_still_rewrite_leaves(t):
+    for rs in _LEAF_RULESETS:
+        assert rs.rewrites_leaves
+        got = [(c.rule, c.position, c.materialize(t))
+               for c in _enumerate_candidates(t, rs)]
+        assert got == _brute_force(t, rs)
+    # Growing a leaf never gives a term another rewrite gives.
+    assert {pos for rule, pos, _ in got if rule == "one"} == \
+        {pos for pos, sub in positions(t) if sub == leaf("1")}
+
+
+def test_leaves_are_skipped_only_without_a_leaf_lhs():
+    assert not assoc_ruleset().rewrites_leaves
+    assert not trig_suite()[0].ruleset.rewrites_leaves
+    assert needle_case(3).ruleset.rewrites_leaves  # a => b, b => a
+    t = P("(* (* A1 A2) (* A3 A4))")
+    assert _enumerate_candidates(t, assoc_ruleset()) and [
+        (c.rule, c.position, c.materialize(t))
+        for c in _enumerate_candidates(t, assoc_ruleset())
+    ] == _brute_force(t, assoc_ruleset())

@@ -13,10 +13,14 @@ repository's own `.git` untouched.  Runs go one at a time.
 
 The output file holds, per workload and side, the median and quartiles of
 every end-to-end metric that BENCHMARK.json lists, each run's value, pass
-count and row signature, and per metric the number of pairs in which the
-working tree did better.  Host facts (nproc, Python version) and both
-revisions (the base SHA; HEAD's SHA, whether the tree differs from it, and
-a digest of each side's `src/`) identify what was measured.
+count and row signature, and the seeds whose two signatures differ (a
+warning is printed for each such workload).  Per metric it holds the
+number of pairs in which the working tree did better, and `claim_met`:
+whether it did better in at least 90% of the pairs (9 of 10) and its
+median beats the base median by more than the base's interquartile
+range.  Host facts (nproc, Python version) and both revisions (the base
+SHA; HEAD's SHA, whether the tree differs from it, and a digest of each
+side's `src/`) identify what was measured.
 """
 from __future__ import annotations
 
@@ -128,11 +132,26 @@ def main(argv=None) -> int:
                 "signatures": {str(r["seed"]): r["signature"] for r in rs},
                 "problems": sum(r["problems"] for r in rs),
             }
+        pairs = list(zip(by_side["base"], by_side["change"]))
+        entry["signature_mismatch_seeds"] = [
+            b["seed"] for b, c in pairs if b["signature"] != c["signature"]]
+        if entry["signature_mismatch_seeds"]:
+            print(f"warning: {workload}: base and change signatures differ "
+                  f"on seeds {entry['signature_mismatch_seeds']}",
+                  file=sys.stderr)
         entry["change_better_pairs"] = {
             n: sum((c["metrics"][n] < b["metrics"][n]) == (better == "lower")
-                   and c["metrics"][n] != b["metrics"][n]
-                   for b, c in zip(by_side["base"], by_side["change"]))
+                   and c["metrics"][n] != b["metrics"][n] for b, c in pairs)
             for n, better in metrics}
+        entry["claim_met"] = {}
+        for n, better in metrics:
+            base = entry["base"]["metrics"][n]
+            change = entry["change"]["metrics"][n]
+            sign = 1 if better == "higher" else -1
+            gain = sign * (change["median"] - base["median"])
+            entry["claim_met"][n] = (
+                entry["change_better_pairs"][n] >= 0.9 * len(pairs)
+                and gain > base["q3"] - base["q1"])
         report["workloads"][workload] = entry
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
