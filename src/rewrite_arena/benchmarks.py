@@ -34,7 +34,8 @@ from .rulesets import (
     trig_ruleset,
 )
 from .stochastic import RunConfig, check_time_limit
-from .terms import Term, TermError, TRUE, leaf, parse_sexpr, print_sexpr, symbol
+from .terms import (Term, TermError, TRUE, leaf, parse_sexpr, positions,
+                    print_sexpr, symbol)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class BenchmarkCase:
     cost_model: CostModel
     criterion: Criterion
     oracle_cost: float | None = None
-    dims: DimEnv | None = None
     stochastic_cost_model: CostModel | None = None
     intended: Term | None = None
     validate: bool = False
@@ -80,11 +80,22 @@ class BenchmarkCase:
             return self.stochastic_cost_model
         return self.cost_model
 
+    @property
+    def dims(self) -> DimEnv | None:
+        """The matrix leaves' dimensions: the matmul_scalar_ops model's."""
+        for model in (self.cost_model, self.stochastic_cost_model):
+            if isinstance(model, MatMulScalarOps):
+                return model.dims
+        return None
+
     def target_cost(self) -> float | None:
-        """Cost level at which the case counts as solved (None for ReachTerm)."""
-        if isinstance(self.criterion, TargetCost):
-            return self.criterion.value
-        if isinstance(self.criterion, ReachTrue):
+        """The cost at which the case is solved, so an engine may stop; for
+        ReachTerm, 0 under a GoalIndicator (0 only at the goal), else None."""
+        crit = self.criterion
+        if isinstance(crit, TargetCost):
+            return crit.value
+        if isinstance(crit, ReachTrue) or isinstance(self.cost_model,
+                                                       GoalIndicator):
             return 0
         return None
 
@@ -179,7 +190,6 @@ def matmul_case_from_dims(dims: list[int], name: str = "matmul") -> BenchmarkCas
         cost_model=MatMulScalarOps(env),
         criterion=TargetCost(oracle),
         oracle_cost=oracle,
-        dims=env,
         eqsat_overrides=dict(_MATMUL_EQSAT),
     )
 
@@ -392,7 +402,6 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         cost_model=model_from_spec(spec["cost"]),
         criterion=criterion,
         oracle_cost=None if oracle is None else _finite(oracle, "oracle"),
-        dims=dims,
         stochastic_cost_model=(model_from_spec(spec["stochastic_cost"])
                                if "stochastic_cost" in spec else None),
         intended=parse_sexpr(spec["intended"]) if "intended" in spec else None,
@@ -419,6 +428,21 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
                         f"dims of {leaf_name!r} are {dims.get(leaf_name)}, "
                         f"but the {field} model has "
                         f"{model.dims.get(leaf_name)}")
+        if isinstance(model, MatMulScalarOps) and case.oracle_cost is not None:
+            shapes = [model.dims[sub.op.name] for _, sub in
+                      positions(case.input_term) if not sub.children]
+            optimum = dp_optimal_cost([shapes[0][0]] + [c for _, c in shapes])
+            if case.oracle_cost != optimum:
+                raise ValueError(f"oracle {case.oracle_cost} is not {optimum}, "
+                                 f"the DP optimum of the {field} model's chain")
+        if (kind == "reach_term" and isinstance(model, GoalIndicator)
+                and model.goal != criterion.goal):
+            raise ValueError(f"the {field} model's goal "
+                             f"{print_sexpr(model.goal)} is not the criterion's")
+    if (kind == "target_cost" and case.oracle_cost is not None
+            and criterion.value < case.oracle_cost):
+        raise ValueError(f"criterion value {criterion.value} is below the "
+                         f"oracle {case.oracle_cost}, so it can never be met")
     return case
 
 

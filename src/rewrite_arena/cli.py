@@ -78,10 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=None,
                    help="size for generated suites (matmul chain length, "
                         "needle arity)")
-    b.add_argument("--count", type=int, default=5,
-                   help="number of generated matmul cases")
-    b.add_argument("--dim-lo", type=int, default=1)
-    b.add_argument("--dim-hi", type=int, default=20)
+    _add_matmul_flags(b)
     b.add_argument("--jobs", type=int, default=1,
                    help="suite-level case parallelism bound")
     _add_run_flags(b)
@@ -91,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="generator", required=True)
     gm = gsub.add_parser("matmul", help="random matrix chains with DP oracle")
     gm.add_argument("--n", type=int, default=10)
-    gm.add_argument("--count", type=int, default=5)
-    gm.add_argument("--dim-lo", type=int, default=1)
-    gm.add_argument("--dim-hi", type=int, default=20)
+    _add_matmul_flags(gm)
     gm.add_argument("--seed", type=int, default=0)
     gm.add_argument("--output", default=None)
 
@@ -106,6 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list built-in suites and their cases")
     return p
+
+
+def _add_matmul_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--count", type=int, default=5,
+                   help="number of generated matmul cases")
+    p.add_argument("--dim-lo", type=int, default=1)
+    p.add_argument("--dim-hi", type=int, default=20)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -166,20 +168,20 @@ def _eqsat_config(args) -> EqsatConfig:
     return _checked(EqsatConfig, **_set_flags(args, "eqsat"))
 
 
-def _check_count(count: int) -> None:
-    if count < 1:
-        raise UsageError(f"--count must be at least 1, got {count}")
+def _matmul_cases(args, n: int, seed: int):
+    """The matmul suite: --count chains of n matrices, drawn from seed."""
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    rng = random.Random(seed)
+    return [_checked(gen_matmul_chain, n, args.dim_lo, args.dim_hi, rng,
+                     name=f"matmul-{n}-{k}")
+            for k in range(args.count)]
 
 
 def _load_cases(args, cfg: RunConfig):
     suite = args.suite
     if suite == "matmul":
-        n = 10 if args.n is None else args.n
-        _check_count(args.count)
-        rng = random.Random(cfg.seed)
-        return [_checked(gen_matmul_chain, n, args.dim_lo, args.dim_hi, rng,
-                         name=f"matmul-{n}-{k}")
-                for k in range(args.count)]
+        return _matmul_cases(args, 10 if args.n is None else args.n, cfg.seed)
     if suite == "needle":
         return [_checked(needle_case, 8 if args.n is None else args.n)]
     suites = builtin_suites()
@@ -283,11 +285,7 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _check_count(args.count)
-    rng = random.Random(args.seed)
-    cases = [_checked(gen_matmul_chain, args.n, args.dim_lo, args.dim_hi,
-                      rng, name=f"matmul-{args.n}-{k}")
-             for k in range(args.count)]
+    cases = _matmul_cases(args, args.n, args.seed)
     text = suite_to_json(f"matmul-{args.n}", cases) + "\n"
     _write_out(text, args.output)
     return 0

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .benchmarks import BenchmarkCase, ReachTerm, ReachTrue, judge
-from .costs import CostModel, GoalIndicator
+from .costs import CostModel
 from .egraph import (
     BackoffScheduler,
     EClassId,
@@ -190,14 +190,6 @@ def _tuned(cfg, overrides: dict | None, pinned: frozenset[str]):
     return replace(cfg, **kept) if kept else cfg
 
 
-def _early_target(case: BenchmarkCase) -> float | None:
-    target = case.target_cost()
-    if target is None and isinstance(case.criterion, ReachTerm) \
-            and isinstance(case.cost_model, GoalIndicator):
-        return 0
-    return target
-
-
 # Each engine maps (case, tuned config, cost model, deadline, early_exit)
 # to (best term, best cost, work units, hard restarts, unsound restarts).
 
@@ -208,7 +200,7 @@ def _stochastic(case: BenchmarkCase, cfg: RunConfig, model: CostModel,
         validator = EquivalenceValidator(case.input_term, seed=cfg.seed)
     result = search(case.input_term, case.ruleset, model, cfg,
                     validator=validator,
-                    target_cost=_early_target(case) if early_exit else None,
+                    target_cost=case.target_cost() if early_exit else None,
                     deadline=deadline)
     for chain in result.chains:
         if chain.unsound_witness is not None:
@@ -262,7 +254,7 @@ def _pulsed(case: BenchmarkCase, cfg: EqsatConfig, model: CostModel,
             deadline: float | None, early_exit: bool):
     best, reports = pulse(
         case.input_term, case.ruleset, model, cfg, deadline,
-        case.checkpointing, _early_target(case) if early_exit else None)
+        case.checkpointing, case.target_cost() if early_exit else None)
     return best, model.cost(best), sum(r.iterations for r in reports), 0, 0
 
 

@@ -14,15 +14,16 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 from .costs import CostModel
 from .equivalence import Inequivalent
 from .rules import (
     Ruleset,
-    apply_rule_at,
     fold_step,
     instantiate,  # noqa: F401 -- unused here, but perfbench's tracer
     match_pattern,  # noqa: F401 -- wraps these two names in this module
@@ -66,7 +67,6 @@ class RunConfig:
     seed: int = 0
     max_steps: int | None = None
     max_proposals: int | None = None
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.explore > self.n_soft:
@@ -97,7 +97,8 @@ class RunResult:
     hard_restarts: int = 0
     unsound_restarts: int = 0
     wall_time: float = 0.0
-    best_trace: list[tuple[str, Position]] | None = None
+    # The (rule, position) steps from t0 to best_term; [] when it is t0.
+    best_trace: list[tuple[str, Position]] = field(default_factory=list)
     # The validator's verdict on the last unsound rewrite caught, for reports.
     unsound_witness: Inequivalent | None = None
 
@@ -141,20 +142,9 @@ def sample_index(deltas: list[float], beta: float, rng: random.Random) -> int:
         return int(rng.random() * n) % n
     lowest = min(deltas)
     half_beta = 0.5 * beta
-    return _draw([math.exp(-half_beta * (d - lowest)) for d in deltas], rng)
-
-
-def _draw(weights: list[float], rng: random.Random) -> int:
-    total = 0.0
-    for w in weights:
-        total += w
-    r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1
+    acc = list(accumulate(math.exp(-half_beta * (d - lowest)) for d in deltas))
+    # The first index whose running weight exceeds a uniform draw.
+    return min(bisect_right(acc, rng.random() * acc[-1]), n - 1)
 
 
 class _Candidate:
@@ -278,7 +268,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
                   or cfg.max_proposals is not None)
 
     t = t0
-    cost_t = model.cost(t0)
+    cost_t = cost_t0 = model.cost(t0)
     best = t0
     best_cost = cost_t
     n = 0
@@ -288,16 +278,11 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     accepted = 0
     hard_restarts = 0
     unsound_restarts = 0
-    trace: list[tuple[str, Position]] = []
-    best_trace: list[tuple[str, Position]] | None = None
+    path: list[tuple[str, Position]] = []  # from t0 to t
+    best_trace: list[tuple[str, Position]] = []
     solved = target_cost is not None and best_cost <= target_cost
-    restart = False
 
     while not solved:
-        if restart:
-            restart = False
-            t, cost_t, n, n_stall = t0, model.cost(t0), 0, 0
-            trace.clear()
         if deadline is not None and time.monotonic() >= deadline:
             break
         if cfg.max_steps is not None and steps >= cfg.max_steps:
@@ -308,7 +293,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             if not has_budget:
                 break
             hard_restarts += 1
-            restart = True
+            t, cost_t, n, n_stall, path = t0, cost_t0, 0, 0, []
             continue
 
         candidates = _enumerate_candidates(t, ruleset)
@@ -335,8 +320,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         n += 1
         steps += 1
         accepted += 1
-        if cfg.record_trace:
-            trace.append((chosen.rule, chosen.position))
+        path.append((chosen.rule, chosen.position))
 
         # The periodic check comes first, then the new-best check on the
         # same step: the validator seeds each check from its call count.
@@ -344,15 +328,14 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
                 accepted % VALIDATE_EVERY == 0 and not validator(t)
                 or cost_t < best_cost and not validator(t)):
             unsound_restarts += 1
-            restart = True
+            t, cost_t, n, n_stall, path = t0, cost_t0, 0, 0, []
             continue
 
         if cost_t < best_cost:
             best = t
             best_cost = cost_t
             n_stall = 0
-            if cfg.record_trace:
-                best_trace = list(trace)
+            best_trace = path.copy()
             if target_cost is not None and best_cost <= target_cost:
                 solved = True
         else:
@@ -422,21 +405,21 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
 
 
 def replay_trace(t0: Term, ruleset: Ruleset, trace: list[tuple[str, Position]]) -> Term:
-    """Re-apply a recorded (rule, position) sequence; used to audit results."""
-    by_name = {r.name: r for r in ruleset.rules}
+    """Re-apply a (rule, position) path, such as a chain's best_trace,
+    through the ruleset's compiled rewriters: the code the chain ran."""
+    names = {r.name for r in ruleset.rules}
     t = t0
     for rule_name, pos in trace:
+        sub = subterm_at(t, pos)
         if rule_name == FOLD_RULE_NAME and ruleset.fold_constants:
-            sub = subterm_at(t, pos)
-            folded = (fold_step(sub.op.name, sub.children)
-                      if sub.children else None)
-            nxt = None if folded is None else replace_at(t, pos, folded)
-        elif rule_name in by_name:
-            nxt = apply_rule_at(by_name[rule_name], t, pos)
+            new_sub = (fold_step(sub.op.name, sub.children)
+                       if sub.children else None)
+        elif rule_name in names:
+            new_sub = dict(ruleset.rewriter(sub.op.name)(sub)).get(rule_name)
         else:
             raise ValueError(f"rule {rule_name!r} is not in ruleset "
                              f"{ruleset.name!r}")
-        if nxt is None:
+        if new_sub is None:
             raise ValueError(f"rule {rule_name!r} no longer applies at {pos}")
-        t = nxt
+        t = replace_at(t, pos, new_sub)
     return t

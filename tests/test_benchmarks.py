@@ -117,6 +117,26 @@ def test_needle_one_is_trivial_for_both_engines():
     assert res.best_term == case.criterion.goal
 
 
+def test_dims_are_read_from_the_matmul_model():
+    case = gen_matmul_chain(4, 1, 9, random.Random(1))
+    assert case.dims is case.cost_model.dims
+    assert "dims" not in {f.name for f in dataclasses.fields(BenchmarkCase)}
+    assert needle_case(3).dims is None
+    chain = dataclasses.replace(case, cost_model=AstSize(),
+                                stochastic_cost_model=case.cost_model)
+    assert chain.dims is case.cost_model.dims
+
+
+def test_target_cost_says_where_each_case_is_solved():
+    assert gen_matmul_chain(4, 1, 9, random.Random(1)).target_cost() == \
+        gen_matmul_chain(4, 1, 9, random.Random(1)).oracle_cost
+    assert builtin_suites()["halide-mini"][0].target_cost() == 0
+    needle = needle_case(3)  # a GoalIndicator costs 0 only at the goal
+    assert needle.target_cost() == 0
+    assert dataclasses.replace(needle, cost_model=AstSize()).target_cost() \
+        is None
+
+
 def test_needle_case_shape():
     case = needle_case(8)
     assert case.input_term.op.arity == 8
@@ -289,7 +309,6 @@ _CASES = st.builds(
     criterion=(_NUMBERS.map(TargetCost) | _terms(_LEAVES).map(ReachTerm)
                | st.builds(ReachTrue)),
     oracle_cost=st.none() | _NUMBERS,
-    dims=st.none() | _DIMS,
     stochastic_cost_model=st.none() | _MODELS,
     intended=st.none() | _terms(_LEAVES),
     validate=st.booleans(),
@@ -302,22 +321,30 @@ _CASES = st.builds(
 
 @st.composite
 def _costable_cases(draw):
-    """Cases whose models can cost their input and agree with its dims, as
-    a suite file requires: a case with a MatMulScalarOps model gets a
-    matrix chain, and its dims, if any, are the chain's."""
+    """Cases a suite file accepts: a case with a MatMulScalarOps model gets
+    a matrix chain, and its oracle, if any, is the chain's; a GoalIndicator
+    of a ReachTerm case has the criterion's goal; a target is not below the
+    oracle."""
     case = draw(_CASES)
     models = (case.cost_model, case.stochastic_cost_model)
-    if not any(isinstance(m, MatMulScalarOps) for m in models):
-        return case
-    chain = matmul_case_from_dims(draw(st.lists(st.integers(1, 50),
-                                                min_size=2, max_size=5)))
-    cost_model, stochastic_model = (
-        chain.cost_model if isinstance(m, MatMulScalarOps) else m
-        for m in models)
-    return dataclasses.replace(case, input_term=chain.input_term,
-                               cost_model=cost_model,
+    if any(isinstance(m, MatMulScalarOps) for m in models):
+        chain = matmul_case_from_dims(draw(st.lists(st.integers(1, 50),
+                                                    min_size=2, max_size=5)))
+        models = tuple(chain.cost_model if isinstance(m, MatMulScalarOps)
+                       else m for m in models)
+        oracle = None if case.oracle_cost is None else chain.oracle_cost
+        case = dataclasses.replace(case, input_term=chain.input_term,
+                                   oracle_cost=oracle)
+    criterion = case.criterion
+    if isinstance(criterion, ReachTerm):
+        models = tuple(GoalIndicator(criterion.goal)
+                       if isinstance(m, GoalIndicator) else m for m in models)
+    if isinstance(criterion, TargetCost) and case.oracle_cost is not None:
+        criterion = TargetCost(max(criterion.value, case.oracle_cost))
+    cost_model, stochastic_model = models
+    return dataclasses.replace(case, cost_model=cost_model,
                                stochastic_cost_model=stochastic_model,
-                               dims=case.dims and chain.dims)
+                               criterion=criterion)
 
 
 def _fields(case):

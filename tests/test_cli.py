@@ -4,19 +4,21 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+from rewrite_arena.benchmarks import case_to_spec, needle_case, suite_from_json
 from rewrite_arena.cli import (
     _eqsat_config,
+    _load_cases,
     _pinned_fields,
     _run_config,
     build_parser,
     main,
 )
-from rewrite_arena import runner
+from rewrite_arena import cli, runner
 from rewrite_arena.runner import CSV_COLUMNS, EqsatConfig
 from rewrite_arena.stochastic import RunConfig
 
@@ -302,6 +304,66 @@ def test_malformed_suite_case_exits_2_naming_it(tmp_path, capsys, mutate,
         assert code == 2 and out == "", engine
         assert "matmul-3-1" in err and detail in err
         assert "internal error" not in err
+
+
+def _bench_rejects(path, capsys, case, detail):
+    code, out = run_cli(["bench", str(path), "--engine", "both",
+                         "--time-limit", "1", "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert case in err and detail in err
+
+
+# Each of these three lies once loaded and ran a case that could never be
+# solved.
+def test_suite_target_below_the_oracle_exits_2(tmp_path, capsys):
+    def lie(spec):
+        spec["criterion"]["value"] = spec["oracle"] - 1
+
+    _bench_rejects(_write_suite(tmp_path, lie), capsys, "matmul-3-1",
+                   "is below the oracle")
+
+
+def test_suite_oracle_off_the_chain_optimum_exits_2(tmp_path, capsys):
+    _bench_rejects(_write_suite(tmp_path, lambda spec: spec.update(oracle=1)),
+                   capsys, "matmul-3-1", "oracle 1 is not")
+
+
+def test_suite_goal_indicator_off_the_criterion_goal_exits_2(tmp_path,
+                                                             capsys):
+    # With its model's goal set to its input, needle-3's early-exit target
+    # was met at the input, so the chain stopped unsolved.
+    spec = case_to_spec(needle_case(3))
+    spec["cost"]["goal"] = spec["input"]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"schema": 1, "cases": [spec]}))
+    _bench_rejects(path, capsys, "needle-3",
+                   "the cost model's goal (f3 a a a) is not")
+
+
+def test_gen_matmul_writes_the_cases_bench_matmul_builds(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.delenv("REWRITE_ARENA_SEED", raising=False)
+    path = tmp_path / "suite.json"
+    code, _ = run_cli(["gen", "matmul", "--n", "4", "--count", "3",
+                       "--seed", "5", "--output", str(path)])
+    assert code == 0
+    _, written = suite_from_json(path.read_text())
+    args = build_parser().parse_args(["bench", "matmul", "--n", "4",
+                                      "--count", "3", "--seed", "5"])
+    built = _load_cases(args, _run_config(args))
+    assert len(built) == 3
+    assert [(c.name, c.dims, c.oracle_cost) for c in written] == \
+        [(c.name, c.dims, c.oracle_cost) for c in built]
+
+
+def test_every_config_field_but_the_seed_has_a_tuning_flag():
+    # A field no flag sets could be set only by tests.
+    flagged = {(owner, field)
+               for owner, field, _, _ in cli.TUNING_FLAGS.values()}
+    assert flagged == (
+        {("stochastic", f.name) for f in fields(RunConfig) if f.name != "seed"}
+        | {("eqsat", f.name) for f in fields(EqsatConfig)})
 
 
 _NEEDLE = ["bench", "needle", "--n", "3", "--engine"]

@@ -39,6 +39,7 @@ from rewrite_arena.rules import (
     match_pattern,
     parse_rule_line,
 )
+from rewrite_arena import rules, stochastic
 from rewrite_arena.runner import run_case
 from rewrite_arena.rulesets import assoc_ruleset, halide_ruleset
 from rewrite_arena.stochastic import (
@@ -238,8 +239,7 @@ def test_trace_replays_to_best_term():
                     for s in range(20))
         if c.cost_model.cost(c.input_term) > c.oracle_cost
     )
-    cfg = RunConfig(workers=1, budget=1, seed=2, max_steps=500,
-                    record_trace=True)
+    cfg = RunConfig(workers=1, budget=1, seed=2, max_steps=500)
     res = run_chain(case.input_term, case.ruleset, case.cost_model, cfg,
                     target_cost=case.oracle_cost)
     assert res.best_trace is not None
@@ -249,8 +249,7 @@ def test_trace_replays_to_best_term():
 
 def test_trace_replay_through_restarts():
     nc = needle_case(4)
-    cfg = RunConfig(workers=1, budget=1, seed=6, max_steps=4000, n_hard=50,
-                    record_trace=True)
+    cfg = RunConfig(workers=1, budget=1, seed=6, max_steps=4000, n_hard=50)
     res = run_chain(nc.input_term, nc.ruleset, nc.cost_model, cfg,
                     target_cost=0)
     if res.best_trace:  # solved after some restart: trace is segment-local
@@ -260,7 +259,7 @@ def test_trace_replay_through_restarts():
 
 def test_fold_steps_replay_to_best_term():
     case = next(c for c in halide_suite() if c.name == "halide-paper")
-    cfg = replace(RunConfig(seed=0, max_proposals=3000, record_trace=True),
+    cfg = replace(RunConfig(seed=0, max_proposals=3000),
                   **case.stochastic_overrides)
     res = run_chain(case.input_term, case.ruleset, case.model_for("stochastic"),
                     cfg, target_cost=0)
@@ -268,6 +267,49 @@ def test_fold_steps_replay_to_best_term():
     assert [rule for rule, _ in res.best_trace].count("fold") >= 2
     assert replay_trace(case.input_term, case.ruleset, res.best_trace) \
         == res.best_term
+
+
+def test_every_chain_keeps_a_path_that_replays_through_the_rewriters(
+        monkeypatch):
+    # Every curated case, with its tuning and validator, a trig case with
+    # an unsound rule the validator keeps catching, and a seeded chain, each
+    # run to a budget through hard and unsound restarts.
+    trig = trig_suite()[0]
+    unsound = replace(trig, ruleset=Ruleset("trig-unsound", [
+        *trig.ruleset.rules, *parse_rule_line("drop-sin: (sin ?x) => ?x")]))
+    matmul = gen_matmul_chain(8, 1, 9, random.Random(4))
+    runs = []
+    for case in [*trig_suite(), *integration_suite(), *halide_suite(),
+                 unsound, matmul]:
+        cfg = replace(RunConfig(seed=3, max_proposals=2000),
+                      **(case.stochastic_overrides or {}))
+        validator = (EquivalenceValidator(case.input_term, seed=cfg.seed)
+                     if case.validate else None)
+        res = run_chain(case.input_term, case.ruleset,
+                        case.model_for("stochastic"), cfg, validator)
+        runs.append((case, res))
+
+    def term_side(*args):
+        raise AssertionError("replay left the compiled rewriters")
+
+    monkeypatch.setattr(rules, "apply_rule_at", term_side)
+    monkeypatch.setattr(rules, "match_pattern", term_side)
+    monkeypatch.setattr(stochastic, "match_pattern", term_side)
+    for case, res in runs:
+        assert replay_trace(case.input_term, case.ruleset,
+                            res.best_trace) == res.best_term, case.name
+    assert runs[-2][1].unsound_restarts > 0 and runs[-2][1].best_trace
+    assert runs[-1][1].best_trace  # the chain improved on its input
+    assert sum(res.hard_restarts for _, res in runs) > 0
+    assert any(rule == "fold" for _, res in runs for rule, _ in res.best_trace)
+
+
+def test_a_chain_whose_best_is_its_input_has_an_empty_path():
+    case = matmul_case_from_dims([2, 3, 4, 5])  # the input is optimal
+    res = run_chain(case.input_term, case.ruleset, case.cost_model,
+                    RunConfig(seed=1, max_steps=200))
+    assert res.steps == 200 and res.best_term == case.input_term
+    assert res.best_trace == []
 
 
 def test_replay_rejects_a_step_that_does_not_apply():

@@ -20,7 +20,8 @@ whether it did better in at least 90% of the pairs (9 of 10) and its
 median beats the base median by more than the base's interquartile
 range.  Host facts (nproc, Python version) and both revisions (the base
 SHA; HEAD's SHA, whether the tree differs from it, and a digest of each
-side's `src/`) identify what was measured.
+side's `src/`) identify what was measured; next to each digest stands the
+line count of that side's `src/rewrite_arena/`.
 """
 from __future__ import annotations
 
@@ -56,6 +57,11 @@ def src_digest(root: Path) -> str:
         h.update(str(path.relative_to(root)).encode())
         h.update(path.read_bytes())
     return h.hexdigest()[:12]
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(path.read_text().splitlines())
+               for path in (root / "src" / "rewrite_arena").rglob("*.py"))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -109,17 +115,19 @@ def main(argv=None) -> int:
                           f"wall_s {r['metrics']['wall_s']:.4g} "
                           f"signature {r['signature']}", flush=True)
         digests = {side: src_digest(root) for side, root in sides.items()}
+        lines = {side: src_lines(root) for side, root in sides.items()}
     finally:
         shutil.rmtree(tmp)
 
     report = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
-        "base": {"rev": args.base, "sha": base_sha, "src": digests["base"]},
+        "base": {"rev": args.base, "sha": base_sha, "src": digests["base"],
+                 "src_lines": lines["base"]},
         "change": {"head_sha": git("rev-parse", "HEAD"),
                    "differs_from_head": bool(git("status", "--porcelain",
                                                  "--", "src")),
-                   "src": digests["change"]},
+                   "src": digests["change"], "src_lines": lines["change"]},
         "seeds": args.seeds, "seconds": args.seconds, "workloads": {},
     }
     for workload, by_side in runs.items():
