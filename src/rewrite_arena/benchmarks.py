@@ -411,6 +411,8 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         stochastic_overrides=_overrides(spec, "stochastic_overrides"),
         eqsat_overrides=_overrides(spec, "eqsat_overrides"),
     )
+    if dims is not None and case.dims is None:
+        raise ValueError("dims are given, but no model is matmul_scalar_ops")
     models = {"cost": case.cost_model,
               "stochastic_cost": case.stochastic_cost_model}
     for field, model in models.items():

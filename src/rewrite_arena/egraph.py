@@ -15,7 +15,8 @@ side becomes nested loops over class nodes with op, arity and
 variable-equality tests that emit flat match tuples (root, v1, v2, ...);
 a rule's right-hand side becomes one loop over those tuples that builds
 it post-order, looking each e-node up in the hashcons before it makes a
-class, and unions it into the match's root.
+class, and unions it into the match's root.  A missed root e-node goes
+straight into the root's class, leaving the state such a union would.
 
 ematch and represents need a rebuilt graph and raise EGraphError on one
 with unions not yet repaired.  On a rebuilt graph each canonical e-node
@@ -127,12 +128,14 @@ class EGraph:
         cls = self.classes[cid] = EClass()
         cls.nodes[node] = None
         self.hashcons[node] = cid
-        constant = self._make_constant(node)
-        if constant is not None:
-            cls.constant = constant
-            # Rebuild materializes the literal, unless node already is it.
-            if len(node) > 1 or constant_term(constant).op is not node[0]:
-                self._dirty = True
+        # Only a leaf, or a node whose first child holds a constant, folds.
+        if len(node) == 1 or self.classes[node[1]].constant is not None:
+            constant = self._make_constant(node)
+            if constant is not None:
+                cls.constant = constant
+                # Rebuild materializes the literal, unless node already is it.
+                if len(node) > 1 or constant_term(constant).op is not node[0]:
+                    self._dirty = True
         return cid
 
     def add_term(self, t: Term) -> EClassId:
@@ -153,6 +156,7 @@ class EGraph:
         classes = self.classes
         ca, cb = classes[ra], classes[rb]
         # Deterministic leader: larger class wins, ties go to the lower id.
+        # _compile_applier relies on it: a fresh one-node class always loses.
         if (len(cb.nodes), -rb) > (len(ca.nodes), -ra):
             ra, rb = rb, ra
             ca, cb = cb, ca
@@ -177,18 +181,20 @@ class EGraph:
         Each pass scans every node under its canonical key, uniting
         congruent classes; re-keys each class's nodes canonically;
         recomputes analysis joins; and materializes literal nodes for
-        classes whose constant became known.  Re-keying also builds the
-        hashcons the next scan would build.  Unless that finds a canonical
-        node in two classes or the analysis or literal step changed
-        something, the next pass would unite nothing, so the hashcons is
-        adopted and the fixpoint ends.  Finds, unions and insertions keep
-        the order of the plain fixpoint, and so do leaders and node order.
+        classes whose constant became known (these two only while a class
+        holds a constant).  Re-keying also builds the hashcons the next
+        scan would build.  Unless that finds a canonical node in two
+        classes or the analysis or literal step changed something, the
+        next pass would unite nothing, so the hashcons is adopted and the
+        fixpoint ends.  Finds, unions and insertions keep the order of the
+        plain fixpoint, and so do leaders and node order.
         """
         if not self._dirty:
             return
         uf, find, union, canonicalize = (
             self._uf, self.find, self.union, self._canonicalize)
         classes = self.classes
+        folding = any(cls.constant is not None for cls in classes.values())
         while True:
             # Congruence scan: canonical keys, congruent classes merged.
             # Unions here join classes scanned so far, so a class is united
@@ -228,25 +234,23 @@ class EGraph:
             # Analysis pass: recompute joins bottom-up and materialize
             # constants as literal leaf nodes.
             changed = False
-            for cid, cls in classes.items():
-                for node in cls.nodes:
-                    constant = self._make_constant(node)
-                    if constant is not None and self._join_into(cid, constant):
+            if folding:
+                for cid, cls in classes.items():
+                    for node in cls.nodes:
+                        if self._join_into(cid, self._make_constant(node)):
+                            changed = True
+                for cid in list(classes.keys()):
+                    cls = classes.get(cid)
+                    if cls is None or cls.constant is None:
+                        continue
+                    lit = constant_term(cls.constant)
+                    owner = hashcons.get((lit.op,))
+                    if owner is None:
+                        union(self.add_enode(lit.op, []), cid)
                         changed = True
-            for cid in list(classes.keys()):
-                cls = classes.get(cid)
-                if cls is None or cls.constant is None:
-                    continue
-                lit = constant_term(cls.constant)
-                key = (lit.op,)
-                owner = hashcons.get(key)
-                if owner is None:
-                    lit_id = self.add_enode(lit.op, [])
-                    union(lit_id, cid)
-                    changed = True
-                elif find(owner) != find(cid):
-                    union(owner, cid)
-                    changed = True
+                    elif find(owner) != find(cid):
+                        union(owner, cid)
+                        changed = True
             if not changed and len(adopt) == held:
                 self.hashcons = adopt
                 break
@@ -409,12 +413,16 @@ def _compile_applier(names: tuple[str, ...], rhs: Term):
     build rhs post-order and union it into the root when they differ.
 
     A variable makes its class canonical once; an operator node looks its
-    e-node up in the hashcons and makes a new class only on a miss.
+    e-node up in the hashcons and makes a new class only on a miss.  A
+    missed root makes none, since that one-node class would lose union's
+    leader tie: its id is reserved, pointing at the root, to key the node,
+    which goes into the root's class with its constant, as one union.
     """
     env: dict[str, object] = {}
     slot = {name: f"v{i}" for i, name in enumerate(names)}
-    body = ["    uf, find, lookup, add_new, union = (",
-            "        g._uf, g.find, g.hashcons.get, g._add_new, g.union)",
+    body = ["    uf, find, add_new, union = g._uf, g.find, g._add_new, g.union",
+            "    hashcons, classes, join = g.hashcons, g.classes, g._join_into",
+            "    lookup, make_constant, added = hashcons.get, g._make_constant, 0",
             f"    for {', '.join(['r', *slot.values()])}, in hits:"]
     seen: set[str] = set()  # variables made canonical so far
     done: list[str] = []  # locals of the finished subpatterns, a stack
@@ -439,16 +447,27 @@ def _compile_applier(names: tuple[str, ...], rhs: Term):
             slots += 1
             body += [f"        node = ({', '.join([op, *kids])},)",
                      f"        {cid} = lookup(node)",
-                     f"        if {cid} is None:",
-                     f"            {cid} = add_new(node)",
-                     f"        elif uf[{cid}] != {cid}:",
+                     f"        if {cid} is None:"]
+            if p is not rhs:
+                body.append(f"            {cid} = add_new(node)")
+            else:  # the root: straight into r's class, as the docstring says
+                folds = (f"if classes[{kids[0]}].constant is not None: "
+                         if kids else "")
+                body += ["            if uf[r] != r:", "                r = find(r)",
+                         "            hashcons[node] = len(uf); uf.append(r)",
+                         "            classes[r].nodes[node] = None",
+                         f"            {folds}join(r, make_constant(node))",
+                         "            added += 1", "            continue"]
+            body += [f"        elif uf[{cid}] != {cid}:",
                      f"            {cid} = find({cid})"]
             done.append(cid)
         else:
             stack.append((p, True))
             stack.extend((c, False) for c in reversed(p.children))
     body += ["        if uf[r] != r:", "            r = find(r)",
-             f"        if r != {done[0]}:", f"            union(r, {done[0]})"]
+             f"        if r != {done[0]}:", f"            union(r, {done[0]})",
+             "    if added:", "        g.union_count += added",
+             "        g._dirty = True"]
     return _define(print_sexpr(rhs), "apply", "g, hits", body, env)
 
 

@@ -12,6 +12,7 @@ deadline.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from bisect import bisect_right
@@ -373,20 +374,25 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     Per-chain seeds derive deterministically from cfg.seed and the chain
     index, so results do not depend on worker scheduling.  Every chain
     stops at the one deadline.  Ties are broken by the lowest chain index.
+    Without a deadline, at most one process runs per usable CPU.
     """
     started = time.monotonic()
     n_chains = cfg.chains
     tasks = [(t0, ruleset, model, cfg, validator, i, deadline, target_cost)
              for i in range(n_chains)]
+    processes = min(cfg.workers, n_chains)
+    if deadline is None:  # else a queued chain would start past it
+        processes = min(processes, len(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else os.cpu_count() or 1)
 
-    if cfg.workers == 1 or n_chains == 1:
+    if processes == 1:
         results = [_chain_task(task) for task in tasks]
     else:
         import multiprocessing as mp
 
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, n_chains),
+        with ProcessPoolExecutor(max_workers=processes,
                                  mp_context=ctx) as pool:
             results = list(pool.map(_chain_task, tasks))
 

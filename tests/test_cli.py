@@ -329,6 +329,16 @@ def test_suite_oracle_off_the_chain_optimum_exits_2(tmp_path, capsys):
                    capsys, "matmul-3-1", "oracle 1 is not")
 
 
+def test_suite_dims_that_no_model_reads_exits_2(tmp_path, capsys):
+    # With its model set to ast_size, matmul-3-1 kept the chain's oracle,
+    # dropped its dims and ran to ratio 384.0.
+    def unread(spec):
+        spec["cost"] = {"model": "ast_size"}
+
+    _bench_rejects(_write_suite(tmp_path, unread), capsys, "matmul-3-1",
+                   "dims are given, but no model is matmul")
+
+
 def test_suite_goal_indicator_off_the_criterion_goal_exits_2(tmp_path,
                                                              capsys):
     # With its model's goal set to its input, needle-3's early-exit target
@@ -455,7 +465,10 @@ def test_pulsing_a_case_without_per_node_costs_exits_2(capsys, monkeypatch):
 def test_extracting_a_case_without_per_node_costs_exits_2(tmp_path, capsys,
                                                           monkeypatch):
     def goal_cost(spec):
+        # Dims and oracle go too: no model would read them, and that fails
+        # the load before the engine check runs.
         spec["cost"] = {"model": "goal_indicator", "goal": spec["input"]}
+        del spec["dims"], spec["oracle"]
 
     path = _write_suite(tmp_path, goal_cost)
     _no_case_may_run(monkeypatch)

@@ -936,6 +936,72 @@ def test_applier_equals_dict_reference(seed, n_terms, name, iterations,
         assert _graph_state(g) == _graph_state(ref)
 
 
+def test_applier_equals_dict_reference_on_a_long_chain():
+    # The sweep above stops at 1,500 nodes; the golden matmul-12 chain
+    # puts hundreds of missed right-hand-side roots straight into their
+    # match's class in each of its later iterations.
+    g = EGraph()
+    g.add_term(_golden_matmul().input_term)
+    g.rebuild()
+    ref = g.copy()
+    schedulers = [BackoffScheduler() for _ in range(2)]
+    for k in range(len(GOLDEN_ROWS["matmul-12"][1])):
+        got = run_iteration(g, assoc_ruleset(), schedulers[0], k)
+        want = _dict_iteration(ref, assoc_ruleset(), schedulers[1], k)
+        assert got == want
+        assert _graph_state(g) == _graph_state(ref)
+
+
+@pytest.mark.parametrize("term, rule, contradiction", [
+    ("(+ 1 2)", "zero: (+ ?a ?b) => 0", True),
+    ("(+ 1 2)", "times: (+ ?a ?b) => (* ?a ?b)", True),
+    ("(- x x)", "cancel: (- ?a ?a) => 0", False),
+    ("(f x)", "three: (f ?a) => (+ 1 2)", False),
+])
+def test_applier_root_joins_its_constant(term, rule, contradiction):
+    # No right-hand side's root is in the graph, so each goes straight
+    # into its match's class, which must then hold what a union would
+    # leave, before the rebuild as after it.  (+ 1 2) folds to 3, which
+    # the root's 0, or the 2 that (* 1 2) folds to, contradicts.  The
+    # classes of (- x x) and (f x) hold no constant until the root's joins
+    # them; with none in the graph, rebuild runs no analysis at all.
+    ruleset = parse_ruleset(rule, name="roots")
+    g = EGraph()
+    root = g.add_term(P(term))
+    g.rebuild()
+    ref = g.copy()
+    (lies,) = ruleset.rules
+    g.add_instantiated(lies, g.ematch(lies.lhs))
+    for subst, cid in [(subst, cid) for cid in ref.classes
+                       for subst in _dict_matches(ref, lies.lhs, cid, {})]:
+        ref.union(cid, _dict_instantiate(ref, lies.rhs, subst, {}))
+    assert g.classes[g.find(root)].constant is not None
+    assert _graph_state(g) == _graph_state(ref)
+    g.rebuild()
+    ref.rebuild()
+    assert _graph_state(g) == _graph_state(ref)
+    assert g.contradiction == contradiction
+
+
+def test_extract_reads_stale_children_through_find():
+    # y's class leads the union (a tie, and the lower id), so the node
+    # (f (g (h x))) keeps a stale child until a rebuild.
+    g = EGraph()
+    y = g.add_term(P("y"))
+    root = g.add_term(P("(f (g (h x)))"))
+    inner = g.add_term(P("(g (h x))"))
+    g.union(inner, y)
+    assert g.find(inner) == y and g._dirty
+    size = AstSize()
+    term, cost = extract(g, root, size)
+    enumerated = sorted(_enumerate_terms(g, root, depth=4), key=size.cost)
+    assert size.cost(enumerated[0]) < size.cost(enumerated[1])
+    assert (term, cost) == (enumerated[0], size.cost(enumerated[0]))
+    assert term == P("(f y)")
+    g.rebuild()
+    assert g.represents(root, term)
+
+
 # ---------------------------------------------------------------------------
 # The one-pass rebuild against the plain fixpoint it replaced.
 

@@ -367,6 +367,19 @@ def test_compiled_patterns_are_cached_on_the_pattern():
     assert rhs._memo["rules.builder"] is builder
 
 
+def test_equal_patterns_share_compiled_code_but_not_functions():
+    # A suite rebuilds its rules for each case: equal sources compile once,
+    # and each function still binds its own pattern's operators.
+    first, second = P("(- ?a (tan ?b))"), P("(- ?a (tan ?b))")
+    assert first is not second
+    assert match_pattern(first, P("(- x (tan y))")) == {"?a": P("x"),
+                                                          "?b": P("y")}
+    assert match_pattern(second, P("(- x (sin y))")) is None
+    one, other = first._memo["rules.matcher"], second._memo["rules.matcher"]
+    assert one is not other and one.__code__ is other.__code__
+    assert one.__globals__ is not other.__globals__
+
+
 def test_compiled_patterns_handle_deep_patterns():
     # Generated code stays flat: a nested expression would stop compiling
     # at about 100 levels (Python caps nesting at 200 parentheses).

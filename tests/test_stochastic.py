@@ -388,6 +388,63 @@ def test_search_parallel_equals_sequential():
     assert [r.best_cost for r in seq.chains] == [r.best_cost for r in par.chains]
 
 
+@pytest.mark.parametrize("cpus, affinity, want", [
+    (8, {0, 1}, [2]),  # 8 workers on 2 usable CPUs: 2 processes
+    (8, {0, 1, 2, 3}, [3]),  # 3 chains need no more than 3
+    (1, None, []),  # no affinity mask: os.cpu_count(), 1, runs in-process
+])
+def test_search_starts_at_most_one_process_per_usable_cpu(monkeypatch, cpus,
+                                                          affinity, want):
+    started = []
+
+    class Recording:
+        """The pool's interface, run in-process; records its size."""
+
+        def __init__(self, max_workers, mp_context):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(stochastic, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(stochastic.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(stochastic.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(stochastic.os, "sched_getaffinity",
+                            lambda pid: affinity, raising=False)
+    case = gen_matmul_chain(5, 1, 9, random.Random(30))
+    par, seq = [search(case.input_term, case.ruleset, case.cost_model,
+                       RunConfig(workers=workers, budget=3, seed=11,
+                                 max_steps=150))
+                for workers in (8, 1)]
+    assert started == want
+    assert (par.best_term, par.best_cost, par.steps, par.proposals) == \
+        (seq.best_term, seq.best_cost, seq.steps, seq.proposals)
+    assert [r.best_cost for r in par.chains] == \
+        [r.best_cost for r in seq.chains]
+
+
+def test_search_under_a_deadline_gives_every_chain_a_process(monkeypatch):
+    # One usable CPU would cap the pool at one process, and chains queued
+    # behind it would start after the deadline and make no proposal.
+    monkeypatch.setattr(stochastic.os, "sched_getaffinity",
+                        lambda pid: {0}, raising=False)
+    monkeypatch.setattr(stochastic.os, "cpu_count", lambda: 1)
+    case = gen_matmul_chain(8, 1, 15, random.Random(31))
+    res = search(case.input_term, case.ruleset, case.cost_model,
+                 RunConfig(workers=3, budget=3, seed=4),
+                 deadline=time.monotonic() + 1.5)
+    assert [r.chain_index for r in res.chains] == [0, 1, 2]
+    assert all(r.proposals > 0 for r in res.chains)
+
+
 def test_search_returns_minimum_over_chains():
     case = gen_matmul_chain(8, 1, 15, random.Random(44))
     cfg = RunConfig(workers=1, budget=4, seed=2, max_steps=120)

@@ -18,10 +18,14 @@ warning is printed for each such workload).  Per metric it holds the
 number of pairs in which the working tree did better, and `claim_met`:
 whether it did better in at least 90% of the pairs (9 of 10) and its
 median beats the base median by more than the base's interquartile
-range.  Host facts (nproc, Python version) and both revisions (the base
-SHA; HEAD's SHA, whether the tree differs from it, and a digest of each
-side's `src/`) identify what was measured; next to each digest stands the
-line count of that side's `src/rewrite_arena/`.
+range, and `worse`: whether its median is worse than the base median by
+more than that range.  Host facts (nproc, Python version) and both
+revisions (the base SHA; HEAD's SHA, whether the tree differs from it, and
+a digest of each side's `src/`) identify what was measured; next to each
+digest stands the line count of that side's `src/rewrite_arena/`.
+
+The exit status is 1, after the report is written, when any pair's
+signatures differ or any run reports answer-check problems; else 0.
 """
 from __future__ import annotations
 
@@ -151,18 +155,26 @@ def main(argv=None) -> int:
             n: sum((c["metrics"][n] < b["metrics"][n]) == (better == "lower")
                    and c["metrics"][n] != b["metrics"][n] for b, c in pairs)
             for n, better in metrics}
-        entry["claim_met"] = {}
+        entry["claim_met"], entry["worse"] = {}, {}
         for n, better in metrics:
             base = entry["base"]["metrics"][n]
             change = entry["change"]["metrics"][n]
             sign = 1 if better == "higher" else -1
             gain = sign * (change["median"] - base["median"])
+            spread = base["q3"] - base["q1"]
             entry["claim_met"][n] = (
                 entry["change_better_pairs"][n] >= 0.9 * len(pairs)
-                and gain > base["q3"] - base["q1"])
+                and gain > spread)
+            entry["worse"][n] = -gain > spread
         report["workloads"][workload] = entry
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    failed = [w for w, e in report["workloads"].items()
+              if e["signature_mismatch_seeds"] or e["base"]["problems"]
+              or e["change"]["problems"]]
+    if failed:
+        print(f"error: signatures differ or answer checks failed on "
+              f"{', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
