@@ -374,7 +374,7 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     if rules_field:
         rules = [r for line in rules_field for r in parse_rule_line(line)]
         ruleset = Ruleset(spec.get("ruleset", "custom"), rules,
-                          fold_constants=bool(spec.get("fold_constants")))
+                          fold_constants=_flag(spec, "fold_constants"))
     else:
         ruleset = builtin_ruleset(spec["ruleset"])
     crit_spec = spec["criterion"]
@@ -389,7 +389,8 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
     time_limit = spec.get("time_limit", 10.0)
-    time_limit = None if time_limit is None else float(time_limit)
+    if time_limit is not None:
+        time_limit = float(_finite(time_limit, "time_limit"))
     check_time_limit(time_limit)
     dims = None
     if "dims" in spec:
@@ -405,8 +406,8 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         stochastic_cost_model=(model_from_spec(spec["stochastic_cost"])
                                if "stochastic_cost" in spec else None),
         intended=parse_sexpr(spec["intended"]) if "intended" in spec else None,
-        validate=bool(spec.get("validate")),
-        checkpointing=bool(spec.get("checkpointing")),
+        validate=_flag(spec, "validate"),
+        checkpointing=_flag(spec, "checkpointing"),
         time_limit=time_limit,
         stochastic_overrides=_overrides(spec, "stochastic_overrides"),
         eqsat_overrides=_overrides(spec, "eqsat_overrides"),
@@ -452,6 +453,13 @@ def _may_cost_below_zero(model: CostModel) -> bool:
     # Of the models a spec names, only a negative weight costs below 0.
     return (isinstance(model, WeightedAstSize)
             and any(w < 0 for w in model.weights.values()))
+
+
+def _flag(spec: dict, key: str) -> bool:
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _finite(value, what: str):

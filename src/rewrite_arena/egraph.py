@@ -9,8 +9,8 @@ one shows it would unite nothing.
 
 E-matching and application follow egg's compiled patterns: each side of
 a rule compiles once to generated straight-line Python, kept in the
-pattern term's memo, through the same compile-once helpers that build the
-stochastic engine's term matchers and builders in rules.py.  A left-hand
+pattern term's memo by _compiled and exec-ed through rules._define, which
+also builds the stochastic engine's rewriters.  A left-hand
 side becomes nested loops over class nodes with op, arity and
 variable-equality tests that emit flat match tuples (root, v1, v2, ...);
 a rule's right-hand side becomes one loop over those tuples that builds
@@ -36,7 +36,6 @@ from .costs import CostModel
 from .rules import (
     Rule,
     Ruleset,
-    _compiled,
     _define,
     constant_term,
     fold_node,
@@ -331,15 +330,21 @@ class EGraph:
 
 
 # ---------------------------------------------------------------------------
-# Compiled patterns.  Each side of a rule compiles once, through the helpers
-# rules.py uses for concrete terms, to a straight-line Python function kept
-# in the pattern term's own memo.
+# Compiled patterns.  Each side of a rule compiles once, through rules._define,
+# to a straight-line Python function kept in the pattern term's own memo.
 
 _MATCHER = "egraph.matcher"
 _APPLIER = "egraph.applier"
 
 # Python allows 20 nested loops: one over classes, one per operator node.
 MAX_PATTERN_OPERATORS = 19
+
+
+def _compiled(pattern: Term, key, compile_function):
+    memo = pattern._memo = pattern._memo or {}
+    if key not in memo:
+        memo[key] = compile_function(pattern)
+    return memo[key]
 
 
 def matcher(pattern: Term):

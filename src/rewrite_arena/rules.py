@@ -7,15 +7,13 @@ the bound subterm folds to (constant_of, memoized on the term's nodes).
 One-step rewrites of a term are enumerated in stochastic.py, which also
 holds the `proposals` view.
 
-Patterns are compiled, as egg compiles them, to straight-line Python
-generated on first use.  A matcher tests op identity node by node (a
-literal's value lives on its interned symbol) and binds or compares
-variables; a builder constructs a right-hand side in post-order, each node
-inline with its hash, not through Term.__init__.  From the same two
-emitters a Ruleset compiles, per root operator, one rewriter that runs
-every rule that can match there; candidate enumeration calls it at each
-position.  match_pattern and instantiate run one pattern's matcher or
-builder.  The e-graph compiles through the same helpers.
+A Ruleset compiles, as egg compiles patterns, one rewriter per root
+operator: straight-line Python, generated on first use, that runs every
+rule that can match there (testing op identity node by node, building
+each right-hand-side node inline with its hash), then, if the ruleset
+folds, constant folding.  Every term-side rewrite of the stochastic engine
+goes through it.  match_pattern, instantiate and apply_rule_at are plain
+interpreters that share no code with it: the tests' reference.
 """
 from __future__ import annotations
 
@@ -30,6 +28,7 @@ from .terms import (
     Position,
     number,
     parse_sexpr,
+    positions,
     postorder,
     print_sexpr,
     replace_at,
@@ -62,36 +61,51 @@ def match_pattern(p: Term, t: Term) -> Substitution | None:
     """Match p against t at the root; returns bindings or None.
 
     Non-linear patterns (a variable occurring twice) require structurally
-    equal bindings.
+    equal bindings.  Variables bind in the rewriters' order: root first,
+    then children last to first.
     """
-    return _compiled(p, _MATCHER, _compile_matcher)(t)
+    subst: Substitution = {}
+    stack = [(p, t)]
+    while stack:
+        pp, tt = stack.pop()
+        if is_pattern_var(pp):
+            name = pp.op.name
+            if name not in subst:
+                subst[name] = tt
+            elif subst[name] != tt:
+                return None
+        elif pp.op is not tt.op:
+            return None
+        else:
+            stack.extend(zip(pp.children, tt.children))
+    return subst
 
 
 def instantiate(p: Term, subst: Substitution) -> Term:
-    """p with each pattern variable replaced by its binding in subst."""
-    return _compiled(p, _BUILDER, _compile_builder)(subst)
+    """p with each pattern variable replaced by its binding in subst; a
+    literal leaf is the pattern's own leaf.  UnboundVariableError names
+    the first missing variable, left to right."""
+    for _, n in positions(p):
+        if is_pattern_var(n) and n.op.name not in subst:
+            raise UnboundVariableError(f"unbound pattern variable {n.op.name}")
+    built: dict[int, Term] = {}
+    for n in postorder(p):
+        if n.children:
+            built[id(n)] = Term(n.op, tuple([built[id(c)] for c in n.children]))
+        else:
+            built[id(n)] = subst[n.op.name] if is_pattern_var(n) else n
+    return built[id(p)]
 
 
 # ---------------------------------------------------------------------------
-# Compiled patterns.  Code is generated as source, exec-ed once on first use
-# and kept by what it serves: a pattern term's own memo for one pattern's
-# matcher or builder, the Ruleset for its per-root rewriters.  The e-graph
-# compiles its e-matchers and appliers through _compiled and _define too.
-# Suites rebuild equal rules case after case, so equal sources compile once.
+# Compiled rewriters, exec-ed once on first use and kept by the Ruleset.  The
+# e-graph compiles its e-matchers and appliers through _define too.  Suites
+# rebuild equal rules case after case, so equal sources compile once.
 
-_MATCHER = "rules.matcher"
-_BUILDER = "rules.builder"
+# The rule name a constant-folding step is proposed and traced under.
+FOLD_RULE_NAME = "fold"
+
 _compile = lru_cache(maxsize=4096)(compile)
-
-
-def _compiled(pattern: Term, key: str, compile_function):
-    memo = pattern._memo
-    if memo is None:
-        memo = pattern._memo = {}
-    function = memo.get(key)
-    if function is None:
-        function = memo[key] = compile_function(pattern)
-    return function
 
 
 def _define(label: str, name: str, params: str, body: list[str], env: dict):
@@ -105,16 +119,16 @@ def _define(label: str, name: str, params: str, body: list[str], env: dict):
 
 
 def _emit_match(pattern: Term, env: dict, bound: dict[str, str],
-                body: list[str], kids: list[str] | None = None) -> None:
+                body: list[str], kids: list[str]) -> None:
     """Append to body, inside a `while True:`, the tests that match pattern
-    at local t0 and `break` on failure.  An operator or literal node tests
-    op identity, then unpacks its subterm's children; a variable's first
-    occurrence binds its subterm in `bound`, each later one compares with
-    `!=`.  Nodes go root first, then children last to first.  Given `kids`,
-    t0's op is taken as tested and its children as unpacked there.
+    at local t0 and `break` on failure.  t0's op is taken as tested and its
+    children as unpacked into `kids`.  Below it an operator or literal node
+    tests op identity, then unpacks its subterm's children; a variable's
+    first occurrence binds its subterm in `bound`, each later one compares
+    with `!=`.  Nodes go root first, then children last to first.
     """
     slots = 1  # locals t1, t2, ... hold the subterms under pattern nodes
-    stack = ([(pattern, "t0")] if kids is None or is_pattern_var(pattern)
+    stack = ([(pattern, "t0")] if is_pattern_var(pattern)
              else list(zip(pattern.children, kids)))
     while stack:
         p, t = stack.pop()
@@ -138,8 +152,8 @@ def _emit_match(pattern: Term, env: dict, bound: dict[str, str],
 def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
                 body: list[str]) -> str:
     """Append to body the lines that build pattern in post-order; return
-    its local.  A variable is read from its local in `bound` (one missing
-    gets a new local there); a literal leaf is the pattern's own leaf.
+    its local.  A variable is read from its local in `bound`; a literal
+    leaf is the pattern's own leaf.
 
     Each node is built inline, without a call to Term.__init__: a new
     Term gets its four slots, with the hash that __init__ would compute.
@@ -153,11 +167,7 @@ def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
     while stack:
         p, expanded = stack.pop()
         if is_pattern_var(p):
-            name = p.op.name
-            if name not in bound:
-                bound[name] = f"c{slots}"
-                slots += 1
-            done.append(bound[name])
+            done.append(bound[p.op.name])
         elif not p.children:
             # A ground leaf root makes a cycle (term, memo, function,
             # globals, term) that only the cyclic collector frees.
@@ -185,39 +195,9 @@ def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
     return done[0]
 
 
-def _compile_matcher(pattern: Term):
-    """`match(t0)`: the substitution matching the pattern at t0, or None."""
-    env: dict[str, object] = {}
-    body = ["    while True:"]
-    bound: dict[str, str] = {}
-    _emit_match(pattern, env, bound, body)
-    subst = ", ".join(f"{name!r}: {t}" for name, t in bound.items())
-    body.append(f"        return {{{subst}}}")
-    return _define(print_sexpr(pattern), "match", "t0", body, env)
-
-
-def _compile_builder(pattern: Term):
-    """`build(subst)`: the pattern with its variables replaced.
-
-    Each variable loads its binding once, before anything is built, so
-    the first missing one raises UnboundVariableError.
-    """
-    env: dict[str, object] = {"UnboundVariableError": UnboundVariableError}
-    bound: dict[str, str] = {}
-    builds: list[str] = []
-    result = _emit_build(pattern, env, bound, builds)
-    return _define(print_sexpr(pattern), "build", "subst", [
-        "    try:", *[f"        {t} = subst[{name!r}]"
-                     for name, t in bound.items()],
-        *builds, f"        return {result}",
-        "    except KeyError as missing:",
-        "        raise UnboundVariableError(",
-        "            f'unbound pattern variable {missing.args[0]}') from None"],
-        env)
-
-
-def _compile_rewriter(rules: tuple[Rule, ...], label: str):
-    """`rewrite(t0)`: [(rule name, rewritten t0), ...] over rules, in order.
+def _compile_rewriter(rules: tuple[Rule, ...], label: str, fold: bool):
+    """`rewrite(t0)`: [(rule name, rewritten t0), ...] over rules, in order,
+    then (FOLD_RULE_NAME, literal) when `fold` and t0 folds to a literal.
 
     rules share t0's root operator (Ruleset.rules_for_root), so it is not
     tested and its children are unpacked once.  Each rule is one block:
@@ -241,6 +221,14 @@ def _compile_rewriter(rules: tuple[Rule, ...], label: str):
         result = _emit_build(rule.rhs, env, bound, body)
         body += [f"        out.append(({rule.name!r}, {result}))",
                  "        break"]
+    if fold:
+        # Last, as constant names number env.  Roots with equal rules share
+        # one rewriter, so t0's op is read at run time.
+        env["fold_step"] = fold_step
+        body += ["    if t0.children:",
+                 "        folded = fold_step(t0.op.name, t0.children)",
+                 "        if folded is not None:",
+                 f"            out.append(({FOLD_RULE_NAME!r}, folded))"]
     body.append("    return out")
     return _define(label, "rewrite", "t0", body, env)
 
@@ -416,13 +404,14 @@ class Ruleset:
 
     def rewriter(self, op_name: str):
         """The compiled `rewrite(t)` for a term t headed by op_name: the
-        results of rules_for_root(op_name) at t, as [(rule name, term),
-        ...].  Roots with the same rules share one function."""
+        results of rules_for_root(op_name), then any fold, at t, as
+        [(rule name, term), ...].  Roots with the same rules share one."""
         rewrite = self._rewriters.get(op_name)
         if rewrite is None:
             rules = self.rules_for_root(op_name)
             rewrite = self._by_rules.get(rules) or _compile_rewriter(
-                rules, f"rewrites of {op_name} in {self.name}")
+                rules, f"rewrites of {op_name} in {self.name}",
+                self.fold_constants)
             self._rewriters[op_name] = self._by_rules[rules] = rewrite
         return rewrite
 

@@ -26,7 +26,7 @@ from .egraph import (
 )
 from .equivalence import EquivalenceValidator
 from .rules import Ruleset
-from .stochastic import RunConfig, search
+from .stochastic import RunConfig, check_number_fields, search
 from .terms import TRUE, Term, print_sexpr
 
 
@@ -39,6 +39,7 @@ class EqsatConfig:
     ban_length: int = 5
 
     def __post_init__(self):
+        check_number_fields(self)
         if min(self.iterations, self.nodes, self.match_limit,
                self.ban_length) < 0:
             raise ValueError("iteration, node, match and ban limits must "

@@ -2,12 +2,13 @@
 
 Each chain walks over concrete terms: the candidate set is every one-step
 rewrite of the current term, found at each position by the ruleset's
-compiled rewriter for that root operator, and a successor is drawn with
-probability proportional to exp(-beta/2 * (C(t') - C(t))).  A periodic exploration
-phase sets beta to 0; a chain that stops improving for too long either
-ends (when it has no other budget) or hard-restarts from the initial term.
-Chains are fully independent, so parallel runs share nothing but a
-deadline.
+compiled rewriter for that root operator (its rules, then any constant
+fold), the one term-side rewrite path, which trace replay runs too.  A
+successor is drawn with probability proportional to
+exp(-beta/2 * (C(t') - C(t))).  A periodic exploration phase sets beta to
+0; a chain that stops improving for too long either ends (when it has no
+other budget) or hard-restarts from the initial term.  Chains are fully
+independent, so parallel runs share nothing but a deadline.
 """
 from __future__ import annotations
 
@@ -17,24 +18,21 @@ import random
 import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import NamedTuple
 
 from .costs import CostModel
 from .equivalence import Inequivalent
 from .rules import (
+    FOLD_RULE_NAME,
     Ruleset,
-    fold_step,
     instantiate,  # noqa: F401 -- unused here, but perfbench's tracer
     match_pattern,  # noqa: F401 -- wraps these two names in this module
 )
 from .terms import Term, Position, replace_at, subterm_at
 
 _M64 = (1 << 64) - 1
-
-# The rule name a constant-folding step is proposed and traced under.
-FOLD_RULE_NAME = "fold"
 
 # A chain with a validator checks every this many accepted steps.
 VALIDATE_EVERY = 25
@@ -49,6 +47,19 @@ def check_time_limit(limit: float | None) -> None:
     if limit is not None and not (math.isfinite(limit) and limit >= 0):
         raise ValueError(f"time_limit must be finite and not negative, "
                          f"got {limit}")
+
+
+def check_number_fields(config) -> None:
+    """Reject a config dataclass's int or float field that holds a bool or
+    no number of its type; None passes where the field may be None."""
+    numbers = {"int": (int,), "float": (int, float)}  # by type(): bool is int
+    for f in fields(config):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if kind in numbers and type(value) not in numbers[kind] and not (
+                value is None and optional == "None"):
+            what = "an integer" if kind == "int" else "a number"
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,7 @@ class RunConfig:
     max_proposals: int | None = None
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.explore > self.n_soft:
             raise ValueError("explore phase cannot exceed the soft-restart period")
         if self.n_soft < 1 or self.n_hard < 1 or self.workers < 1:
@@ -186,16 +198,15 @@ def _result_key(pos: Position, old_sub: Term, new_sub: Term):
 def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
     """All one-step rewrites of t, deduplicated by result: the one enumerator.
 
-    Order is position-major (preorder, as terms.positions), rule-minor
-    (ruleset order, then constant folding), first occurrence kept, identity
-    excluded.  A candidate is kept when its _result_key is new, so no
-    result term is built or hashed.  Leaves below the root are visited
-    only when some rule's LHS is a leaf.
+    Order is position-major (preorder, as terms.positions), then the
+    rewriter's (ruleset order, then constant folding), first occurrence
+    kept, identity excluded.  A candidate is kept when its _result_key is
+    new, so no result term is built or hashed.  Leaves below the root are
+    visited only when some rule's LHS is a leaf.
     """
     out: list[_Candidate] = []
     seen: set = set()
     rewriters = ruleset._rewriters
-    fold = ruleset.fold_constants
     leaves = ruleset.rewrites_leaves  # a leaf never folds
     stack: list[tuple[Position, Term]] = [((), t)]
     while stack:
@@ -211,14 +222,6 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
             seen.add(key)
             if len(seen) > n:
                 out.append(_Candidate(rule, pos, sub, new_sub))
-        if fold and kids:
-            # A fold turns a node with children into a leaf, never itself.
-            new_sub = fold_step(sub.op.name, kids)
-            if new_sub is not None:
-                n = len(seen)
-                seen.add((pos, new_sub))
-                if len(seen) > n:
-                    out.append(_Candidate(FOLD_RULE_NAME, pos, sub, new_sub))
         for idx in range(len(kids) - 1, -1, -1):
             if leaves or kids[idx].children:
                 stack.append((pos + (idx,), kids[idx]))
@@ -412,19 +415,18 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
 
 def replay_trace(t0: Term, ruleset: Ruleset, trace: list[tuple[str, Position]]) -> Term:
     """Re-apply a (rule, position) path, such as a chain's best_trace,
-    through the ruleset's compiled rewriters: the code the chain ran."""
+    through the ruleset's compiled rewriters: the code the chain ran.
+    A folding ruleset also accepts FOLD_RULE_NAME steps."""
     names = {r.name for r in ruleset.rules}
+    if ruleset.fold_constants:
+        names.add(FOLD_RULE_NAME)
     t = t0
     for rule_name, pos in trace:
         sub = subterm_at(t, pos)
-        if rule_name == FOLD_RULE_NAME and ruleset.fold_constants:
-            new_sub = (fold_step(sub.op.name, sub.children)
-                       if sub.children else None)
-        elif rule_name in names:
-            new_sub = dict(ruleset.rewriter(sub.op.name)(sub)).get(rule_name)
-        else:
+        if rule_name not in names:
             raise ValueError(f"rule {rule_name!r} is not in ruleset "
                              f"{ruleset.name!r}")
+        new_sub = dict(ruleset.rewriter(sub.op.name)(sub)).get(rule_name)
         if new_sub is None:
             raise ValueError(f"rule {rule_name!r} no longer applies at {pos}")
         t = replace_at(t, pos, new_sub)

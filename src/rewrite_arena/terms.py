@@ -274,39 +274,31 @@ def print_sexpr(t: Term) -> str:
     return "".join(buf)
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
-    cur = t
+def _path(t: Term, pos: Position) -> list[Term]:
+    """The nodes from t down to the subterm at pos, both included."""
+    path = [t]
     for depth, idx in enumerate(pos):
+        cur = path[-1]
         if idx < 0 or idx >= len(cur.children):
             raise InvalidPositionError(
                 f"position {pos} invalid at depth {depth}: node {cur.op.name!r} "
                 f"has {len(cur.children)} children"
             )
-        cur = cur.children[idx]
-    return cur
+        path.append(cur.children[idx])
+    return path
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _path(t, pos)[-1]
 
 
 def replace_at(t: Term, pos: Position, s: Term) -> Term:
     """New term equal to t except the subtree at pos is s."""
-    if not pos:
-        return s
-    spine: list[Term] = [t]
-    cur = t
-    for depth, idx in enumerate(pos):
-        if idx < 0 or idx >= len(cur.children):
-            raise InvalidPositionError(
-                f"position {pos} invalid at depth {depth}: node {cur.op.name!r} "
-                f"has {len(cur.children)} children"
-            )
-        cur = cur.children[idx]
-        spine.append(cur)
-    new = s
+    path = _path(t, pos)
     for depth in range(len(pos) - 1, -1, -1):
-        parent = spine[depth]
-        idx = pos[depth]
-        kids = parent.children[:idx] + (new,) + parent.children[idx + 1:]
-        new = Term(parent.op, kids)
-    return new
+        kids, idx = path[depth].children, pos[depth]
+        s = Term(path[depth].op, kids[:idx] + (s,) + kids[idx + 1:])
+    return s
 
 
 def node_count(t: Term) -> int:

@@ -293,6 +293,34 @@ def _write_suite(tmp_path, mutate):
      "criterion value -1 is below 0, which the cost model never costs"),
     (lambda spec: spec["dims"].update(A2=[7, 7]),
      "dims of 'A2' are (7, 7), but the cost model has"),
+    # These loaded as True, or (the string "5") as 5.0.
+    (lambda spec: spec.update(checkpointing="false"),
+     "checkpointing must be true or false, got 'false'"),
+    (lambda spec: spec.update(validate="no"),
+     "validate must be true or false, got 'no'"),
+    (lambda spec: spec.update(
+        rules=["assoc: (* (* ?a ?b) ?c) <=> (* ?a (* ?b ?c))"],
+        fold_constants="false"),
+     "fold_constants must be true or false, got 'false'"),
+    (lambda spec: spec.update(time_limit="5"),
+     "time_limit must be a finite number, got '5'"),
+    # The first two ran into an internal error, the others ran as given.
+    (lambda spec: spec.update(stochastic_overrides={"budget": 1.5}),
+     "budget must be an integer, got 1.5"),
+    (lambda spec: spec.update(stochastic_overrides={"seed": "x"}),
+     "seed must be an integer, got 'x'"),
+    (lambda spec: spec.update(stochastic_overrides={"max_steps": 10.5}),
+     "max_steps must be an integer, got 10.5"),
+    (lambda spec: spec.update(stochastic_overrides={"workers": True}),
+     "workers must be an integer, got True"),
+    (lambda spec: spec.update(stochastic_overrides={"beta": True}),
+     "beta must be a number, got True"),
+    (lambda spec: spec.update(eqsat_overrides={"iterations": 2.5}),
+     "iterations must be an integer, got 2.5"),
+    (lambda spec: spec.update(eqsat_overrides={"nodes": 1e9}),
+     "nodes must be an integer, got 1000000000.0"),
+    (lambda spec: spec.update(eqsat_overrides={"pulse_iterations": 1.5}),
+     "pulse_iterations must be an integer, got 1.5"),
 ])
 def test_malformed_suite_case_exits_2_naming_it(tmp_path, capsys, mutate,
                                                 detail):

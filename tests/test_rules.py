@@ -25,6 +25,7 @@ from rewrite_arena.rules import (
     pattern_vars,
 )
 from rewrite_arena.costs import AstSize, MatMulScalarOps
+from rewrite_arena.egraph import EGraph, matcher
 from rewrite_arena.rulesets import assoc_ruleset, builtin_ruleset, trig_ruleset
 from rewrite_arena.terms import (Term, leaf, number, positions, replace_at,
                                  term)
@@ -60,6 +61,10 @@ def test_instantiate_examples():
         == P("(/ 1 (/ 2 x))")
     with pytest.raises(UnboundVariableError):
         instantiate(P("(sin ?q)"), {})
+    # The first missing variable, left to right, is the one named.
+    with pytest.raises(UnboundVariableError) as error:
+        instantiate(P("(+ (* ?c ?a) (+ ?b ?a))"), {"?c": P("x")})
+    assert str(error.value) == "unbound pattern variable ?a"
 
 
 def test_instantiate_inverts_match_property():
@@ -217,40 +222,8 @@ def test_pattern_vars():
 
 
 # ---------------------------------------------------------------------------
-# The compiled matcher and builder against a reference interpreter.
-
-def _reference_match(p, t):
-    """Stack walk over (pattern, term) pairs; the first occurrence binds."""
-    subst = {}
-    stack = [(p, t)]
-    while stack:
-        pp, tt = stack.pop()
-        if is_pattern_var(pp):
-            name = pp.op.name
-            bound = subst.get(name)
-            if bound is None:
-                subst[name] = tt
-            elif bound != tt:
-                return None
-            continue
-        if pp.op is not tt.op:
-            return None
-        stack.extend(zip(pp.children, tt.children))
-    return subst
-
-
-def _reference_instantiate(p, subst):
-    if is_pattern_var(p):
-        try:
-            return subst[p.op.name]
-        except KeyError:
-            raise UnboundVariableError(
-                f"unbound pattern variable {p.op.name}") from None
-    if not p.children:
-        return p
-    return Term(p.op, tuple(_reference_instantiate(c, subst)
-                            for c in p.children))
-
+# The compiled rewriters against the interpreters match_pattern and
+# instantiate, which share no code with them.
 
 def _fresh(t):
     """An equal term sharing no node with t."""
@@ -302,23 +275,20 @@ def _same_nodes(got, want, bindings, pattern_leaves):
         stack.extend(zip(a.children, b.children))
 
 
-def _check_builder(rhs, subst, rng):
-    bindings = {id(v) for v in subst.values()}
+def _check_rewriter(p, t, rhs):
+    """A one-rule ruleset's rewriter at t gives exactly what the
+    interpreters give, sharing their bound subterms and literal leaves."""
+    rs = Ruleset("one", [Rule("r", p, rhs)])
+    got = rs.rewriter(t.op.name)(t)
+    subst = match_pattern(p, t)
+    if subst is None:
+        assert got == []
+        return
+    want = instantiate(rhs, subst)
+    assert [name for name, _ in got] == ["r"] and got[0][1] == want
     leaves = {id(n) for _, n in positions(rhs)
               if not n.children and not is_pattern_var(n)}
-    want = _reference_instantiate(rhs, subst)
-    got = instantiate(rhs, subst)
-    assert got == want
-    _same_nodes(got, want, bindings, leaves)
-    needed = sorted(pattern_vars(rhs))
-    if needed:
-        dropped = rng.choice(needed)
-        partial = {k: v for k, v in subst.items() if k != dropped}
-        with pytest.raises(UnboundVariableError) as want_error:
-            _reference_instantiate(rhs, partial)
-        with pytest.raises(UnboundVariableError) as got_error:
-            instantiate(rhs, partial)
-        assert str(got_error.value) == str(want_error.value)
+    _same_nodes(got[0][1], want, {id(v) for v in subst.values()}, leaves)
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,33 +308,32 @@ def test_compiled_patterns_agree_with_reference(seed):
         pos, _ = rng.choice(list(positions(t)))
         new = leaf("2") if rng.random() < 0.3 else random_term(rng, 2)
         t = replace_at(t, pos, new)
-    want = _reference_match(p, t)
-    got = match_pattern(p, t)
-    if want is None:
-        assert got is None
-        subst = {v: random_term(rng, 2) for v in pattern_vars(p)}
-    else:
-        assert list(got) == list(want)
-        assert all(got[k] is want[k] for k in want)
-        subst = want
-    _check_builder(p, subst, rng)
-    names = tuple(subst) or ("?a",)
-    rhs = _abstract(random_term(rng, 3), rng, names)
-    _check_builder(rhs, {**subst, **{v: random_term(rng, 1)
-                                     for v in pattern_vars(rhs) - set(subst)}},
-                   rng)
+    _check_rewriter(p, t, p)
+    names = tuple(sorted(pattern_vars(p)))
+    rhs = (_abstract(random_term(rng, 3), rng, names) if names
+           else _fresh(random_term(rng, 3)))
+    _check_rewriter(p, t, rhs)
+
+
+def _saturated_once(rule, t):
+    g = EGraph()
+    root = g.add_term(t)
+    g.add_instantiated(rule, g.ematch(rule.lhs))
+    g.rebuild()
+    return g, root
 
 
 def test_compiled_patterns_are_cached_on_the_pattern():
-    p, rhs = P("(+ ?a (sin ?b))"), P("(* ?b 2)")
-    assert p._memo is None and rhs._memo is None
-    subst = match_pattern(p, P("(+ x (sin y))"))
-    assert instantiate(rhs, subst) == P("(* y 2)")
-    matcher, builder = p._memo["rules.matcher"], rhs._memo["rules.builder"]
-    match_pattern(p, P("(+ 1 (sin 2))"))
-    instantiate(rhs, {"?b": P("z")})
-    assert p._memo["rules.matcher"] is matcher
-    assert rhs._memo["rules.builder"] is builder
+    rule = Rule("r", P("(+ ?a (sin ?b))"), P("(* ?b 2)"))
+    assert rule.lhs._memo is None and rule.rhs._memo is None
+    g, root = _saturated_once(rule, P("(+ x (sin y))"))
+    assert g.represents(root, P("(* y 2)"))
+    match = matcher(rule.lhs)
+    applier = rule.rhs._memo[("egraph.applier", match.names)]
+    g, root = _saturated_once(rule, P("(+ 1 (sin 2))"))
+    assert g.represents(root, P("(* 2 2)"))
+    assert matcher(rule.lhs) is match
+    assert rule.rhs._memo[("egraph.applier", match.names)] is applier
 
 
 def test_equal_patterns_share_compiled_code_but_not_functions():
@@ -372,12 +341,15 @@ def test_equal_patterns_share_compiled_code_but_not_functions():
     # and each function still binds its own pattern's operators.
     first, second = P("(- ?a (tan ?b))"), P("(- ?a (tan ?b))")
     assert first is not second
-    assert match_pattern(first, P("(- x (tan y))")) == {"?a": P("x"),
-                                                          "?b": P("y")}
-    assert match_pattern(second, P("(- x (sin y))")) is None
-    one, other = first._memo["rules.matcher"], second._memo["rules.matcher"]
-    assert one is not other and one.__code__ is other.__code__
-    assert one.__globals__ is not other.__globals__
+    g = EGraph()
+    root = g.add_term(P("(- x (tan y))"))
+    g.add_term(P("(- x (sin y))"))
+    g.rebuild()
+    x, y = g.add_term(P("x")), g.add_term(P("y"))
+    assert g.ematch(first) == g.ematch(second) == [(root, x, y)]
+    one, two = matcher(first), matcher(second)
+    assert one is not two and one.__code__ is two.__code__
+    assert one.__globals__ is not two.__globals__
 
 
 def test_compiled_patterns_handle_deep_patterns():
@@ -391,6 +363,9 @@ def test_compiled_patterns_handle_deep_patterns():
     assert instantiate(p, subst) == t
     bottom_differs = P("(sin " * (depth - 1) + "(cos x)" + ")" * (depth - 1))
     assert match_pattern(p, bottom_differs) is None
+    rewrite = Ruleset("deep", [Rule("deep", p, p)]).rewriter("sin")
+    assert rewrite(t) == [("deep", t)]
+    assert rewrite(bottom_differs) == []
 
 
 def _built_nodes(result, inputs):

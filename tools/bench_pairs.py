@@ -18,8 +18,11 @@ warning is printed for each such workload).  Per metric it holds the
 number of pairs in which the working tree did better, and `claim_met`:
 whether it did better in at least 90% of the pairs (9 of 10) and its
 median beats the base median by more than the base's interquartile
-range, and `worse`: whether its median is worse than the base median by
-more than that range.  Host facts (nproc, Python version) and both
+range, `worse`: whether its median is worse than the base median by
+more than that range, and `beyond_bound`: whether it is worse by more
+than the metric's `bound` in BENCHMARK.json times the base median.  Every
+`worse` metric is printed with its `beyond_bound`, and so are both sides'
+line counts.  Host facts (nproc, Python version) and both
 revisions (the base SHA; HEAD's SHA, whether the tree differs from it, and
 a digest of each side's `src/`) identify what was measured; next to each
 digest stands the line count of that side's `src/rewrite_arena/`.
@@ -103,6 +106,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     base_sha = git("rev-parse", args.base)
     tmp = Path(tempfile.mkdtemp(prefix="bench_base_"))
     try:
@@ -155,7 +159,7 @@ def main(argv=None) -> int:
             n: sum((c["metrics"][n] < b["metrics"][n]) == (better == "lower")
                    and c["metrics"][n] != b["metrics"][n] for b, c in pairs)
             for n, better in metrics}
-        entry["claim_met"], entry["worse"] = {}, {}
+        entry["claim_met"], entry["worse"], entry["beyond_bound"] = {}, {}, {}
         for n, better in metrics:
             base = entry["base"]["metrics"][n]
             change = entry["change"]["metrics"][n]
@@ -166,7 +170,13 @@ def main(argv=None) -> int:
                 entry["change_better_pairs"][n] >= 0.9 * len(pairs)
                 and gain > spread)
             entry["worse"][n] = -gain > spread
+            entry["beyond_bound"][n] = -gain > bounds[n] * abs(base["median"])
+            if entry["worse"][n]:
+                print(f"{workload} {n}: worse, median {base['median']:.4g} "
+                      f"-> {change['median']:.4g}, beyond_bound "
+                      f"{entry['beyond_bound'][n]}")
         report["workloads"][workload] = entry
+    print(f"src_lines {lines['base']} -> {lines['change']}")
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n")
     failed = [w for w, e in report["workloads"].items()
               if e["signature_mismatch_seeds"] or e["base"]["problems"]
