@@ -21,6 +21,7 @@ from .costs import (
     IntegSquare,
     WeightedAstSize,
     MatMulScalarOps,
+    dims_from_spec,
     model_from_spec,
     model_to_spec,
 )
@@ -48,12 +49,7 @@ class ReachTerm:
     goal: Term
 
 
-@dataclass(frozen=True)
-class ReachTrue:
-    pass
-
-
-Criterion = TargetCost | ReachTerm | ReachTrue
+Criterion = TargetCost | ReachTerm
 
 
 @dataclass
@@ -89,15 +85,12 @@ class BenchmarkCase:
         return None
 
     def target_cost(self) -> float | None:
-        """The cost at which the case is solved, so an engine may stop; for
-        ReachTerm, 0 under a GoalIndicator (0 only at the goal), else None."""
+        """The cost at which an engine may stop, or None: the target, or 0
+        when the goal costs 0 (a GoalIndicator's, or halide-mini's `true`)."""
         crit = self.criterion
         if isinstance(crit, TargetCost):
             return crit.value
-        if isinstance(crit, ReachTrue) or isinstance(self.cost_model,
-                                                       GoalIndicator):
-            return 0
-        return None
+        return 0 if self.cost_model.cost(crit.goal) == 0 else None
 
 
 def judge(case: BenchmarkCase, found: Term, model: CostModel) -> bool:
@@ -105,9 +98,7 @@ def judge(case: BenchmarkCase, found: Term, model: CostModel) -> bool:
     crit = case.criterion
     if isinstance(crit, TargetCost):
         return model.cost(found) <= crit.value
-    if isinstance(crit, ReachTerm):
-        return found == crit.goal
-    return found == TRUE
+    return found == crit.goal
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,7 @@ def _family(suite: str) -> list[BenchmarkCase]:
     for name, input_text, intended_text in rows:
         input_term = parse_sexpr(input_text)
         intended = TRUE if intended_text is None else parse_sexpr(intended_text)
-        criterion = (ReachTrue() if intended_text is None
+        criterion = (ReachTerm(TRUE) if intended_text is None
                      else TargetCost(model.cost(intended)))
         cases.append(BenchmarkCase(
             name, input_term, ruleset, model, criterion,
@@ -332,13 +323,10 @@ def _is_builtin(rs: Ruleset) -> bool:
 
 
 def case_to_spec(case: BenchmarkCase) -> dict:
-    crit: dict
     if isinstance(case.criterion, TargetCost):
         crit = {"kind": "target_cost", "value": case.criterion.value}
-    elif isinstance(case.criterion, ReachTerm):
-        crit = {"kind": "reach_term", "goal": print_sexpr(case.criterion.goal)}
     else:
-        crit = {"kind": "reach_true"}
+        crit = {"kind": "reach_term", "goal": print_sexpr(case.criterion.goal)}
     spec = {
         "name": case.name,
         "input": print_sexpr(case.input_term),
@@ -373,10 +361,11 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     rules_field = spec.get("rules")
     if rules_field:
         rules = [r for line in rules_field for r in parse_rule_line(line)]
-        ruleset = Ruleset(spec.get("ruleset", "custom"), rules,
-                          fold_constants=_flag(spec, "fold_constants"))
+        name, fold = spec.get("ruleset", "custom"), False
     else:
-        ruleset = builtin_ruleset(spec["ruleset"])
+        builtin = builtin_ruleset(spec["ruleset"])
+        name, rules, fold = builtin.name, builtin.rules, builtin.fold_constants
+    ruleset = Ruleset(name, rules, _flag(spec, "fold_constants", fold))
     crit_spec = spec["criterion"]
     kind = crit_spec["kind"]
     if kind == "target_cost":
@@ -384,17 +373,15 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
             _finite(crit_spec["value"], "criterion value"))
     elif kind == "reach_term":
         criterion = ReachTerm(parse_sexpr(crit_spec["goal"]))
-    elif kind == "reach_true":
-        criterion = ReachTrue()
+    elif kind == "reach_true":  # the older spelling of the goal `true`
+        criterion = ReachTerm(TRUE)
     else:
         raise ValueError(f"unknown criterion kind {kind!r}")
     time_limit = spec.get("time_limit", 10.0)
     if time_limit is not None:
         time_limit = float(_finite(time_limit, "time_limit"))
     check_time_limit(time_limit)
-    dims = None
-    if "dims" in spec:
-        dims = {k: (int(v[0]), int(v[1])) for k, v in spec["dims"].items()}
+    dims = dims_from_spec(spec["dims"]) if "dims" in spec else None
     oracle = spec.get("oracle")
     case = BenchmarkCase(
         name=spec["name"],
@@ -420,6 +407,13 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
         if model is None:
             continue
         model.cost(case.input_term)  # CostError if uncostable
+        if isinstance(criterion, ReachTerm):
+            model.cost(criterion.goal)  # target_cost() costs the goal
+            if (isinstance(model, GoalIndicator)
+                    and model.goal != criterion.goal):
+                raise ValueError(f"the {field} model's goal "
+                                 f"{print_sexpr(model.goal)} is not the "
+                                 "criterion's")
         if (kind == "target_cost" and criterion.value < 0
                 and not _may_cost_below_zero(model)):
             raise ValueError(f"criterion value {criterion.value} is below 0, "
@@ -438,10 +432,6 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
             if case.oracle_cost != optimum:
                 raise ValueError(f"oracle {case.oracle_cost} is not {optimum}, "
                                  f"the DP optimum of the {field} model's chain")
-        if (kind == "reach_term" and isinstance(model, GoalIndicator)
-                and model.goal != criterion.goal):
-            raise ValueError(f"the {field} model's goal "
-                             f"{print_sexpr(model.goal)} is not the criterion's")
     if (kind == "target_cost" and case.oracle_cost is not None
             and criterion.value < case.oracle_cost):
         raise ValueError(f"criterion value {criterion.value} is below the "
@@ -455,8 +445,8 @@ def _may_cost_below_zero(model: CostModel) -> bool:
             and any(w < 0 for w in model.weights.values()))
 
 
-def _flag(spec: dict, key: str) -> bool:
-    value = spec.get(key, False)
+def _flag(spec: dict, key: str, default: bool = False) -> bool:
+    value = spec.get(key, default)
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, got {value!r}")
     return value

@@ -300,11 +300,20 @@ def model_from_spec(spec: dict) -> CostModel:
     if kind == "integ_square":
         return IntegSquare()
     if kind == "matmul_scalar_ops":
-        return MatMulScalarOps({k: (int(v[0]), int(v[1]))
-                                for k, v in spec["dims"].items()})
+        return MatMulScalarOps(dims_from_spec(spec["dims"]))
     if kind == "goal_indicator":
         return GoalIndicator(parse_sexpr(spec["goal"]))
     raise CostError(f"unknown cost model spec {spec!r}")
+
+
+def dims_from_spec(dims: dict) -> DimEnv:
+    """Matrix leaves' (rows, cols) from a spec: JSON integers of at least 1."""
+    for name, shape in dims.items():
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n >= 1 for n in shape)):
+            raise CostError(f"dims of {name!r} must be two integers of at "
+                            f"least 1, got {shape!r}")
+    return {name: tuple(shape) for name, shape in dims.items()}
 
 
 def _num(v):

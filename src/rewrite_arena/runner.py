@@ -13,7 +13,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .benchmarks import BenchmarkCase, ReachTerm, ReachTrue, judge
+from .benchmarks import BenchmarkCase, ReachTerm, judge
 from .costs import CostModel
 from .egraph import (
     BackoffScheduler,
@@ -27,7 +27,7 @@ from .egraph import (
 from .equivalence import EquivalenceValidator
 from .rules import Ruleset
 from .stochastic import RunConfig, check_number_fields, search
-from .terms import TRUE, Term, print_sexpr
+from .terms import Term, print_sexpr
 
 
 @dataclass(frozen=True)
@@ -215,16 +215,17 @@ def _stochastic(case: BenchmarkCase, cfg: RunConfig, model: CostModel,
             result.hard_restarts, result.unsound_restarts)
 
 
-def _solved_in_graph(g: EGraph, root, case: BenchmarkCase, model,
-                     checks: list) -> bool:
-    """The solved check; an extraction it makes is appended to `checks`."""
+def _answer(g: EGraph, root: EClassId, case: BenchmarkCase,
+            model: CostModel) -> tuple[Term, float]:
+    """The term saturation answers from g, and its cost: the goal when g
+    represents it, else the cheapest term, else (a model with no per-node
+    rule) the input."""
     crit = case.criterion
-    if isinstance(crit, ReachTerm):
-        return g.represents(root, crit.goal)
-    if isinstance(crit, ReachTrue):
-        return g.represents(root, TRUE)
-    checks.append(extract(g, root, model))
-    return checks[-1][1] <= crit.value
+    if isinstance(crit, ReachTerm) and g.represents(root, crit.goal):
+        return crit.goal, model.cost(crit.goal)
+    if model.extractable:
+        return extract(g, root, model)
+    return case.input_term, model.cost(case.input_term)
 
 
 def _eqsat(case: BenchmarkCase, cfg: EqsatConfig, model: CostModel,
@@ -232,23 +233,21 @@ def _eqsat(case: BenchmarkCase, cfg: EqsatConfig, model: CostModel,
     """Saturate with checkpointing as configured."""
     g = EGraph()
     root = g.add_term(case.input_term)
-    checks: list = []
-    extract_from, report = saturate(
-        g, root, case.ruleset, cfg, case.checkpointing, deadline,
-        solved=(lambda g, root: _solved_in_graph(g, root, case, model, checks))
-        if early_exit else None)
+    answer = None
 
-    if isinstance(case.criterion, ReachTerm):
-        ok = extract_from.represents(root, case.criterion.goal)
-        best_term = case.criterion.goal if ok else case.input_term
-        best_cost = model.cost(best_term)
-    elif extract_from is g and len(checks) == report.iterations + 1:
-        # saturate checks before the first iteration and after each clean
-        # one, so the last check extracted from this very graph.
-        best_term, best_cost = checks[-1]
-    else:
-        best_term, best_cost = extract(extract_from, root, model)
-    return best_term, best_cost, report.iterations, 0, 0
+    def solved(g: EGraph, root: EClassId) -> bool:
+        nonlocal answer
+        answer = _answer(g, root, case, model)
+        return judge(case, answer[0], model)
+
+    extract_from, report = saturate(g, root, case.ruleset, cfg,
+                                    case.checkpointing, deadline,
+                                    solved if early_exit else None)
+    # saturate checks before the first iteration and after each clean one,
+    # so only a contradiction leaves a graph the last check did not see.
+    if answer is None or report.contradiction:
+        answer = _answer(extract_from, root, case, model)
+    return *answer, report.iterations, 0, 0
 
 
 def _pulsed(case: BenchmarkCase, cfg: EqsatConfig, model: CostModel,
@@ -270,8 +269,8 @@ _ENGINES = {
 def check_runnable(case: BenchmarkCase, engine: str) -> None:
     """Reject an e-graph engine that cannot e-match a left-hand side of the
     case, or that would have to extract a term under a cost model with no
-    per-node rule.  Pulsing always extracts; plain saturation does unless
-    the case's goal is a term."""
+    per-node rule.  Pulsing always extracts; plain saturation of a case
+    with a goal can answer the goal or its input instead."""
     if engine == "stochastic":
         return
     for rule in case.ruleset:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -27,8 +28,9 @@ from rewrite_arena import (
 from rewrite_arena.benchmarks import (
     BenchmarkCase,
     ReachTerm,
-    ReachTrue,
     TargetCost,
+    case_from_spec,
+    case_to_spec,
     matmul_case_from_dims,
     suite_from_json,
     suite_to_json,
@@ -191,8 +193,35 @@ def test_halide_paper_case_present():
     case = next(c for c in builtin_suites()["halide-mini"]
                 if c.name == "halide-paper")
     assert case.input_term == P("(< (max i 2) (max (+ i 3) 3))")
-    assert isinstance(case.criterion, ReachTrue)
+    assert case.criterion == ReachTerm(P("true"))
     assert case.time_limit == 3.0
+
+
+def test_suite_file_reads_reach_true_as_the_goal_true():
+    spec = case_to_spec(builtin_suites()["halide-mini"][0])
+    assert spec["criterion"] == {"kind": "reach_term", "goal": "true"}
+    spec["criterion"] = {"kind": "reach_true"}
+    _, (case,) = suite_from_json(json.dumps({"cases": [spec]}))
+    assert case.criterion == ReachTerm(P("true"))
+    assert case_to_spec(case)["criterion"] == {"kind": "reach_term",
+                                               "goal": "true"}
+
+
+def test_suite_file_sets_folding_on_a_builtin_ruleset():
+    # Both flags were once dropped unless the case listed its own rules.
+    spec = case_to_spec(gen_matmul_chain(3, rng=random.Random(1)))
+    assert "rules" not in spec and "fold_constants" not in spec
+    spec["fold_constants"] = True
+    case = case_from_spec(spec)
+    assert case.ruleset.fold_constants
+    assert case.ruleset.rules == builtin_ruleset("assoc").rules
+    _, (back,) = suite_from_json(suite_to_json("s", [case]))
+    assert back.ruleset.fold_constants
+    assert back.ruleset.rules == case.ruleset.rules
+    halide = case_to_spec(builtin_suites()["halide-mini"][0])
+    assert case_from_spec(halide).ruleset.fold_constants
+    halide["fold_constants"] = False
+    assert not case_from_spec(halide).ruleset.fold_constants
 
 
 def test_judge_target_cost():
@@ -306,8 +335,7 @@ _CASES = st.builds(
     input_term=_terms(_LEAVES),
     ruleset=_rulesets(),
     cost_model=_MODELS,
-    criterion=(_NUMBERS.map(TargetCost) | _terms(_LEAVES).map(ReachTerm)
-               | st.builds(ReachTrue)),
+    criterion=_NUMBERS.map(TargetCost) | _terms(_LEAVES).map(ReachTerm),
     oracle_cost=st.none() | _NUMBERS,
     stochastic_cost_model=st.none() | _MODELS,
     intended=st.none() | _terms(_LEAVES),
@@ -322,7 +350,8 @@ _CASES = st.builds(
 @st.composite
 def _costable_cases(draw):
     """Cases a suite file accepts: a case with a MatMulScalarOps model gets
-    a matrix chain, and its oracle, if any, is the chain's; a GoalIndicator
+    a matrix chain as its input and any goal, and its oracle, if any, is the
+    chain's; a GoalIndicator
     of a ReachTerm case has the criterion's goal; a target is not below the
     oracle."""
     case = draw(_CASES)
@@ -335,6 +364,9 @@ def _costable_cases(draw):
         oracle = None if case.oracle_cost is None else chain.oracle_cost
         case = dataclasses.replace(case, input_term=chain.input_term,
                                    oracle_cost=oracle)
+        if isinstance(case.criterion, ReachTerm):
+            case = dataclasses.replace(case,
+                                       criterion=ReachTerm(chain.input_term))
     criterion = case.criterion
     if isinstance(criterion, ReachTerm):
         models = tuple(GoalIndicator(criterion.goal)

@@ -273,11 +273,16 @@ def _write_suite(tmp_path, mutate):
     return out_path
 
 
+def _set_a1(spec, shape):
+    spec["dims"]["A1"] = spec["cost"]["dims"]["A1"] = shape
+
+
 @pytest.mark.parametrize("mutate, detail", [
     (lambda spec: spec.pop("ruleset"), "KeyError"),
     (lambda spec: spec.update(input="(* A1 A2"), "ParseError"),
     (lambda spec: spec.update(criterion={"kind": "nope"}), "ValueError"),
-    (lambda spec: spec.update(dims={"A1": [2]}), "IndexError"),
+    (lambda spec: spec.update(dims={"A1": [2]}),
+     "dims of 'A1' must be two integers of at least 1, got [2]"),
     # Each of these once ran into an internal error, or (NaN) a case that
     # could never be solved.
     (lambda spec: spec["cost"]["dims"].pop("A3"), "unbound matrix leaf 'A3'"),
@@ -304,6 +309,13 @@ def _write_suite(tmp_path, mutate):
      "fold_constants must be true or false, got 'false'"),
     (lambda spec: spec.update(time_limit="5"),
      "time_limit must be a finite number, got '5'"),
+    # Both loaded as (4, 16): truncated, or converted from a string.
+    (lambda spec: _set_a1(spec, [4.5, 16]), "got [4.5, 16]"),
+    (lambda spec: _set_a1(spec, ["4", 16]), "got ['4', 16]"),
+    # This loaded and ran a case that could never be solved.
+    (lambda spec: spec.update(criterion={"kind": "reach_term",
+                                         "goal": "(* A1 Q)"}),
+     "unbound matrix leaf 'Q'"),
     # The first two ran into an internal error, the others ran as given.
     (lambda spec: spec.update(stochastic_overrides={"budget": 1.5}),
      "budget must be an integer, got 1.5"),

@@ -16,7 +16,9 @@ from rewrite_arena.costs import (
     GoalIndicator,
     IntegSquare,
     WeightedAstSize,
+    dims_from_spec,
     integ_cost,
+    model_from_spec,
 )
 from rewrite_arena.terms import Term, replace_at, symbol
 from helpers import random_term
@@ -375,3 +377,16 @@ def test_root_path_fallback_on_a_deep_candidate():
                        model, base)
     assert deep_sub._memo is None
     assert delta == model.cost(replace_at(t, pos, deep_sub)) - base
+
+
+@pytest.mark.parametrize("shape", [[13.5, 14], ["5", 19], [True, 3], [0, 4],
+                                   [4], [4, 5, 6], "45"])
+def test_dims_are_read_only_as_positive_json_integers(shape):
+    # The first three once loaded as (13, 14), (5, 19) and (1, 3).
+    for read in (dims_from_spec,
+                 lambda d: model_from_spec({"model": "matmul_scalar_ops",
+                                            "dims": d})):
+        with pytest.raises(CostError, match="dims of 'A1' must be two "
+                                            "integers of at least 1"):
+            read({"A2": [1, 2], "A1": shape})
+    assert dims_from_spec({"A1": [13, 14]}) == {"A1": (13, 14)}

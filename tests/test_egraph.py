@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from rewrite_arena.benchmarks import (
     ReachTerm,
     TargetCost,
     matmul_case_from_dims,
+    suite_from_json,
     trig_suite,
 )
 from rewrite_arena.costs import (
@@ -54,7 +56,8 @@ from rewrite_arena.rules import (
     parse_ruleset,
     pattern_vars,
 )
-from rewrite_arena.runner import run_case_eqsat
+from rewrite_arena.runner import run_case, run_case_eqsat
+from rewrite_arena.stochastic import RunConfig
 from rewrite_arena.rulesets import (
     assoc_ruleset,
     halide_ruleset,
@@ -1237,3 +1240,29 @@ def test_eqsat_reuses_last_solved_check_extraction(monkeypatch):
         assert all(g is graphs[0] for g in graphs[:checks])
         if again:
             assert graphs[-1] is not graphs[0]
+
+
+def _suite_case(**spec) -> BenchmarkCase:
+    _, (case,) = suite_from_json(json.dumps({"cases": [{
+        "name": "tiny", "ruleset": "custom", "cost": {"model": "ast_size"},
+        **spec}]}))
+    return case
+
+
+def test_eqsat_row_is_solved_when_saturation_stops_solved():
+    # Saturation stops once the graph represents true, where extraction
+    # ties y with true at cost 1; the row once answered y, unsolved.
+    case = _suite_case(input="(f x)",
+                       rules=["to-y: (f x) => y", "to-true: (f x) => true"],
+                       criterion={"kind": "reach_true"})
+    res = run_case(case, "eqsat", RunConfig())
+    assert (res.solved, res.best_term, res.best_cost, res.units) == \
+        (True, "true", 1, 1)
+
+
+def test_eqsat_answers_the_cheapest_term_when_the_goal_is_not_reached():
+    # The row once answered the input, at cost 3.
+    case = _suite_case(input="(g (f x))", rules=["shrink: (f x) => y"],
+                       criterion={"kind": "reach_term", "goal": "z"})
+    res = run_case(case, "eqsat", RunConfig())
+    assert (res.solved, res.best_term, res.best_cost) == (False, "(g y)", 2)

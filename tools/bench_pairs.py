@@ -28,7 +28,8 @@ a digest of each side's `src/`) identify what was measured; next to each
 digest stands the line count of that side's `src/rewrite_arena/`.
 
 The exit status is 1, after the report is written, when any pair's
-signatures differ or any run reports answer-check problems; else 0.
+signatures differ, any run reports answer-check problems, or any
+end-to-end metric is `beyond_bound` on any workload; else 0.
 """
 from __future__ import annotations
 
@@ -180,10 +181,10 @@ def main(argv=None) -> int:
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n")
     failed = [w for w, e in report["workloads"].items()
               if e["signature_mismatch_seeds"] or e["base"]["problems"]
-              or e["change"]["problems"]]
+              or e["change"]["problems"] or any(e["beyond_bound"].values())]
     if failed:
-        print(f"error: signatures differ or answer checks failed on "
-              f"{', '.join(failed)}", file=sys.stderr)
+        print(f"error: signatures differ, answer checks failed or a metric "
+              f"is beyond its bound on {', '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
 
 
