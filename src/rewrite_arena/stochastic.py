@@ -37,6 +37,11 @@ _M64 = (1 << 64) - 1
 # A chain with a validator checks every this many accepted steps.
 VALIDATE_EVERY = 25
 
+# A restarted chain memoizes the steps from terms fewer than MEMO_DEPTH
+# steps past t0, at most MEMO_TERMS terms (see run_chain).
+MEMO_DEPTH = 16
+MEMO_TERMS = 1024
+
 
 class EmptyCandidateSetError(ValueError):
     pass
@@ -114,6 +119,9 @@ class RunResult:
     best_trace: list[tuple[str, Position]] = field(default_factory=list)
     # The validator's verdict on the last unsound rewrite caught, for reports.
     unsound_witness: Inequivalent | None = None
+    # Why the chain ended: target, deadline, max_steps, max_proposals,
+    # stalled (at the stall limit, no budget left) or dead_end (t0 is stuck).
+    stop_reason: str = ""
 
 
 @dataclass
@@ -264,6 +272,12 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     n_hard steps without improving, exactly as a single run segment.  When
     some budget remains, reaching the stall limit instead triggers a hard
     restart from t0.
+
+    From its first restart on, the chain keeps a step memo: for each term
+    object fewer than MEMO_DEPTH steps past t0 (at most MEMO_TERMS), its
+    candidates, their deltas and each successor built so far, all pure
+    functions of the term, so a revisit re-runs only the draw, the validator
+    and the counters.  Its first segment's steps within reach seed it.
     """
     if rng is None:
         rng = random.Random(chain_seed(cfg.seed, chain_index))
@@ -285,22 +299,41 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     path: list[tuple[str, Position]] = []  # from t0 to t
     best_trace: list[tuple[str, Position]] = []
     solved = target_cost is not None and best_cost <= target_cost
+    stop_reason = "target"
+    # id(term) -> (term, candidates, deltas, {index: successor}).
+    memo: dict | None = None
+    trail: list = []  # the first segment's steps that seed the memo
 
     while not solved:
         if deadline is not None and time.monotonic() >= deadline:
+            stop_reason = "deadline"
             break
         if cfg.max_steps is not None and steps >= cfg.max_steps:
+            stop_reason = "max_steps"
             break
         if cfg.max_proposals is not None and total_proposals >= cfg.max_proposals:
+            stop_reason = "max_proposals"
             break
         if n_stall >= cfg.n_hard:
             if not has_budget:
+                stop_reason = "stalled"
                 break
             hard_restarts += 1
             t, cost_t, n, n_stall, path = t0, cost_t0, 0, 0, []
             continue
+        if memo is None and (hard_restarts or unsound_restarts):
+            memo = {id(step[0]): step for step in trail[:MEMO_TERMS]}
 
-        candidates = _enumerate_candidates(t, ruleset)
+        step = memo.get(id(t)) if memo is not None else None
+        if step is None:
+            candidates = _enumerate_candidates(t, ruleset)
+            step = (t, candidates, _deltas(t, candidates, model, cost_t), {})
+            if len(path) < MEMO_DEPTH:
+                if memo is None:
+                    trail.append(step)
+                elif len(memo) < MEMO_TERMS:
+                    memo[id(t)] = step
+        _, candidates, deltas, successors = step
         total_proposals += len(candidates)
         if not candidates:
             # Dead end: the term cannot move, so every step up to the stall
@@ -313,13 +346,16 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             n_stall += stalled
             steps += stalled
             if t is t0:
+                stop_reason = "dead_end"
                 break
             continue
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
-        deltas = _deltas(t, candidates, model, cost_t)
-        chosen = candidates[sample_index(deltas, beta_now, rng)]
-        t = chosen.materialize(t)
+        i = sample_index(deltas, beta_now, rng)
+        chosen = candidates[i]
+        if i not in successors:
+            successors[i] = chosen.materialize(t)
+        t = successors[i]
         cost_t = model.cost(t)
         n += 1
         steps += 1
@@ -357,6 +393,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         best_trace=best_trace,
         unsound_witness=(getattr(validator, "last_failure", None)
                          if unsound_restarts else None),
+        stop_reason=stop_reason,
     )
 
 

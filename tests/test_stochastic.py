@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 from dataclasses import replace
 
@@ -500,18 +501,161 @@ GOLDEN_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
-def test_stochastic_golden_rows(name):
-    build, seed, max_proposals, row = GOLDEN_CHAINS[name]
-    case = build()
+def _case_chain(case, seed, max_proposals, **tuning):
+    """One chain of case under its own tuning (and `tuning` on top), with a
+    validator when the case asks for one, and that validator."""
     cfg = replace(RunConfig(seed=seed, max_proposals=max_proposals),
-                  **(case.stochastic_overrides or {}))
+                  **{**(case.stochastic_overrides or {}), **tuning})
     validator = (EquivalenceValidator(case.input_term, seed=seed)
                  if case.validate else None)
     res = run_chain(case.input_term, case.ruleset, case.model_for("stochastic"),
                     cfg, validator=validator)
+    return res, validator
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHAINS))
+def test_stochastic_golden_rows(name):
+    build, seed, max_proposals, row = GOLDEN_CHAINS[name]
+    res, _ = _case_chain(build(), seed, max_proposals)
     assert (print_sexpr(res.best_term), res.best_cost, res.steps,
             res.proposals, res.hard_restarts, res.unsound_restarts) == row
+
+
+_SWAP = "swap: (pair ?x ?y) => (pair ?y ?x)"
+
+
+# Why a tiny chain stops: (rule, start, RunConfig limits, run_chain goal).
+_STOPS = {
+    "target": ("peel: (f ?x) => ?x", "(f a)", {}, {"target_cost": 1}),
+    "deadline": (_SWAP, "(pair a b)", {}, {"deadline": 0.0}),
+    "max_steps": (_SWAP, "(pair a b)", {"max_steps": 5}, {}),
+    "max_proposals": (_SWAP, "(pair a b)", {"max_proposals": 5}, {}),
+    "stalled": (_SWAP, "(pair a b)", {}, {}),
+    "dead_end": ("peel: (f ?x) => ?x", "(g a)", {"max_steps": 100}, {}),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_STOPS))
+def test_a_chain_says_why_it_stopped(reason):
+    rule, start, limits, goal = _STOPS[reason]
+    res = run_chain(P(start), parse_ruleset(rule, "tiny"), AstSize(),
+                    RunConfig(seed=0, n_hard=5, **limits), **goal)
+    assert res.stop_reason == reason
+
+
+def _count_enumerations(monkeypatch) -> list[int]:
+    """Count the chain's calls of the one enumerator from now on."""
+    calls = [0]
+
+    def counted(t, ruleset):
+        calls[0] += 1
+        return _enumerate_candidates(t, ruleset)
+
+    monkeypatch.setattr(stochastic, "_enumerate_candidates", counted)
+    return calls
+
+
+# Every step grows (f x) by one g or h under f and costs one more, so a
+# term's depth is its size less 2 and each segment walks a random branch
+# of the binary tree until its stall limit restarts it.
+_BRANCHING = BenchmarkCase(
+    "branching", P("(f x)"),
+    parse_ruleset("g: (f ?x) => (f (g ?x))\nh: (f ?x) => (f (h ?x))",
+                  "branching"),
+    AstSize(), TargetCost(0), time_limit=None,
+    stochastic_overrides={"n_hard": 24, "explore": 100, "n_soft": 100})
+
+
+def _memo_chains():
+    """(label, case, seed, proposals, tuning) of the chains the step memo
+    must leave bit-identical: every curated case under its own tuning, the
+    golden chains, a matrix chain that restarts often, a trig case whose
+    unsound rule the validator keeps catching, and the branching chain."""
+    curated = [*trig_suite(), *integration_suite(), *halide_suite()]
+    trig = curated[0]
+    unsound = replace(trig, ruleset=Ruleset("trig-unsound", [
+        *trig.ruleset.rules, *parse_rule_line("drop-sin: (sin ?x) => ?x")]))
+    return [*((c.name, c, 1, 2000, {}) for c in curated),
+            *((f"golden {name}", build(), seed, budget, {})
+              for name, (build, seed, budget, _) in GOLDEN_CHAINS.items()),
+            ("matmul-8", gen_matmul_chain(8, 1, 9, random.Random(4)), 3, 3000,
+             {"n_hard": 30}),
+            ("drop-sin", unsound, 3, 2000, {}),
+            ("branching", _BRANCHING, 1, 4000, {})]
+
+
+def test_step_memo_changes_no_chain(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    runs, enumerations = {}, []
+    for depth in (stochastic.MEMO_DEPTH, 0):  # 0 stores nothing
+        monkeypatch.setattr(stochastic, "MEMO_DEPTH", depth)
+        calls[0] = 0
+        for label, case, seed, budget, tuning in _memo_chains():
+            res, validator = _case_chain(case, seed, budget, **tuning)
+            runs.setdefault(label, []).append((
+                res.best_term, res.best_cost, res.best_trace, res.steps,
+                res.proposals, res.hard_restarts, res.unsound_restarts,
+                res.unsound_witness, res.stop_reason,
+                validator and validator.checks))
+        enumerations.append(calls[0])
+    for label, (memoized, plain) in runs.items():
+        assert memoized == plain, label
+    unsound_restarts = runs["drop-sin"][0][6]
+    assert unsound_restarts > 0
+    assert enumerations[0] < enumerations[1] / 2
+
+
+@pytest.mark.parametrize("name", ["integ-cos", "halide-total"])
+def test_a_restart_loop_enumerates_each_term_once(monkeypatch, name):
+    case = next(c for c in (*integration_suite(), *halide_suite())
+                if c.name == name)
+    calls = _count_enumerations(monkeypatch)
+    res, _ = _case_chain(case, 1, 2000)
+    assert res.hard_restarts > 1000 and calls[0] <= 2
+
+
+def _watch_memo(run, *args):
+    """run(*args) under a line tracer on run_chain's frames: its result,
+    every term the chain's step memo held, the memo's largest size (None
+    when no memo was built) and the most first-segment steps kept to seed
+    it."""
+    held, sizes, kept = {}, [], [0]
+
+    def line(frame, event, arg):
+        local = frame.f_locals
+        memo = local.get("memo")
+        kept.append(len(local.get("trail", ())))
+        if memo is not None and (not sizes or len(memo) != sizes[-1]):
+            sizes.append(len(memo))
+            held.update((key, step[0]) for key, step in memo.items())
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code is stochastic.run_chain.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = run(*args)
+    finally:
+        sys.settrace(previous)
+    return result, list(held.values()), max(sizes, default=None), max(kept)
+
+
+def test_a_chain_that_never_restarts_builds_no_memo():
+    case = gen_matmul_chain(8, 1, 9, random.Random(4))
+    (res, _), held, size, kept = _watch_memo(_case_chain, case, 3, 2000)
+    assert res.hard_restarts == res.unsound_restarts == 0
+    assert size is None and held == []
+    assert kept <= stochastic.MEMO_DEPTH
+
+
+def test_step_memo_keeps_to_its_depth_and_term_cap():
+    (res, _), held, size, _ = _watch_memo(_case_chain, _BRANCHING, 1, 12000)
+    assert res.hard_restarts > 200
+    depths = [len(list(positions(t))) - 2 for t in held]
+    assert size == len(held) == stochastic.MEMO_TERMS
+    assert max(depths) == stochastic.MEMO_DEPTH - 1
 
 
 def _reference_proposals(t, ruleset, dedup=True):
