@@ -37,10 +37,9 @@ _M64 = (1 << 64) - 1
 # A chain with a validator checks every this many accepted steps.
 VALIDATE_EVERY = 25
 
-# A restarted chain memoizes the steps from terms fewer than MEMO_DEPTH
-# steps past t0, at most MEMO_TERMS terms (see run_chain).
+# The bounds of a chain's step memo (see run_chain).
 MEMO_DEPTH = 16
-MEMO_TERMS = 1024
+MEMO_SIZE = 2048
 
 
 class EmptyCandidateSetError(ValueError):
@@ -273,11 +272,12 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     some budget remains, reaching the stall limit instead triggers a hard
     restart from t0.
 
-    From its first restart on, the chain keeps a step memo: for each term
-    object fewer than MEMO_DEPTH steps past t0 (at most MEMO_TERMS), its
-    candidates, their deltas and each successor built so far, all pure
-    functions of the term, so a revisit re-runs only the draw, the validator
-    and the counters.  Its first segment's steps within reach seed it.
+    The chain keeps a step memo of the terms it reaches fewer than
+    MEMO_DEPTH steps past t0, until it holds MEMO_SIZE (a term counts 1
+    plus its candidates): each term's candidates, their deltas and each
+    successor built so far.  All are pure functions of the term, so a
+    revisit, such as after a restart, re-runs only the draw, the validator
+    and the counters.
     """
     if rng is None:
         rng = random.Random(chain_seed(cfg.seed, chain_index))
@@ -300,9 +300,8 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     best_trace: list[tuple[str, Position]] = []
     solved = target_cost is not None and best_cost <= target_cost
     stop_reason = "target"
-    # id(term) -> (term, candidates, deltas, {index: successor}).
-    memo: dict | None = None
-    trail: list = []  # the first segment's steps that seed the memo
+    memo: dict = {}  # term -> (candidates, deltas, {index: successor})
+    memo_size = 0
 
     while not solved:
         if deadline is not None and time.monotonic() >= deadline:
@@ -321,19 +320,15 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             hard_restarts += 1
             t, cost_t, n, n_stall, path = t0, cost_t0, 0, 0, []
             continue
-        if memo is None and (hard_restarts or unsound_restarts):
-            memo = {id(step[0]): step for step in trail[:MEMO_TERMS]}
 
-        step = memo.get(id(t)) if memo is not None else None
+        step = memo.get(t)
         if step is None:
             candidates = _enumerate_candidates(t, ruleset)
-            step = (t, candidates, _deltas(t, candidates, model, cost_t), {})
-            if len(path) < MEMO_DEPTH:
-                if memo is None:
-                    trail.append(step)
-                elif len(memo) < MEMO_TERMS:
-                    memo[id(t)] = step
-        _, candidates, deltas, successors = step
+            step = (candidates, _deltas(t, candidates, model, cost_t), {})
+            if len(path) < MEMO_DEPTH and memo_size < MEMO_SIZE:
+                memo[t] = step
+                memo_size += 1 + len(candidates)
+        candidates, deltas, successors = step
         total_proposals += len(candidates)
         if not candidates:
             # Dead end: the term cannot move, so every step up to the stall

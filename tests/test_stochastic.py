@@ -3,8 +3,8 @@ import math
 import pickle
 import random
 import re
-import sys
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -52,7 +52,7 @@ from rewrite_arena.stochastic import (
     replay_trace,
     sample_index,
 )
-from rewrite_arena.terms import leaf, positions, replace_at, term
+from rewrite_arena.terms import Term, leaf, positions, replace_at, term
 
 
 def P(text):
@@ -543,16 +543,16 @@ def test_a_chain_says_why_it_stopped(reason):
     assert res.stop_reason == reason
 
 
-def _count_enumerations(monkeypatch) -> list[int]:
-    """Count the chain's calls of the one enumerator from now on."""
-    calls = [0]
+def _count_enumerations(monkeypatch) -> list[Term]:
+    """Record each term the chain's one enumerator is called on from now on."""
+    enumerated = []
 
     def counted(t, ruleset):
-        calls[0] += 1
+        enumerated.append(t)
         return _enumerate_candidates(t, ruleset)
 
     monkeypatch.setattr(stochastic, "_enumerate_candidates", counted)
-    return calls
+    return enumerated
 
 
 # Every step grows (f x) by one g or h under f and costs one more, so a
@@ -585,11 +585,11 @@ def _memo_chains():
 
 
 def test_step_memo_changes_no_chain(monkeypatch):
-    calls = _count_enumerations(monkeypatch)
+    enumerated = _count_enumerations(monkeypatch)
     runs, enumerations = {}, []
     for depth in (stochastic.MEMO_DEPTH, 0):  # 0 stores nothing
         monkeypatch.setattr(stochastic, "MEMO_DEPTH", depth)
-        calls[0] = 0
+        enumerated.clear()
         for label, case, seed, budget, tuning in _memo_chains():
             res, validator = _case_chain(case, seed, budget, **tuning)
             runs.setdefault(label, []).append((
@@ -597,7 +597,7 @@ def test_step_memo_changes_no_chain(monkeypatch):
                 res.proposals, res.hard_restarts, res.unsound_restarts,
                 res.unsound_witness, res.stop_reason,
                 validator and validator.checks))
-        enumerations.append(calls[0])
+        enumerations.append(len(enumerated))
     for label, (memoized, plain) in runs.items():
         assert memoized == plain, label
     unsound_restarts = runs["drop-sin"][0][6]
@@ -609,53 +609,41 @@ def test_step_memo_changes_no_chain(monkeypatch):
 def test_a_restart_loop_enumerates_each_term_once(monkeypatch, name):
     case = next(c for c in (*integration_suite(), *halide_suite())
                 if c.name == name)
-    calls = _count_enumerations(monkeypatch)
+    enumerated = _count_enumerations(monkeypatch)
     res, _ = _case_chain(case, 1, 2000)
-    assert res.hard_restarts > 1000 and calls[0] <= 2
+    assert res.hard_restarts > 1000 and len(enumerated) <= 2
 
 
-def _watch_memo(run, *args):
-    """run(*args) under a line tracer on run_chain's frames: its result,
-    every term the chain's step memo held, the memo's largest size (None
-    when no memo was built) and the most first-segment steps kept to seed
-    it."""
-    held, sizes, kept = {}, [], [0]
-
-    def line(frame, event, arg):
-        local = frame.f_locals
-        memo = local.get("memo")
-        kept.append(len(local.get("trail", ())))
-        if memo is not None and (not sizes or len(memo) != sizes[-1]):
-            sizes.append(len(memo))
-            held.update((key, step[0]) for key, step in memo.items())
-        return line
-
-    def call(frame, event, arg):
-        return line if frame.f_code is stochastic.run_chain.__code__ else None
-
-    previous = sys.gettrace()
-    sys.settrace(call)
-    try:
-        result = run(*args)
-    finally:
-        sys.settrace(previous)
-    return result, list(held.values()), max(sizes, default=None), max(kept)
-
-
-def test_a_chain_that_never_restarts_builds_no_memo():
-    case = gen_matmul_chain(8, 1, 9, random.Random(4))
-    (res, _), held, size, kept = _watch_memo(_case_chain, case, 3, 2000)
-    assert res.hard_restarts == res.unsound_restarts == 0
-    assert size is None and held == []
-    assert kept <= stochastic.MEMO_DEPTH
-
-
-def test_step_memo_keeps_to_its_depth_and_term_cap():
-    (res, _), held, size, _ = _watch_memo(_case_chain, _BRANCHING, 1, 12000)
+# Depth 5 keeps the 31 terms fewer than 5 steps out; size 60 keeps 20
+# terms, since each holds 2 candidates.
+@pytest.mark.parametrize("cap,bound,terms", [("MEMO_DEPTH", 5, 31),
+                                             ("MEMO_SIZE", 60, 20)])
+def test_step_memo_keeps_to_its_depth_and_size(monkeypatch, cap, bound, terms):
+    """Without a memo the branching chain enumerates a term on each visit,
+    where its depth is its distance from t0.  With the memo, the terms
+    enumerated less often are the ones it held: exactly those it met first
+    fewer than MEMO_DEPTH steps out, until they held MEMO_SIZE, each
+    enumerated once."""
+    monkeypatch.setattr(stochastic, cap, bound)
+    depth_cap, size_cap = stochastic.MEMO_DEPTH, stochastic.MEMO_SIZE
+    enumerated = _count_enumerations(monkeypatch)
+    counts = []
+    for depth in (depth_cap, 0):
+        monkeypatch.setattr(stochastic, "MEMO_DEPTH", depth)
+        enumerated.clear()
+        res, _ = _case_chain(_BRANCHING, 1, 12000)
+        counts.append(Counter(enumerated))
+    memoized, visits = counts
     assert res.hard_restarts > 200
-    depths = [len(list(positions(t))) - 2 for t in held]
-    assert size == len(held) == stochastic.MEMO_TERMS
-    assert max(depths) == stochastic.MEMO_DEPTH - 1
+    kept, size = [], 0
+    for t in visits:  # a Counter keeps first-seen order
+        if len(list(positions(t))) - 2 < depth_cap and size < size_cap:
+            kept.append(t)
+            size += 1 + len(_enumerate_candidates(t, _BRANCHING.ruleset))
+    held = {t for t in visits if memoized[t] < visits[t]}
+    assert held == {t for t in kept if visits[t] > 1}
+    assert all(memoized[t] == 1 for t in kept)
+    assert len(kept) == terms
 
 
 def _reference_proposals(t, ruleset, dedup=True):
