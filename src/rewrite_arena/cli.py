@@ -96,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--suite", default="trig")
     s.add_argument("--workers-list", default="1,2,4,8",
                    help="comma-separated worker counts")
-    _add_run_flags(s)
+    # Scale runs no e-graph and sets the budget to each worker count.
+    _add_run_flags(s, [flag for flag, (owner, *_) in TUNING_FLAGS.items()
+                       if owner == "stochastic" and flag != "--budget"])
     _add_output_flags(s)
 
     sub.add_parser("list", help="list built-in suites and their cases")
@@ -110,8 +112,9 @@ def _add_matmul_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim-hi", type=int, default=20)
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    for flag, (_, field, kind, text) in TUNING_FLAGS.items():
+def _add_run_flags(p: argparse.ArgumentParser, flags=TUNING_FLAGS) -> None:
+    for flag in flags:
+        _, field, kind, text = TUNING_FLAGS[flag]
         p.add_argument(flag, dest=field, type=kind, default=None, help=text)
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -124,9 +127,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _set_flags(args, engine: str | None = None) -> dict[str, object]:
     """Config field -> value of each tuning flag set (of one engine)."""
-    return {field: getattr(args, field)
-            for owner, field, _, _ in TUNING_FLAGS.values()
-            if getattr(args, field) is not None and engine in (None, owner)}
+    return {field: value for owner, field, _, _ in TUNING_FLAGS.values()
+            if (value := getattr(args, field, None)) is not None
+            and engine in (None, owner)}
 
 
 def _check_engine_flags(args, parser) -> None:
@@ -140,18 +143,22 @@ def _check_engine_flags(args, parser) -> None:
                      f"{', '.join(bad)}")
 
 
-def _run_config(args) -> RunConfig:
-    seed = args.seed
+def _seed(args) -> int:
+    """--seed, unless REWRITE_ARENA_SEED overrides it."""
     env_seed = os.environ.get("REWRITE_ARENA_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise UsageError(f"REWRITE_ARENA_SEED must be an integer, "
-                             f"got {env_seed!r}") from None
+    if env_seed is None:
+        return args.seed
+    try:
+        return int(env_seed)
+    except ValueError:
+        raise UsageError(f"REWRITE_ARENA_SEED must be an integer, "
+                         f"got {env_seed!r}") from None
+
+
+def _run_config(args) -> RunConfig:
     # The CLI runs 8 workers unless told otherwise; RunConfig's default is 1.
     fields = {"workers": 8, **_set_flags(args, "stochastic")}
-    cfg = _checked(RunConfig, seed=seed, **fields)
+    cfg = _checked(RunConfig, seed=_seed(args), **fields)
     _checked(check_time_limit, args.time_limit)
     return cfg
 
@@ -285,7 +292,7 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cases = _matmul_cases(args, args.n, args.seed)
+    cases = _matmul_cases(args, args.n, _seed(args))
     text = suite_to_json(f"matmul-{args.n}", cases) + "\n"
     _write_out(text, args.output)
     return 0

@@ -8,7 +8,8 @@ successor is drawn with probability proportional to
 exp(-beta/2 * (C(t') - C(t))).  A periodic exploration phase sets beta to
 0; a chain that stops improving for too long either ends (when it has no
 other budget) or hard-restarts from the initial term.  Chains are fully
-independent, so parallel runs share nothing but a deadline.
+independent; a search runs them in at most one process per usable CPU,
+and the chains in one process share its time under a deadline.
 """
 from __future__ import annotations
 
@@ -392,13 +393,20 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     )
 
 
-def _chain_task(args) -> RunResult:
-    t0, ruleset, model, cfg, validator, index, deadline, target_cost = args
-    if validator is not None:
-        validator = replace(validator, seed=validator.seed + 7919 * index)
-    return run_chain(t0, ruleset, model, cfg, validator=validator,
-                     chain_index=index, deadline=deadline,
-                     target_cost=target_cost)
+def _run_chains(args) -> list[RunResult]:
+    """Run a block of chains in index order; under a deadline, chain k of n
+    gets the deadline now + (deadline - now) / (n - k): an equal share."""
+    t0, ruleset, model, cfg, validator, indices, deadline, target_cost = args
+    results = []
+    for k, index in enumerate(indices):
+        share, left = deadline, len(indices) - k
+        if deadline is not None:  # so the last chain's is exactly deadline
+            now = min(time.monotonic(), deadline)
+            share -= (deadline - now) * (left - 1) / left
+        v = validator and replace(validator, seed=validator.seed + 7919 * index)
+        results.append(run_chain(t0, ruleset, model, cfg, v, chain_index=index,
+                                 deadline=share, target_cost=target_cost))
+    return results
 
 
 def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
@@ -407,21 +415,21 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     """Run cfg.chains independent chains and keep the best result.
 
     Per-chain seeds derive deterministically from cfg.seed and the chain
-    index, so results do not depend on worker scheduling.  Every chain
-    stops at the one deadline.  Ties are broken by the lowest chain index.
-    Without a deadline, at most one process runs per usable CPU.
+    index, so results do not depend on worker scheduling.  At most one
+    process runs per usable CPU, none when that is one, each running a
+    contiguous block of chains (_run_chains).  Chains are returned in index
+    order; ties are broken by the lowest chain index.
     """
     started = time.monotonic()
-    n_chains = cfg.chains
-    tasks = [(t0, ruleset, model, cfg, validator, i, deadline, target_cost)
-             for i in range(n_chains)]
-    processes = min(cfg.workers, n_chains)
-    if deadline is None:  # else a queued chain would start past it
-        processes = min(processes, len(os.sched_getaffinity(0)) if hasattr(
-            os, "sched_getaffinity") else os.cpu_count() or 1)
+    n = cfg.chains
+    processes = min(cfg.workers, n, len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else os.cpu_count() or 1)
+    blocks = [(t0, ruleset, model, cfg, validator,
+               range(p * n // processes, (p + 1) * n // processes),
+               deadline, target_cost) for p in range(processes)]
 
     if processes == 1:
-        results = [_chain_task(task) for task in tasks]
+        results = _run_chains(blocks[0])
     else:
         import multiprocessing as mp
 
@@ -429,7 +437,8 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         with ProcessPoolExecutor(max_workers=processes,
                                  mp_context=ctx) as pool:
-            results = list(pool.map(_chain_task, tasks))
+            results = [r for block in pool.map(_run_chains, blocks)
+                       for r in block]
 
     best = min(results, key=lambda r: (r.best_cost, r.chain_index))
     return SearchResult(

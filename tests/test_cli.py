@@ -210,6 +210,29 @@ def test_env_seed_overrides_flag():
     assert strip_wall_time(with_env) == strip_wall_time(with_flag)
 
 
+def test_env_seed_overrides_the_gen_seed(monkeypatch):
+    gen = ["gen", "matmul", "--n", "3", "--count", "1"]
+    monkeypatch.delenv("REWRITE_ARENA_SEED", raising=False)
+    _, seed_0 = run_cli(gen)
+    _, with_flag = run_cli([*gen, "--seed", "5"])
+    monkeypatch.setenv("REWRITE_ARENA_SEED", "5")
+    code, with_env = run_cli(gen)
+    assert code == 0 and with_env == with_flag != seed_0
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "matmul", "--n", "3", "--count", "1"],
+    ["bench", "needle", "--n", "3", "--engine", "eqsat"],
+    ["scale", "--workers-list", "1", "--time-limit", "0.1"],
+])
+def test_a_non_integer_env_seed_exits_2(capsys, monkeypatch, args):
+    monkeypatch.setenv("REWRITE_ARENA_SEED", "five")
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: REWRITE_ARENA_SEED must be an integer")
+
+
 def test_scale_rows(tmp_path):
     code, out = run_cli(["scale", "--suite", "halide-mini",
                          "--workers-list", "1", "--time-limit", "0.3",
@@ -260,6 +283,16 @@ def test_scale_rejects_jobs():
     with pytest.raises(SystemExit) as err:
         run_cli(["scale", "--jobs", "2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--node-limit", "5"], ["--budget", "4"]])
+def test_scale_rejects_flags_it_does_not_read(capsys, flag):
+    # Scale runs no e-graph and sets the budget to each worker count.
+    with pytest.raises(SystemExit) as err:
+        run_cli(["scale", "--workers-list", "1", "--time-limit", "0.2", *flag])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
 
 
 def _write_suite(tmp_path, mutate):

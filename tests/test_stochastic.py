@@ -389,13 +389,9 @@ def test_search_parallel_equals_sequential():
     assert [r.best_cost for r in seq.chains] == [r.best_cost for r in par.chains]
 
 
-@pytest.mark.parametrize("cpus, affinity, want", [
-    (8, {0, 1}, [2]),  # 8 workers on 2 usable CPUs: 2 processes
-    (8, {0, 1, 2, 3}, [3]),  # 3 chains need no more than 3
-    (1, None, []),  # no affinity mask: os.cpu_count(), 1, runs in-process
-])
-def test_search_starts_at_most_one_process_per_usable_cpu(monkeypatch, cpus,
-                                                          affinity, want):
+def _record_pools(monkeypatch, cpus, affinity):
+    """Fake os.cpu_count() and the affinity mask (None: no mask), and swap
+    in a pool that runs in-process; returns the sizes of the pools started."""
     started = []
 
     class Recording:
@@ -420,10 +416,24 @@ def test_search_starts_at_most_one_process_per_usable_cpu(monkeypatch, cpus,
     else:
         monkeypatch.setattr(stochastic.os, "sched_getaffinity",
                             lambda pid: affinity, raising=False)
+    return started
+
+
+@pytest.mark.parametrize("far_deadline", [False, True],
+                         ids=["no-deadline", "far-deadline"])
+@pytest.mark.parametrize("cpus, affinity, want", [
+    (8, {0, 1}, [2]),  # 8 workers on 2 usable CPUs: 2 processes
+    (8, {0, 1, 2, 3}, [3]),  # 3 chains need no more than 3
+    (1, None, []),  # no affinity mask: os.cpu_count(), 1, runs in-process
+])
+def test_search_starts_at_most_one_process_per_usable_cpu(
+        monkeypatch, cpus, affinity, want, far_deadline):
+    started = _record_pools(monkeypatch, cpus, affinity)
     case = gen_matmul_chain(5, 1, 9, random.Random(30))
+    deadline = time.monotonic() + 600 if far_deadline else None
     par, seq = [search(case.input_term, case.ruleset, case.cost_model,
                        RunConfig(workers=workers, budget=3, seed=11,
-                                 max_steps=150))
+                                 max_steps=150), deadline=deadline)
                 for workers in (8, 1)]
     assert started == want
     assert (par.best_term, par.best_cost, par.steps, par.proposals) == \
@@ -432,18 +442,44 @@ def test_search_starts_at_most_one_process_per_usable_cpu(monkeypatch, cpus,
         [r.best_cost for r in seq.chains]
 
 
-def test_search_under_a_deadline_gives_every_chain_a_process(monkeypatch):
-    # One usable CPU would cap the pool at one process, and chains queued
-    # behind it would start after the deadline and make no proposal.
-    monkeypatch.setattr(stochastic.os, "sched_getaffinity",
-                        lambda pid: {0}, raising=False)
-    monkeypatch.setattr(stochastic.os, "cpu_count", lambda: 1)
+def test_chains_sharing_one_cpu_all_run_until_the_deadline(monkeypatch):
+    # Eight chains in one process: each runs its share of the time, so
+    # none starts after the deadline, and the search ends at it.
+    started = _record_pools(monkeypatch, 1, {0})
     case = gen_matmul_chain(8, 1, 15, random.Random(31))
+    deadline = time.monotonic() + 1.6
     res = search(case.input_term, case.ruleset, case.cost_model,
-                 RunConfig(workers=3, budget=3, seed=4),
-                 deadline=time.monotonic() + 1.5)
-    assert [r.chain_index for r in res.chains] == [0, 1, 2]
+                 RunConfig(workers=8, budget=8, seed=4), deadline=deadline)
+    assert started == []
+    assert [r.chain_index for r in res.chains] == list(range(8))
     assert all(r.proposals > 0 for r in res.chains)
+    assert {r.stop_reason for r in res.chains} == {"deadline"}
+    assert time.monotonic() - deadline < 0.5
+
+
+@pytest.mark.parametrize("deadline", [None, 5.0])
+def test_the_chains_in_a_process_share_its_time(monkeypatch, deadline):
+    started = _record_pools(monkeypatch, 2, {0, 1})
+    given = []
+
+    def instant(t0, ruleset, model, cfg, validator=None, chain_index=0,
+                deadline=None, target_cost=None):
+        given.append(deadline)
+        return stochastic.RunResult(t0, 0.0, chain_index)
+
+    monkeypatch.setattr(stochastic, "run_chain", instant)
+    if deadline is not None:
+        deadline += time.monotonic()
+    res = search(P("(+ x 1)"), parse_ruleset("", name="none"), AstSize(),
+                 RunConfig(workers=8, budget=7, seed=0), deadline=deadline)
+    assert started == [2]
+    assert [r.chain_index for r in res.chains] == list(range(7))
+    if deadline is None:
+        assert given == [None] * 7
+        return
+    for block in (given[:3], given[3:]):  # chains 0-2, then 3-6
+        assert block == sorted(block) and block[-1] == deadline
+        assert block[0] < deadline
 
 
 def test_search_returns_minimum_over_chains():
