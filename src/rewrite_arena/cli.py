@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -35,7 +36,7 @@ from .runner import (
     run_suite,
     scaling_report,
 )
-from .stochastic import RunConfig, check_time_limit
+from .stochastic import RunConfig, check_time_limit, usable_cpus
 
 # Each tuning flag -> (engine, the config field it sets, type, help).  The
 # field is also the flag's argparse dest.  A flag given on the command line
@@ -278,10 +279,11 @@ def _cmd_bench(args, parser) -> int:
     _write_out(None, args.output)
     run = partial(run_suite, engine=args.engine, cfg=cfg, eqsat_cfg=eqsat_cfg,
                   time_limit=args.time_limit, pinned=_pinned_fields(args))
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool forks all its processes at the first submit: start no more
+    # than there are cases and usable CPUs.
+    processes = min(args.jobs, len(cases), usable_cpus())
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(run, [[case] for case in cases]))
         results = [r for chunk in chunks for r in chunk]
     else:

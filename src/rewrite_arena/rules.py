@@ -381,6 +381,9 @@ class Ruleset:
         for r in rules:
             if r.name in seen:
                 raise RuleError(f"duplicate rule name {r.name!r}")
+            if r.name == FOLD_RULE_NAME and fold_constants:
+                raise RuleError(f"rule name {r.name!r} is the constant-fold "
+                                f"step's in a folding ruleset")
             seen.add(r.name)
         self.name = name
         self.rules = tuple(rules)

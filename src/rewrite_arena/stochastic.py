@@ -10,6 +10,10 @@ exp(-beta/2 * (C(t') - C(t))).  A periodic exploration phase sets beta to
 other budget) or hard-restarts from the initial term.  Chains are fully
 independent; a search runs them in at most one process per usable CPU,
 and the chains in one process share its time under a deadline.
+
+Each chain hash-conses its terms (_Hashcons): a subterm equal to one the
+chain has met is that same node, so its cost memo is already filled and
+its one-step rewrites, with their cost deltas, are computed once.
 """
 from __future__ import annotations
 
@@ -41,6 +45,8 @@ VALIDATE_EVERY = 25
 # The bounds of a chain's step memo (see run_chain).
 MEMO_DEPTH = 16
 MEMO_SIZE = 2048
+# The nodes a chain's hashcons holds before it is cleared (see _Hashcons).
+CONS_SIZE = 2048
 
 
 class EmptyCandidateSetError(ValueError):
@@ -139,6 +145,14 @@ class SearchResult:
     chains: list[RunResult] = field(default_factory=list)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else
+    os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def chain_seed(seed: int, index: int) -> int:
     """Deterministic per-chain seed, independent of worker scheduling."""
     x = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xBF58476D1CE4E5B9) & _M64
@@ -168,19 +182,26 @@ def sample_index(deltas: list[float], beta: float, rng: random.Random) -> int:
     return min(bisect_right(acc, rng.random() * acc[-1]), n - 1)
 
 
+# The delta of a candidate enumerated outside a chain: not computed yet.
+_UNCOSTED = object()
+
+
 class _Candidate:
     """One-step rewrite of old_sub at position into new_sub.
 
     The result term is built only by materialize: only the sampled
-    candidate pays for the spine rebuild."""
+    candidate pays for the spine rebuild.  delta is model.delta_cost of
+    the rewrite when a chain's hashcons computed it (None: it does not
+    localize), else _UNCOSTED."""
 
-    __slots__ = ("rule", "position", "old_sub", "new_sub")
+    __slots__ = ("rule", "position", "old_sub", "new_sub", "delta")
 
-    def __init__(self, rule, position, old_sub, new_sub):
+    def __init__(self, rule, position, old_sub, new_sub, delta=_UNCOSTED):
         self.rule = rule
         self.position = position
         self.old_sub = old_sub
         self.new_sub = new_sub
+        self.delta = delta
 
     def materialize(self, t: Term) -> Term:
         return replace_at(t, self.position, self.new_sub)
@@ -203,33 +224,133 @@ def _result_key(pos: Position, old_sub: Term, new_sub: Term):
     return pos, new_sub
 
 
-def _enumerate_candidates(t: Term, ruleset: Ruleset) -> list[_Candidate]:
+def _rewrites_at(sub: Term, ruleset: Ruleset, model: CostModel | None):
+    """The one-step rewrites of sub at its root, as (rule, key, new_sub,
+    delta): key is the _result_key relative to sub, the first of equal
+    keys kept, identity excluded; delta is model.delta_cost, or
+    _UNCOSTED without a model."""
+    out, keys = [], []
+    rewrite = (ruleset._rewriters.get(sub.op.name)
+               or ruleset.rewriter(sub.op.name))
+    for rule, new_sub in rewrite(sub):
+        if new_sub.op is not sub.op:
+            key = (), new_sub
+        elif (key := _result_key((), sub, new_sub)) is None:
+            continue
+        if key not in keys:
+            keys.append(key)
+            out.append((rule, key, new_sub, _UNCOSTED if model is None
+                        else model.delta_cost(sub, new_sub)))
+    return out
+
+
+class _Hashcons:
+    """One chain's hash-consed terms.
+
+    `nodes` maps (op, id(child), ...) to the one node held with that
+    operator and those children, as the e-graph's hashcons maps e-nodes;
+    a node is held only with its children, so a held root holds its
+    term.  `rewrites` maps a held node's id to its _rewrites_at, with the
+    chain's model, computed once.  run_chain replaces the whole table once
+    `nodes` reaches CONS_SIZE, so an id is read only while its node is
+    held: Python reuses the ids of freed objects.
+    """
+
+    __slots__ = ("nodes", "rewrites", "model")
+
+    def __init__(self, model: CostModel):
+        self.nodes: dict[tuple, Term] = {}
+        self.rewrites: dict[int, list[tuple]] = {}
+        self.model = model
+
+    def intern(self, t: Term) -> Term:
+        """The held term equal to t; t's nodes that none equals are held
+        as they are, and a node over replaced children is built anew."""
+        nodes = self.nodes
+        if nodes.get((t.op, *map(id, t.children))) is t:
+            return t
+        held: dict[int, Term] = {}  # id(node of t) -> the held equal node
+        stack: list[Term | None] = [t]
+        while stack:
+            node = stack.pop()
+            if node is None:  # a marker: the node under it has held children
+                node = stack.pop()
+                kids = tuple([held[id(c)] for c in node.children])
+                key = (node.op, *map(id, kids))
+                same = nodes.get(key)
+                if same is None:
+                    same = nodes[key] = node if all(
+                        a is b for a, b in zip(kids, node.children)
+                    ) else Term(node.op, kids)
+                held[id(node)] = same
+            elif id(node) in held:
+                continue
+            elif nodes.get((node.op, *map(id, node.children))) is node:
+                held[id(node)] = node
+            else:
+                stack += (node, None, *node.children)
+        return held[id(t)]
+
+    def successor(self, t: Term, pos: Position, new_sub: Term) -> Term:
+        """Held t with new_sub at pos, held.  Its path is looked up bottom-up;
+        replace_at builds the levels above the first one the table lacks."""
+        nodes = self.nodes
+        s = self.intern(new_sub)
+        spine = []
+        for i in pos:
+            spine.append(t)
+            t = t.children[i]
+        for depth in range(len(pos) - 1, -1, -1):
+            node = spine[depth]
+            ids = [*map(id, node.children)]
+            ids[pos[depth]] = id(s)
+            up = nodes.get((node.op, *ids))
+            if up is None:  # nor any level above, whose key holds a new id
+                s = node = replace_at(spine[0], pos[:depth + 1], s)
+                for i in pos[:depth + 1]:
+                    nodes[(node.op, *map(id, node.children))] = node
+                    node = node.children[i]
+                return s
+            s = up
+        return s
+
+
+def _enumerate_candidates(t: Term, ruleset: Ruleset,
+                          cons: _Hashcons | None = None) -> list[_Candidate]:
     """All one-step rewrites of t, deduplicated by result: the one enumerator.
 
     Order is position-major (preorder, as terms.positions), then the
     rewriter's (ruleset order, then constant folding), first occurrence
     kept, identity excluded.  A candidate is kept when its _result_key is
-    new, so no result term is built or hashed.  Leaves below the root are
-    visited only when some rule's LHS is a leaf.
+    new, so no result term is built or hashed.  Only a key below its
+    rewrite's position can equal one of another position, and only one
+    met later, so only those are kept in `deep`.  Leaves below the root
+    are visited only when some rule's LHS is a leaf.
+
+    With a chain's hashcons, which holds t, each node's rewrites and
+    their deltas are read from it, and computed only for a node it has
+    not met; without one, nothing is stored.
     """
     out: list[_Candidate] = []
-    seen: set = set()
-    rewriters = ruleset._rewriters
+    deep: set = set()
+    known = cons.rewrites if cons is not None else None
     leaves = ruleset.rewrites_leaves  # a leaf never folds
     stack: list[tuple[Position, Term]] = [((), t)]
     while stack:
         pos, sub = stack.pop()
         kids = sub.children
-        rewrite = rewriters.get(sub.op.name) or ruleset.rewriter(sub.op.name)
-        for rule, new_sub in rewrite(sub):
-            if new_sub.op is not sub.op:
-                key = pos, new_sub
-            elif (key := _result_key(pos, sub, new_sub)) is None:
-                continue
-            n = len(seen)
-            seen.add(key)
-            if len(seen) > n:
-                out.append(_Candidate(rule, pos, sub, new_sub))
+        if known is None:
+            rewrites = _rewrites_at(sub, ruleset, None)
+        elif (rewrites := known.get(id(sub))) is None:
+            rewrites = known[id(sub)] = _rewrites_at(sub, ruleset, cons.model)
+        for rule, (below, new), new_sub, delta in rewrites:
+            if below or deep:
+                key = pos + below, new
+                if key in deep:
+                    continue
+                if below:
+                    deep.add(key)
+            out.append(_Candidate(rule, pos, sub, new_sub, delta))
         for idx in range(len(kids) - 1, -1, -1):
             if leaves or kids[idx].children:
                 stack.append((pos + (idx,), kids[idx]))
@@ -251,11 +372,13 @@ def proposals(t: Term, ruleset: Ruleset) -> list[Proposal]:
 def _deltas(t: Term, candidates: list[_Candidate], model: CostModel,
             base_cost) -> list:
     """Each candidate's exact cost change, with t costed: model.delta_cost,
-    or model.spliced_cost when the change does not localize.  No memo
-    entry is written on a candidate."""
+    as the hashcons computed it or now, or model.spliced_cost when the
+    change does not localize.  No memo entry is written on a candidate."""
     out = []
     for c in candidates:
-        delta = model.delta_cost(c.old_sub, c.new_sub)
+        delta = c.delta
+        if delta is _UNCOSTED:
+            delta = model.delta_cost(c.old_sub, c.new_sub)
         if delta is None:
             delta = model.spliced_cost(t, c.position, c.new_sub) - base_cost
         out.append(delta)
@@ -273,7 +396,15 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     some budget remains, reaching the stall limit instead triggers a hard
     restart from t0.
 
-    The chain keeps a step memo of the terms it reaches fewer than
+    The chain interns t0 and every successor in its _Hashcons, so a node
+    it has met is rewritten, costed and given its deltas once, and a
+    successor builds only the part of its path the table lacks.  At the
+    start of a step at which the table holds CONS_SIZE nodes or more, it
+    is dropped, and t0 and the current term are interned into a new one.
+    So it holds at most CONS_SIZE nodes plus one step's, or t0's and the
+    current term's, and t0 stays the node every restart returns to.
+
+    The chain also keeps a step memo of the terms it reaches fewer than
     MEMO_DEPTH steps past t0, until it holds MEMO_SIZE (a term counts 1
     plus its candidates): each term's candidates, their deltas and each
     successor built so far.  All are pure functions of the term, so a
@@ -286,7 +417,8 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     has_budget = (deadline is not None or cfg.max_steps is not None
                   or cfg.max_proposals is not None)
 
-    t = t0
+    cons = _Hashcons(model)
+    t = t0 = cons.intern(t0)
     cost_t = cost_t0 = model.cost(t0)
     best = t0
     best_cost = cost_t
@@ -322,9 +454,15 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             t, cost_t, n, n_stall, path = t0, cost_t0, 0, 0, []
             continue
 
+        if len(cons.nodes) >= CONS_SIZE:
+            cons = _Hashcons(model)
+            # Both were held together, so each is held as it is, and t0
+            # stays the node every restart returns to.
+            cons.intern(t0)
+            cons.intern(t)
         step = memo.get(t)
         if step is None:
-            candidates = _enumerate_candidates(t, ruleset)
+            candidates = _enumerate_candidates(t, ruleset, cons)
             step = (candidates, _deltas(t, candidates, model, cost_t), {})
             if len(path) < MEMO_DEPTH and memo_size < MEMO_SIZE:
                 memo[t] = step
@@ -349,9 +487,11 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
         i = sample_index(deltas, beta_now, rng)
         chosen = candidates[i]
-        if i not in successors:
-            successors[i] = chosen.materialize(t)
-        t = successors[i]
+        if i in successors:
+            t = successors[i] = cons.intern(successors[i])
+        else:
+            t = successors[i] = cons.successor(t, chosen.position,
+                                               chosen.new_sub)
         cost_t = model.cost(t)
         n += 1
         steps += 1
@@ -422,8 +562,7 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     """
     started = time.monotonic()
     n = cfg.chains
-    processes = min(cfg.workers, n, len(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity") else os.cpu_count() or 1)
+    processes = min(cfg.workers, n, usable_cpus())
     blocks = [(t0, ruleset, model, cfg, validator,
                range(p * n // processes, (p + 1) * n // processes),
                deadline, target_cost) for p in range(processes)]

@@ -18,7 +18,7 @@ from rewrite_arena.cli import (
     build_parser,
     main,
 )
-from rewrite_arena import cli, runner
+from rewrite_arena import cli, runner, stochastic
 from rewrite_arena.runner import CSV_COLUMNS, EqsatConfig
 from rewrite_arena.stochastic import RunConfig
 
@@ -253,6 +253,39 @@ def test_bench_with_case_level_jobs():
     assert all(r["solved"] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("suite, cpus, want", [
+    (["halide-mini"], 4, [4]),  # 8 jobs on 4 usable CPUs
+    (["halide-mini"], 16, [8]),  # 8 jobs on 12 cases and 16 CPUs
+    (["needle", "--n", "3"], 16, []),  # one case runs in-process
+])
+def test_bench_starts_at_most_one_process_per_case_and_usable_cpu(
+        monkeypatch, suite, cpus, want):
+    started = []
+
+    class Recording:
+        """The pool's interface, run in-process; records its size."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(stochastic.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    code, out = run_cli(["bench", *suite, "--engine", "eqsat", "--jobs", "8",
+                         "--format", "csv"])
+    assert code == 0 and started == want
+    assert all(r["solved"] == "1" for r in csv.DictReader(io.StringIO(out)))
+
+
 def test_list_subcommand():
     code, out = run_cli(["list"])
     assert code == 0
@@ -340,6 +373,11 @@ def _set_a1(spec, shape):
         rules=["assoc: (* (* ?a ?b) ?c) <=> (* ?a (* ?b ?c))"],
         fold_constants="false"),
      "fold_constants must be true or false, got 'false'"),
+    # A step named fold replayed as this rule or as constant folding.
+    (lambda spec: spec.update(
+        rules=["fold: (* (* ?a ?b) ?c) => (* ?a (* ?b ?c))"],
+        fold_constants=True),
+     "rule name 'fold' is the constant-fold step's in a folding ruleset"),
     (lambda spec: spec.update(time_limit="5"),
      "time_limit must be a finite number, got '5'"),
     # Both loaded as (4, 16): truncated, or converted from a string.

@@ -91,6 +91,15 @@ def test_rule_validation():
         Guard("unknown-kind", "?a")
 
 
+def test_a_folding_ruleset_rejects_a_rule_named_fold():
+    # Its steps and the constant-fold step would share one name, so a
+    # trace step named fold could replay either.
+    text = "fold: (+ ?a ?b) => (+ ?b ?a)"
+    with pytest.raises(RuleError, match="'fold' is the constant-fold"):
+        parse_ruleset(text, fold_constants=True)
+    assert [r.name for r in parse_ruleset(text)] == ["fold"]
+
+
 def test_const_fold():
     assert const_fold(P("(- 2 2)")) == P("0")
     assert const_fold(P("(+ (* 2 3) x)")) == P("(+ 6 x)")

@@ -52,7 +52,8 @@ from rewrite_arena.stochastic import (
     replay_trace,
     sample_index,
 )
-from rewrite_arena.terms import Term, leaf, positions, replace_at, term
+from rewrite_arena.terms import (Term, leaf, node_count, positions,
+                                 postorder, replace_at, term)
 
 
 def P(text):
@@ -583,9 +584,9 @@ def _count_enumerations(monkeypatch) -> list[Term]:
     """Record each term the chain's one enumerator is called on from now on."""
     enumerated = []
 
-    def counted(t, ruleset):
+    def counted(t, *args, **kwargs):
         enumerated.append(t)
-        return _enumerate_candidates(t, ruleset)
+        return _enumerate_candidates(t, *args, **kwargs)
 
     monkeypatch.setattr(stochastic, "_enumerate_candidates", counted)
     return enumerated
@@ -620,6 +621,14 @@ def _memo_chains():
             ("branching", _BRANCHING, 1, 4000, {})]
 
 
+def _row(res, validator):
+    """What a chain returns, and its validator's call count."""
+    return (res.best_term, res.best_cost, res.best_trace, res.steps,
+            res.proposals, res.hard_restarts, res.unsound_restarts,
+            res.unsound_witness, res.stop_reason,
+            validator and validator.checks)
+
+
 def test_step_memo_changes_no_chain(monkeypatch):
     enumerated = _count_enumerations(monkeypatch)
     runs, enumerations = {}, []
@@ -627,12 +636,8 @@ def test_step_memo_changes_no_chain(monkeypatch):
         monkeypatch.setattr(stochastic, "MEMO_DEPTH", depth)
         enumerated.clear()
         for label, case, seed, budget, tuning in _memo_chains():
-            res, validator = _case_chain(case, seed, budget, **tuning)
-            runs.setdefault(label, []).append((
-                res.best_term, res.best_cost, res.best_trace, res.steps,
-                res.proposals, res.hard_restarts, res.unsound_restarts,
-                res.unsound_witness, res.stop_reason,
-                validator and validator.checks))
+            runs.setdefault(label, []).append(
+                _row(*_case_chain(case, seed, budget, **tuning)))
         enumerations.append(len(enumerated))
     for label, (memoized, plain) in runs.items():
         assert memoized == plain, label
@@ -680,6 +685,100 @@ def test_step_memo_keeps_to_its_depth_and_size(monkeypatch, cap, bound, terms):
     assert held == {t for t in kept if visits[t] > 1}
     assert all(memoized[t] == 1 for t in kept)
     assert len(kept) == terms
+
+
+def test_a_hashcons_cleared_every_few_nodes_changes_no_chain(monkeypatch):
+    # Each enumeration gets a term the table holds, reads stored rewrites
+    # only by the ids of held nodes, and finds the table within its bound.
+    chains = _memo_chains()
+    rows = {name: _row(*_case_chain(case, seed, budget, **tuning))
+            for name, case, seed, budget, tuning in chains}
+    tables, checked = [], []
+
+    class Counted(stochastic._Hashcons):
+        def __init__(self, model):
+            super().__init__(model)
+            tables.append(self)
+
+    def checked_enumeration(t, ruleset, cons):
+        held = {id(n) for n in cons.nodes.values()}
+        assert cons.nodes[(t.op, *map(id, t.children))] is t
+        assert set(cons.rewrites) <= held
+        # Below its bound, or cleared to hold t0 and t.
+        assert len(cons.nodes) < stochastic.CONS_SIZE or \
+            len(cons.nodes) <= node_count(case.input_term) + node_count(t)
+        checked.append(t)
+        return _enumerate_candidates(t, ruleset, cons)
+
+    monkeypatch.setattr(stochastic, "_Hashcons", Counted)
+    monkeypatch.setattr(stochastic, "_enumerate_candidates",
+                        checked_enumeration)
+    monkeypatch.setattr(stochastic, "CONS_SIZE", 8)
+    cleared = set()
+    for name, case, seed, budget, tuning in chains:
+        tables.clear()
+        row = _row(*_case_chain(case, seed, budget, **tuning))
+        assert row == rows[name], name
+        if len(tables) > 10:
+            cleared.add(name)
+    # integ-cos's restart loop is 2 terms of 6 nodes; IntegSquare costs
+    # the integration cases, and every change of it takes spliced_cost.
+    assert rows["integ-cos"][5] > 1000 and rows["branching"][5] > 50
+    assert {"golden matmul-12", "branching", "integ-x-sin"} <= cleared
+    assert checked
+
+
+def test_a_chain_meets_each_distinct_subterm_as_one_node(monkeypatch):
+    # Without the step memo each step enumerates its term; with a table
+    # that never clears, a subterm equal to one met before is that node.
+    monkeypatch.setattr(stochastic, "MEMO_DEPTH", 0)
+    monkeypatch.setattr(stochastic, "CONS_SIZE", 10**9)
+    for case, budget in [(gen_matmul_chain(8, 1, 9, random.Random(4)), 3000),
+                         (_BRANCHING, 4000)]:
+        enumerated = _count_enumerations(monkeypatch)
+        res, _ = _case_chain(case, 3, budget, n_hard=30)
+        assert res.hard_restarts > 10
+        terms = Counter(enumerated)
+        assert max(terms.values()) > 1  # the chain did revisit terms
+        one = {}
+        for t in enumerated:
+            for node in postorder(t):
+                assert one.setdefault(node, node) is node
+        assert len({id(t) for t in enumerated}) == len(terms)
+
+
+def _memo_snapshot(t):
+    return [(node, node._memo and dict(node._memo)) for node in postorder(t)]
+
+
+def test_enumerating_outside_a_chain_stores_nothing_on_terms():
+    # matmul-12's best term carries its chain's cost memo; the colliding
+    # rules fold and hold no guard, whose constants are memoized per node.
+    build, seed, budget, _ = GOLDEN_CHAINS["matmul-12"]
+    case = build()
+    res, _ = _case_chain(case, seed, budget)
+    colliding = parse_ruleset(_COLLIDING_RULES, "colliding",
+                              fold_constants=True)
+    rng = random.Random(5)
+    terms = [_random_term(rng, 5) for _ in range(50)]
+    for t, ruleset in [(res.best_term, case.ruleset),
+                       *((t, colliding) for t in terms)]:
+        before = _memo_snapshot(t)
+        moves = proposals(t, ruleset)
+        for move in moves:
+            replay_trace(t, ruleset, [(move.rule, move.position)])
+        assert _memo_snapshot(t) == before
+    assert res.best_trace
+
+
+def test_the_chains_of_a_search_store_nothing_per_chain_on_its_input():
+    case = gen_matmul_chain(10, 1, 9, random.Random(6))
+    t0, counts = case.input_term, []
+    for budget in (1, 4):
+        search(t0, case.ruleset, case.cost_model,
+               RunConfig(budget=budget, seed=2, max_proposals=2000))
+        counts.append([len(node._memo or ()) for node in postorder(t0)])
+    assert counts[0] == counts[1]
 
 
 def _reference_proposals(t, ruleset, dedup=True):
