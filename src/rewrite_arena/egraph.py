@@ -187,11 +187,18 @@ class EGraph:
         next pass would unite nothing, so the hashcons is adopted and the
         fixpoint ends.  Finds, unions and insertions keep the order of the
         plain fixpoint, and so do leaders and node order.
+
+        An id whose parent is a root is read without calling find, which
+        would change nothing there.  A one-node class whose node the scan
+        already keyed is merged in place, as union would merge it: the
+        other class was scanned earlier, so its id is lower, and it holds
+        a node, so it leads under union's rule.
         """
         if not self._dirty:
             return
-        uf, find, union, canonicalize = (
-            self._uf, self.find, self.union, self._canonicalize)
+        uf, find, union, canonicalize, join = (
+            self._uf, self.find, self.union, self._canonicalize,
+            self._join_into)
         classes = self.classes
         folding = any(cls.constant is not None for cls in classes.values())
         while True:
@@ -203,16 +210,32 @@ class EGraph:
             setdefault = hashcons.setdefault
             for cid, cls in list(classes.items()):
                 for node in tuple(cls.nodes):
-                    root = cid if uf[cid] == cid else find(cid)
+                    p = uf[cid]
+                    root = p if uf[p] == p else find(cid)
+                    key = node
                     if len(node) == 3:
                         _, a, b = node
-                        if uf[a] != a or uf[b] != b:
-                            node = (node[0], a if uf[a] == a else find(a),
-                                    b if uf[b] == b else find(b))
+                        pa, pb = uf[a], uf[b]
+                        if pa != a or pb != b:
+                            key = (node[0], pa if uf[pa] == pa else find(a),
+                                   pb if uf[pb] == pb else find(b))
                     elif len(node) != 1:
-                        node = canonicalize(node)
-                    existing = setdefault(node, root)
-                    if existing != root and find(existing) != root:
+                        key = canonicalize(node)
+                    existing = setdefault(key, root)
+                    if existing == root:
+                        continue
+                    p = uf[existing]
+                    existing = p if uf[p] == p else find(existing)
+                    if existing == root:
+                        continue
+                    if root == cid and len(cls.nodes) == 1:
+                        uf[cid] = existing
+                        classes[existing].nodes[node] = None
+                        if cls.constant is not None:
+                            join(existing, cls.constant)
+                        del classes[cid]
+                        self.union_count += 1
+                    else:
                         union(existing, root)
             # Canonical class dicts, and the hashcons they key.
             adopt, held = {}, 0
@@ -221,9 +244,10 @@ class EGraph:
                 for node in cls.nodes:
                     if len(node) == 3:
                         _, a, b = node
-                        if uf[a] != a or uf[b] != b:
-                            node = (node[0], a if uf[a] == a else find(a),
-                                    b if uf[b] == b else find(b))
+                        pa, pb = uf[a], uf[b]
+                        if pa != a or pb != b:
+                            node = (node[0], pa if uf[pa] == pa else find(a),
+                                    pb if uf[pb] == pb else find(b))
                     elif len(node) != 1:
                         node = canonicalize(node)
                     nodes[node] = None
@@ -236,7 +260,7 @@ class EGraph:
             if folding:
                 for cid, cls in classes.items():
                     for node in cls.nodes:
-                        if self._join_into(cid, self._make_constant(node)):
+                        if join(cid, self._make_constant(node)):
                             changed = True
                 for cid in list(classes.keys()):
                     cls = classes.get(cid)
@@ -524,6 +548,11 @@ def _cyclic_gc_paused():
     forms a cycle.  With the collector on, that churn set off full
     collections that walked the whole e-graph again and again, about a
     quarter of the time on a 40-matrix chain.
+
+    The block should drop what it allocated but does not keep, its match
+    lists above all, before it ends: the young generation holds every
+    container made while the collector was off, and the first collection
+    after it resumes walks each one still alive.
     """
     if not gc.isenabled():
         yield
@@ -576,6 +605,7 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
         for rule, hits in matched:
             g.add_instantiated(rule, hits)
             applied += len(hits)
+        matched = hits = None  # freed before rebuild and the collector
         g.rebuild()
         return IterationReport(
             iteration=iteration,
@@ -596,22 +626,41 @@ def extract(g: EGraph, root: EClassId, model: CostModel) -> tuple[Term, float]:
     """Minimum-cost concrete term represented by the root class.
 
     Folds the model's `_combine` over e-nodes to a fixpoint, keeping per
-    class the best combined value and the e-node that reaches it.
+    class the best combined value and the first e-node, in class then
+    node order, to reach it.  Sweeps after the first skip a node none of
+    whose children's classes improved since its own class's last turn:
+    its value is the one it had then, which the class's best already
+    matched, so it could not strictly improve the class.  The nodes a
+    sweep does evaluate see the values the full sweep's would, so picks
+    and tie-breaks are those of the full sweeps.
     """
     if not model.extractable:
         raise ExtractionError(f"{model!r} has no per-node cost rule; "
                               "check goal representation instead")
-    combine, scalar, find = model._combine, model._scalar, g.find
+    combine, scalar, find, uf = model._combine, model._scalar, g.find, g._uf
     best: dict[EClassId, object] = {}
     best_node: dict[EClassId, ENode] = {}
+    improved = [0] * len(uf)  # per class, the tick of its last improvement
+    turn: dict[EClassId, int] = {}  # per class, the tick its last turn began
+    tick = 0
     changed = True
     while changed:
         changed = False
         for cid, cls in g.classes.items():
+            since = turn.get(cid)
+            turn[cid] = tick
             for node in cls.nodes:
+                if since is not None:
+                    for child in node[1:]:
+                        p = uf[child]
+                        if improved[p if uf[p] == p else find(child)] > since:
+                            break
+                    else:
+                        continue
                 child_values = []
                 for child in node[1:]:
-                    value = best.get(find(child))
+                    p = uf[child]
+                    value = best.get(p if uf[p] == p else find(child))
                     if value is None:
                         break
                     child_values.append(value)
@@ -621,6 +670,8 @@ def extract(g: EGraph, root: EClassId, model: CostModel) -> tuple[Term, float]:
                     if prev is None or scalar(value) < scalar(prev):
                         best[cid] = value
                         best_node[cid] = node
+                        tick += 1
+                        improved[cid] = tick
                         changed = True
     root = find(root)
     if root not in best:

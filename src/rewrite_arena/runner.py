@@ -82,15 +82,14 @@ def saturate(g: EGraph, root: EClassId, ruleset: Ruleset,
     extract_from = g
     stop = "iteration_limit"
     done = solved is not None and solved(g, root)
+    nodes = g.num_nodes()  # then each iteration's report counts them
     while not done and report.iterations < cfg.iterations:
         if deadline is not None and time.monotonic() >= deadline:
             stop = "time_limit"
             break
-        if g.num_nodes() > cfg.nodes:
+        if nodes > cfg.nodes:
             stop = "node_limit"
             break
-        before_unions = g.union_count
-        before_nodes = g.num_nodes()
         step = run_iteration(g, ruleset, scheduler, report.iterations)
         report.iterations += 1
         if g.contradiction:
@@ -103,10 +102,11 @@ def saturate(g: EGraph, root: EClassId, ruleset: Ruleset,
         if checkpointing:
             checkpoint = g.copy()
         done = solved is not None and solved(g, root)
-        if (not done and g.union_count == before_unions
-                and g.num_nodes() == before_nodes and not step.banned):
+        if (not done and step.unions == 0 and step.nodes == nodes
+                and not step.banned):
             stop = "saturated"
             break
+        nodes = step.nodes
     if done:
         stop = "solved"
     report.stop_reason = stop
