@@ -240,25 +240,41 @@ def _emit(rows: list[dict], summary: dict | None, fmt: str,
 
 
 def _write_out(text: str | None, output: str | None) -> None:
-    """Write text to output via a temporary file, or to stdout.  With text
-    None, only check that output can be written, before any case runs."""
+    """Write text to output, or to stdout.  With text None, only check that
+    output can be written, before any case runs.
+
+    A symlink is followed, so the link stays.  A regular file (or a new
+    one) is replaced through a temporary file beside it; an existing
+    device or FIFO is written in place, never replaced."""
     if output is None:
         if text is not None:
             sys.stdout.write(text)
         return
-    tmp = output + ".tmp"
+    path = os.path.realpath(output)
+    tmp = None
     try:
-        if os.path.isdir(output):
+        if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.exists(path) and not os.path.isfile(path):
+            if text is None:
+                if not os.access(path, os.W_OK):
+                    raise PermissionError(errno.EACCES,
+                                          os.strerror(errno.EACCES))
+            else:
+                with open(path, "w") as fh:
+                    fh.write(text)
+            return
+        tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(text or "")
         if text is None:
             os.remove(tmp)
         else:
-            os.replace(tmp, output)
+            os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise UsageError(f"cannot write {output}: {exc.strerror}") from None
 
 

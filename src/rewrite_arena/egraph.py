@@ -28,8 +28,6 @@ run_iteration and extract.
 """
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .costs import CostModel
@@ -41,7 +39,7 @@ from .rules import (
     fold_node,
     is_pattern_var,
 )
-from .terms import Term, TermError, postorder, print_sexpr
+from .terms import Term, TermError, cyclic_gc_paused, postorder, print_sexpr
 
 EClassId = int
 ENode = tuple  # (Symbol, child EClassId, ...) -- children canonical at creation
@@ -539,31 +537,6 @@ class BackoffScheduler:
         return False
 
 
-@contextmanager
-def _cyclic_gc_paused():
-    """Keep the cyclic garbage collector off for the block.
-
-    An iteration allocates match tuples, e-nodes and classes by the
-    hundred thousand and frees them by reference counting; none of them
-    forms a cycle.  With the collector on, that churn set off full
-    collections that walked the whole e-graph again and again, about a
-    quarter of the time on a 40-matrix chain.
-
-    The block should drop what it allocated but does not keep, its match
-    lists above all, before it ends: the young generation holds every
-    container made while the collector was off, and the first collection
-    after it resumes walks each one still alive.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 @dataclass
 class IterationReport:
     iteration: int
@@ -585,7 +558,7 @@ def run_iteration(g: EGraph, ruleset: Ruleset, scheduler: BackoffScheduler,
     then each rule's right-hand sides are added and unioned in one applier
     loop, then the graph is rebuilt once.
     """
-    with _cyclic_gc_paused():
+    with cyclic_gc_paused():
         unions_before = g.union_count
         matched: list[tuple[Rule, list[Match]]] = []
         banned: list[str] = []

@@ -12,8 +12,10 @@ independent; a search runs them in at most one process per usable CPU,
 and the chains in one process share its time under a deadline.
 
 Each chain hash-conses its terms (_Hashcons): a subterm equal to one the
-chain has met is that same node, so its cost memo is already filled and
-its one-step rewrites, with their cost deltas, are computed once.
+chain has met is that same node, so its cost memo is already filled, and
+its subtree's candidates, with their cost deltas, are listed once.  A step
+walks only the path to the drawn rewrite, down to find it and back up to
+build the successor.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .rules import (
     instantiate,  # noqa: F401 -- unused here, but perfbench's tracer
     match_pattern,  # noqa: F401 -- wraps these two names in this module
 )
-from .terms import Term, Position, replace_at, subterm_at
+from .terms import Term, Position, cyclic_gc_paused, replace_at, subterm_at
 
 _M64 = (1 << 64) - 1
 
@@ -182,31 +184,6 @@ def sample_index(deltas: list[float], beta: float, rng: random.Random) -> int:
     return min(bisect_right(acc, rng.random() * acc[-1]), n - 1)
 
 
-# The delta of a candidate enumerated outside a chain: not computed yet.
-_UNCOSTED = object()
-
-
-class _Candidate:
-    """One-step rewrite of old_sub at position into new_sub.
-
-    The result term is built only by materialize: only the sampled
-    candidate pays for the spine rebuild.  delta is model.delta_cost of
-    the rewrite when a chain's hashcons computed it (None: it does not
-    localize), else _UNCOSTED."""
-
-    __slots__ = ("rule", "position", "old_sub", "new_sub", "delta")
-
-    def __init__(self, rule, position, old_sub, new_sub, delta=_UNCOSTED):
-        self.rule = rule
-        self.position = position
-        self.old_sub = old_sub
-        self.new_sub = new_sub
-        self.delta = delta
-
-    def materialize(self, t: Term) -> Term:
-        return replace_at(t, self.position, self.new_sub)
-
-
 def _result_key(pos: Position, old_sub: Term, new_sub: Term):
     """(position, replacement) of the smallest subtree holding every change
     that rewriting old_sub at pos into new_sub makes, or None for none.
@@ -227,8 +204,8 @@ def _result_key(pos: Position, old_sub: Term, new_sub: Term):
 def _rewrites_at(sub: Term, ruleset: Ruleset, model: CostModel | None):
     """The one-step rewrites of sub at its root, as (rule, key, new_sub,
     delta): key is the _result_key relative to sub, the first of equal
-    keys kept, identity excluded; delta is model.delta_cost, or
-    _UNCOSTED without a model."""
+    keys kept, identity excluded; delta is model.delta_cost (None: it does
+    not localize), or None without a model."""
     out, keys = [], []
     rewrite = (ruleset._rewriters.get(sub.op.name)
                or ruleset.rewriter(sub.op.name))
@@ -239,28 +216,46 @@ def _rewrites_at(sub: Term, ruleset: Ruleset, model: CostModel | None):
             continue
         if key not in keys:
             keys.append(key)
-            out.append((rule, key, new_sub, _UNCOSTED if model is None
+            out.append((rule, key, new_sub, None if model is None
                         else model.delta_cost(sub, new_sub)))
     return out
 
 
 class _Hashcons:
-    """One chain's hash-consed terms.
+    """One chain's hash-consed terms and each held node's candidates.
 
     `nodes` maps (op, id(child), ...) to the one node held with that
     operator and those children, as the e-graph's hashcons maps e-nodes;
     a node is held only with its children, so a held root holds its
-    term.  `rewrites` maps a held node's id to its _rewrites_at, with the
-    chain's model, computed once.  run_chain replaces the whole table once
-    `nodes` reaches CONS_SIZE, so an id is read only while its node is
-    held: Python reuses the ids of freed objects.
+    term.  The other maps are keyed by a node's id, under the table's
+    ruleset and model:
+
+    - rewrites: the node's own _rewrites_at;
+    - lists: the delta of every candidate of the node's subtree, in
+      enumeration order: its own, then each child's, less those whose
+      result one of its own rewrites already gives;
+    - keeps: for a node that dropped some of a child's candidates, per
+      child None or the indices into the child's list of those kept.
+
+    A node's list is built once, from its own rewrites and its children's
+    lists (shared, not copied, when only one of those has entries), so a
+    step builds lists only for the nodes the table has not met, and
+    locate finds an entry by walking down the children's counts.
+
+    run_chain replaces the whole table once `nodes` reaches CONS_SIZE, so
+    an id is read only while its node is held: Python reuses the ids of
+    freed objects.  A table outside a chain holds no nodes, and its lists
+    are read only while the enumerated term lives.
     """
 
-    __slots__ = ("nodes", "rewrites", "model")
+    __slots__ = ("nodes", "rewrites", "lists", "keeps", "ruleset", "model")
 
-    def __init__(self, model: CostModel):
+    def __init__(self, ruleset: Ruleset, model: CostModel | None):
         self.nodes: dict[tuple, Term] = {}
         self.rewrites: dict[int, list[tuple]] = {}
+        self.lists: dict[int, list] = {}
+        self.keeps: dict[int, list] = {}
+        self.ruleset = ruleset
         self.model = model
 
     def intern(self, t: Term) -> Term:
@@ -291,70 +286,161 @@ class _Hashcons:
                 stack += (node, None, *node.children)
         return held[id(t)]
 
-    def successor(self, t: Term, pos: Position, new_sub: Term) -> Term:
-        """Held t with new_sub at pos, held.  Its path is looked up bottom-up;
-        replace_at builds the levels above the first one the table lacks."""
+    def candidates(self, t: Term) -> list:
+        """t's list, after building the list of each node of t that has
+        none, children first."""
+        lists = self.lists
+        stack: list[Term | None] = [t]
+        while stack:
+            node = stack.pop()
+            if node is None:  # a marker: the node under it has its children's
+                node = stack.pop()
+                if id(node) not in lists:  # a shared child may come twice
+                    self._build(node)
+            elif id(node) not in lists:
+                stack += (node, None, *node.children)
+        return lists[id(t)]
+
+    def _build(self, node: Term) -> None:
+        # node's rewrites, list and keeps (see the class), from its
+        # children's lists.
+        kids, lists = node.children, self.lists
+        if not kids and not self.ruleset.rewrites_leaves:
+            lists[id(node)] = self.rewrites[id(node)] = []  # never folds
+            return
+        rewrites = self.rewrites[id(node)] = _rewrites_at(
+            node, self.ruleset, self.model)
+        keeps = None
+        for _, (below, new), _, _ in rewrites:
+            # Only a key below its rewrite's position can equal a
+            # descendant's, and only the descendants on its path have one.
+            if below and (drop := self._indices(kids[below[0]], below[1:],
+                                                new)):
+                k = below[0]
+                keeps = keeps or [None] * len(kids)
+                kept = (range(len(lists[id(kids[k])])) if keeps[k] is None
+                        else keeps[k])
+                keeps[k] = [j for j in kept if j not in drop]
+        if keeps is not None:
+            self.keeps[id(node)] = keeps
+        deltas = [rewrite[3] for rewrite in rewrites]
+        for k, kid in enumerate(kids):
+            sub = lists[id(kid)]
+            if keeps is not None and keeps[k] is not None:
+                sub = [sub[j] for j in keeps[k]]
+            if sub:
+                deltas = deltas + sub if deltas else sub
+        lists[id(node)] = deltas
+
+    def _offset(self, node: Term, k: int) -> int:
+        """Where the entries from node's child k start in node's list."""
+        keeps = self.keeps.get(id(node))
+        return len(self.rewrites[id(node)]) + sum(
+            len(self.lists[id(kid)]) if keeps is None or keeps[c] is None
+            else len(keeps[c]) for c, kid in enumerate(node.children[:k]))
+
+    def _indices(self, node: Term, below: Position, new: Term) -> list[int]:
+        """The indices into node's list of the entries whose _result_key,
+        relative to node, is (below, new).  Each node on the path `below`
+        has at most one own rewrite with that key; its index is mapped up
+        through the levels above it."""
+        out, path = [], []
+        for depth in range(len(below) + 1):
+            key = below[depth:], new
+            j = next((j for j, rewrite in enumerate(self.rewrites[id(node)])
+                      if rewrite[1] == key), None)
+            for up, k in reversed(path):
+                keep = self.keeps.get(id(up))
+                keep = None if keep is None else keep[k]
+                if j is None or keep is not None and j not in keep:
+                    j = None  # a level above already dropped it
+                    break
+                j = self._offset(up, k) + (j if keep is None
+                                           else keep.index(j))
+            if j is not None:
+                out.append(j)
+            if depth < len(below):
+                path.append((node, below[depth]))
+                node = node.children[below[depth]]
+        return out
+
+    def locate(self, t: Term, i: int):
+        """(path, position, rewrite) of entry i of t's list: the nodes from
+        t down to the rewritten node's parent, the rewritten node's
+        position, and its own rewrite (rule, key, new_sub, delta)."""
+        lists, all_rewrites, all_keeps = self.lists, self.rewrites, self.keeps
+        if id(t) not in lists:
+            self.candidates(t)
+        path, pos = [], []
+        while True:
+            rewrites = all_rewrites[id(t)]
+            if i < len(rewrites):
+                return path, tuple(pos), rewrites[i]
+            i -= len(rewrites)
+            keeps = all_keeps.get(id(t)) if all_keeps else None
+            for k, kid in enumerate(t.children):
+                keep = keeps and keeps[k]
+                n = len(lists[id(kid)] if keep is None else keep)
+                if i < n:
+                    break
+                i -= n
+            if keep is not None:
+                i = keep[i]
+            path.append(t)
+            pos.append(k)
+            t = kid
+
+    def successor(self, path: list[Term], pos: Position, new_sub: Term):
+        """The held term with new_sub at pos, where path and pos are what
+        locate gave for a held term.  The path is looked up bottom-up;
+        only the levels above the first one the table lacks are built,
+        through replace_at (whose calls perfbench's tracer counts)."""
         nodes = self.nodes
         s = self.intern(new_sub)
-        spine = []
-        for i in pos:
-            spine.append(t)
-            t = t.children[i]
-        for depth in range(len(pos) - 1, -1, -1):
-            node = spine[depth]
-            ids = [*map(id, node.children)]
-            ids[pos[depth]] = id(s)
-            up = nodes.get((node.op, *ids))
+        depth = len(pos)
+        while depth:
+            node, k = path[depth - 1], pos[depth - 1]
+            kids = node.children
+            if len(kids) == 2:  # the common case, keyed without a list
+                key = ((node.op, id(s), id(kids[1])) if k == 0
+                       else (node.op, id(kids[0]), id(s)))
+            else:
+                ids = [*map(id, kids)]
+                ids[k] = id(s)
+                key = (node.op, *ids)
+            up = nodes.get(key)
             if up is None:  # nor any level above, whose key holds a new id
-                s = node = replace_at(spine[0], pos[:depth + 1], s)
-                for i in pos[:depth + 1]:
-                    nodes[(node.op, *map(id, node.children))] = node
-                    node = node.children[i]
-                return s
+                break
             s = up
+            depth -= 1
+        if depth:  # replace_at builds the levels above, which are all new
+            s = node = replace_at(path[0], pos[:depth], s)
+            for k in pos[:depth]:
+                nodes[(node.op, *map(id, node.children))] = node
+                node = node.children[k]
         return s
 
 
 def _enumerate_candidates(t: Term, ruleset: Ruleset,
-                          cons: _Hashcons | None = None) -> list[_Candidate]:
-    """All one-step rewrites of t, deduplicated by result: the one enumerator.
+                          cons: _Hashcons | None = None) -> list:
+    """The deltas of all one-step rewrites of t, deduplicated by result:
+    the one enumerator.  cons.locate gives an entry's rule, position and
+    replacement.
 
     Order is position-major (preorder, as terms.positions), then the
     rewriter's (ruleset order, then constant folding), first occurrence
-    kept, identity excluded.  A candidate is kept when its _result_key is
-    new, so no result term is built or hashed.  Only a key below its
-    rewrite's position can equal one of another position, and only one
-    met later, so only those are kept in `deep`.  Leaves below the root
-    are visited only when some rule's LHS is a leaf.
+    kept, identity excluded.  A rewrite is kept unless a strict ancestor's
+    own rewrite has the same absolute _result_key, so no result term is
+    built or hashed.  Leaves below the root have candidates only when some
+    rule's LHS is a leaf.
 
-    With a chain's hashcons, which holds t, each node's rewrites and
-    their deltas are read from it, and computed only for a node it has
-    not met; without one, nothing is stored.
+    cons is a chain's table over ruleset, holding t: each node's list is
+    read from it and built only for the nodes it has not met.  Without
+    one, a throwaway table is used, with no deltas (all None).
     """
-    out: list[_Candidate] = []
-    deep: set = set()
-    known = cons.rewrites if cons is not None else None
-    leaves = ruleset.rewrites_leaves  # a leaf never folds
-    stack: list[tuple[Position, Term]] = [((), t)]
-    while stack:
-        pos, sub = stack.pop()
-        kids = sub.children
-        if known is None:
-            rewrites = _rewrites_at(sub, ruleset, None)
-        elif (rewrites := known.get(id(sub))) is None:
-            rewrites = known[id(sub)] = _rewrites_at(sub, ruleset, cons.model)
-        for rule, (below, new), new_sub, delta in rewrites:
-            if below or deep:
-                key = pos + below, new
-                if key in deep:
-                    continue
-                if below:
-                    deep.add(key)
-            out.append(_Candidate(rule, pos, sub, new_sub, delta))
-        for idx in range(len(kids) - 1, -1, -1):
-            if leaves or kids[idx].children:
-                stack.append((pos + (idx,), kids[idx]))
-    return out
+    if cons is None:
+        cons = _Hashcons(ruleset, None)
+    return cons.candidates(t)
 
 
 class Proposal(NamedTuple):
@@ -365,26 +451,31 @@ class Proposal(NamedTuple):
 
 def proposals(t: Term, ruleset: Ruleset) -> list[Proposal]:
     """All one-step rewrites of t, materialized, in enumeration order."""
-    return [Proposal(c.materialize(t), c.rule, c.position)
-            for c in _enumerate_candidates(t, ruleset)]
-
-
-def _deltas(t: Term, candidates: list[_Candidate], model: CostModel,
-            base_cost) -> list:
-    """Each candidate's exact cost change, with t costed: model.delta_cost,
-    as the hashcons computed it or now, or model.spliced_cost when the
-    change does not localize.  No memo entry is written on a candidate."""
+    cons = _Hashcons(ruleset, None)
     out = []
-    for c in candidates:
-        delta = c.delta
-        if delta is _UNCOSTED:
-            delta = model.delta_cost(c.old_sub, c.new_sub)
-        if delta is None:
-            delta = model.spliced_cost(t, c.position, c.new_sub) - base_cost
-        out.append(delta)
+    for i in range(len(_enumerate_candidates(t, ruleset, cons))):
+        _, pos, (rule, _, new_sub, _) = cons.locate(t, i)
+        out.append(Proposal(replace_at(t, pos, new_sub), rule, pos))
     return out
 
 
+def _step_deltas(t: Term, cons: _Hashcons, base_cost) -> list:
+    """Each candidate's exact cost change under cons.model, with t costed:
+    t's deltas, or, where one does not localize (None), a copy with
+    model.spliced_cost in its place.  Nothing is stored on any term."""
+    deltas = _enumerate_candidates(t, cons.ruleset, cons)
+    if None not in deltas:
+        return deltas
+    spliced = cons.model.spliced_cost
+    out = deltas.copy()
+    for i, delta in enumerate(deltas):
+        if delta is None:
+            _, pos, (_, _, new_sub, _) = cons.locate(t, i)
+            out[i] = spliced(t, pos, new_sub) - base_cost
+    return out
+
+
+@cyclic_gc_paused()
 def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
               validator=None, rng: random.Random | None = None,
               chain_index: int = 0, deadline: float | None = None,
@@ -397,19 +488,24 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     restart from t0.
 
     The chain interns t0 and every successor in its _Hashcons, so a node
-    it has met is rewritten, costed and given its deltas once, and a
-    successor builds only the part of its path the table lacks.  At the
-    start of a step at which the table holds CONS_SIZE nodes or more, it
-    is dropped, and t0 and the current term are interned into a new one.
-    So it holds at most CONS_SIZE nodes plus one step's, or t0's and the
-    current term's, and t0 stays the node every restart returns to.
+    it has met is rewritten, costed and given its candidate list once.  A
+    step reads the current term's list, walks down its counts to the drawn
+    entry, and builds back up that path only the levels the table lacks.
+    At the start of a step at which the table holds CONS_SIZE nodes or
+    more, it is dropped, and t0 and the current term are interned into a
+    new one.  So it holds at most CONS_SIZE nodes plus one step's, or t0's
+    and the current term's, and t0 stays the node every restart returns to.
 
     The chain also keeps a step memo of the terms it reaches fewer than
     MEMO_DEPTH steps past t0, until it holds MEMO_SIZE (a term counts 1
-    plus its candidates): each term's candidates, their deltas and each
-    successor built so far.  All are pure functions of the term, so a
-    revisit, such as after a restart, re-runs only the draw, the validator
-    and the counters.
+    plus its candidates): each term's deltas and each successor built so
+    far, with its rule and position.  All are pure functions of the term,
+    so a revisit, such as after a restart, re-runs only the draw, the
+    validator and the counters.
+
+    The chain runs with the cyclic collector paused: it frees what it
+    makes by reference counting, and its table and memo are gone when it
+    returns, before the collector resumes.
     """
     if rng is None:
         rng = random.Random(chain_seed(cfg.seed, chain_index))
@@ -417,7 +513,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     has_budget = (deadline is not None or cfg.max_steps is not None
                   or cfg.max_proposals is not None)
 
-    cons = _Hashcons(model)
+    cons = _Hashcons(ruleset, model)
     t = t0 = cons.intern(t0)
     cost_t = cost_t0 = model.cost(t0)
     best = t0
@@ -433,7 +529,7 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     best_trace: list[tuple[str, Position]] = []
     solved = target_cost is not None and best_cost <= target_cost
     stop_reason = "target"
-    memo: dict = {}  # term -> (candidates, deltas, {index: successor})
+    memo: dict = {}  # term -> (deltas, {index: (successor, rule, position)})
     memo_size = 0
 
     while not solved:
@@ -455,21 +551,20 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             continue
 
         if len(cons.nodes) >= CONS_SIZE:
-            cons = _Hashcons(model)
+            cons = _Hashcons(ruleset, model)
             # Both were held together, so each is held as it is, and t0
             # stays the node every restart returns to.
             cons.intern(t0)
             cons.intern(t)
         step = memo.get(t)
         if step is None:
-            candidates = _enumerate_candidates(t, ruleset, cons)
-            step = (candidates, _deltas(t, candidates, model, cost_t), {})
+            step = (_step_deltas(t, cons, cost_t), {})
             if len(path) < MEMO_DEPTH and memo_size < MEMO_SIZE:
                 memo[t] = step
-                memo_size += 1 + len(candidates)
-        candidates, deltas, successors = step
-        total_proposals += len(candidates)
-        if not candidates:
+                memo_size += 1 + len(step[0])
+        deltas, successors = step
+        total_proposals += len(deltas)
+        if not deltas:
             # Dead end: the term cannot move, so every step up to the stall
             # limit (or the step cap) is an empty stall step; take them all.
             # At t0 itself the chain ends: every restart would come back.
@@ -486,17 +581,18 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
         i = sample_index(deltas, beta_now, rng)
-        chosen = candidates[i]
         if i in successors:
-            t = successors[i] = cons.intern(successors[i])
+            t, rule, position = successors[i]
+            t = cons.intern(t)
         else:
-            t = successors[i] = cons.successor(t, chosen.position,
-                                               chosen.new_sub)
+            spine, position, (rule, _, new_sub, _) = cons.locate(t, i)
+            t = cons.successor(spine, position, new_sub)
+        successors[i] = t, rule, position
         cost_t = model.cost(t)
         n += 1
         steps += 1
         accepted += 1
-        path.append((chosen.rule, chosen.position))
+        path.append((rule, position))
 
         # The periodic check comes first, then the new-best check on the
         # same step: the validator seeds each check from its call count.

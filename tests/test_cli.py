@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -562,6 +564,78 @@ def test_unwritable_output_fails_before_any_case_runs(tmp_path, capsys,
     assert code == 2 and out == ""
     assert "cannot write" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["out"]
+
+
+def _read_fifo(path, nbytes=-1):
+    """A started thread that opens the FIFO at path, reads nbytes of it
+    (all, by default) into the list it returns, and closes it."""
+    got = []
+
+    def read():
+        with open(path, "rb") as fh:
+            got.append(fh.read(nbytes))
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, got
+
+
+def _join(reader, path):
+    """Wait for a _read_fifo thread; if no writer ever opened the FIFO,
+    open it once so the reader's own open returns."""
+    reader.join(timeout=30)
+    if reader.is_alive():
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "matmul", "--n", "2", "--count", "1"],
+    [*_NEEDLE, "eqsat", "--format", "json"],
+])
+def test_output_to_a_fifo_is_written_in_place(tmp_path, args):
+    fifo = tmp_path / "rows"
+    os.mkfifo(fifo)
+    reader, got = _read_fifo(fifo)
+    try:
+        code, out = run_cli([*args, "--output", str(fifo)])
+    finally:
+        _join(reader, fifo)
+    assert code == 0 and out == ""
+    assert json.loads(got[0])
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["rows"]
+
+
+def test_a_failed_write_to_a_fifo_exits_2(tmp_path, capsys):
+    # The reader takes one byte and leaves; the rest (over 64 KiB, more
+    # than a pipe holds) then cannot be written.
+    fifo = tmp_path / "rows"
+    os.mkfifo(fifo)
+    reader, got = _read_fifo(fifo, 1)
+    try:
+        code, out = run_cli(["gen", "matmul", "--n", "40", "--count", "20",
+                             "--output", str(fifo)])
+    finally:
+        _join(reader, fifo)
+    assert code == 2 and out == "" and got == [b"{"]
+    assert f"cannot write {fifo}: " in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["rows"]
+
+
+def test_output_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "data" / "rows.json"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "rows.json"
+    link.symlink_to(target)
+    code, _ = run_cli([*_NEEDLE, "eqsat", "--format", "json",
+                       "--output", str(link)])
+    assert code == 0 and link.is_symlink()
+    assert json.loads(target.read_text())["rows"]
+    assert sorted(os.listdir(tmp_path)) == ["data", "rows.json"]
+    assert os.listdir(target.parent) == ["rows.json"]
 
 
 def test_pulsing_a_case_without_per_node_costs_exits_2(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import pickle
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -20,7 +21,7 @@ from rewrite_arena.costs import (
     integ_cost,
     model_from_spec,
 )
-from rewrite_arena.terms import Term, replace_at, symbol
+from rewrite_arena.terms import Term, replace_at, subterm_at, symbol
 from helpers import random_term
 
 DIMS = {"A": (2, 3), "B": (3, 4), "C": (4, 5)}
@@ -233,28 +234,56 @@ def _walk_starts():
 
 
 def _walk(case, steps, rng):
-    """Terms along a seeded walk from the case input, with candidates."""
-    from rewrite_arena.stochastic import _enumerate_candidates
+    """Terms along a seeded walk from the case input."""
+    from rewrite_arena.stochastic import proposals
 
     t = case.input_term
     for _ in range(steps):
-        candidates = _enumerate_candidates(t, case.ruleset)
-        if not candidates:
+        moves = proposals(t, case.ruleset)
+        if not moves:
             return
-        yield t, candidates
-        t = rng.choice(candidates).materialize(t)
+        yield t
+        t = rng.choice(moves).term
+
+
+class _Candidate(NamedTuple):
+    rule: str
+    position: tuple
+    old_sub: Term
+    new_sub: Term
+
+
+def _candidates(t, cons):
+    """Each entry of t's list in a chain's table, as a _Candidate; new_sub
+    is the replacement the table holds."""
+    from rewrite_arena.stochastic import _enumerate_candidates
+
+    out = []
+    for i in range(len(_enumerate_candidates(t, cons.ruleset, cons))):
+        _, pos, (rule, _, new_sub, _) = cons.locate(t, i)
+        out.append(_Candidate(rule, pos, subterm_at(t, pos), new_sub))
+    return out
+
+
+def _chain_deltas(t, ruleset, model, base):
+    """(candidates, deltas) a chain over ruleset and model computes at t,
+    from one new table."""
+    from rewrite_arena.stochastic import _Hashcons, _step_deltas
+
+    cons = _Hashcons(ruleset, model)
+    deltas = _step_deltas(t, cons, base)
+    return _candidates(t, cons), deltas
 
 
 def test_deltas_equal_full_recosting_bit_for_bit():
-    from rewrite_arena.stochastic import _deltas
-
     rng = random.Random(14)
     kinds, counted = set(), 0
     for case, models in _walk_starts():
-        for t, candidates in _walk(case, 20, rng):
+        for t in _walk(case, 20, rng):
             bases = [model.cost(t) for model in models]
-            got = [_deltas(t, candidates, m, b) for m, b in zip(models, bases)]
-            for model, base, deltas in zip(models, bases, got):
+            got = [_chain_deltas(t, case.ruleset, m, b)
+                   for m, b in zip(models, bases)]
+            for model, base, (candidates, deltas) in zip(models, bases, got):
                 want = _reference_deltas(t, candidates, model, base)
                 assert [type(d) for d in deltas] == [type(d) for d in want]
                 assert deltas == want, (case.name, model)
@@ -265,68 +294,80 @@ def test_deltas_equal_full_recosting_bit_for_bit():
     assert counted > 5000
 
 
-def _product_candidates():
-    from rewrite_arena.stochastic import _Candidate
+def _product_rewrites():
+    """A model, a term, and one-rule rulesets that each rewrite the term
+    once, in the order of the assertions below."""
+    from rewrite_arena.rules import parse_ruleset
 
     dims = {"A": (2, 3), "B": (3, 4), "C": (4, 5), "D": (4, 7), "E": (3, 3)}
-    t = P("(* A (* B C))")
-    candidates = [
+    rulesets = [parse_ruleset(text, "product") for text in (
         # Shape kept: the change localizes.
-        _Candidate("assoc", (), t, P("(* (* A B) C)")),
+        "assoc: (* ?a (* ?b ?c)) => (* (* ?a ?b) ?c)",
         # C (4x5) -> D (4x7) changes every ancestor's shape.
-        _Candidate("swap", (1, 1), P("C"), P("D")),
-        _Candidate("swap", (1,), P("(* B C)"), P("(* B D)")),
-        _Candidate("swap", (), t, P("(* A (* B D))")),
-        _Candidate("swap", (), t, P("(* E (* B D))")),
-    ]
-    return MatMulScalarOps(dims), t, candidates
+        "swap: C => D",
+        "swap: (* B C) => (* B D)",
+        "swap: (* A (* B C)) => (* A (* B D))",
+        "swap: (* A (* B C)) => (* E (* B D))")]
+    return MatMulScalarOps(dims), P("(* A (* B C))"), rulesets
 
 
 def test_shape_changing_products_are_costed_along_the_root_path():
-    from rewrite_arena.stochastic import _Candidate, _deltas
+    from rewrite_arena.rules import parse_ruleset
+    from rewrite_arena.stochastic import _Hashcons, _step_deltas
 
-    model, t, candidates = _product_candidates()
+    model, t, rulesets = _product_rewrites()
+    base = model.cost(t)
+    candidates, deltas = [], []
+    for rs in rulesets:
+        (candidate,), (delta,) = _chain_deltas(t, rs, model, base)
+        candidates.append(candidate)
+        deltas.append(delta)
+    assert [c.position for c in candidates] == [(), (1, 1), (1,), (), ()]
     assert [model.delta_cost(c.old_sub, c.new_sub) for c in candidates] == [
         -26, None, None, None, None]
-    base = model.cost(t)
-    deltas = _deltas(t, candidates, model, base)
     assert deltas == _reference_deltas(t, candidates, model, base)
     # base 60 + 30; B*D costs 84 and A*(BD) 42; E*(BD) costs 63.
     assert deltas == [-26, 126 - 90, 126 - 90, 126 - 90, 147 - 90]
     # A replacement that breaks a product raises as full costing does.
-    bad = [_Candidate("swap", (1,), P("(* B C)"), P("D"))]
+    cons = _Hashcons(parse_ruleset("swap: (* B C) => D", "bad"), model)
     with pytest.raises(DimensionError) as got:
-        _deltas(t, bad, model, base)
+        _step_deltas(t, cons, base)
     with pytest.raises(DimensionError) as want:
-        _reference_deltas(t, bad, model, base)
+        _reference_deltas(t, _candidates(t, cons), model, base)
     assert str(got.value) == str(want.value)
 
 
 def test_deltas_write_no_memo_on_candidates(monkeypatch):
-    from rewrite_arena.stochastic import _Candidate, _deltas
-    from rewrite_arena.terms import postorder
+    from rewrite_arena import stochastic
+    from rewrite_arena.terms import FALSE, TRUE, postorder
 
-    built = []  # candidates materialized, by the walk or by _deltas
-    materialize = _Candidate.materialize
-    monkeypatch.setattr(_Candidate, "materialize",
-                        lambda c, t: built.append(c) or materialize(c, t))
+    built = []  # terms stochastic.replace_at built while deltas were taken
+    replace = stochastic.replace_at
+    monkeypatch.setattr(stochastic, "replace_at",
+                        lambda *args: built.append(args) or replace(*args))
     rng = random.Random(3)
     fresh_total = 0
     for case, models in _walk_starts():
-        for t, candidates in _walk(case, 10, rng):
+        # A rule's ground leaves and the boolean literals are shared by
+        # every term that holds them, and may be costed there.
+        shared = {id(n) for rule in case.ruleset.rules
+                  for n in postorder(rule.rhs)} | {id(TRUE), id(FALSE)}
+        for t in _walk(case, 10, rng):
             bases = [model.cost(t) for model in models]
-            old = {id(n) for n in postorder(t)}
-            fresh = [n for c in candidates for n in postorder(c.new_sub)
-                     if id(n) not in old and n._memo is None]
-            n_built = len(built)
+            old = {id(n) for n in postorder(t)} | shared
             for model, base in zip(models, bases):
-                _deltas(t, candidates, model, base)
-            assert all(n._memo is None for n in fresh), case.name
-            assert len(built) == n_built  # no candidate term was built
-            fresh_total += len(fresh)
-    model, t, candidates = _product_candidates()
-    _deltas(t, candidates, model, model.cost(t))
-    assert all(c.new_sub._memo is None for c in candidates)
+                n_built = len(built)
+                candidates, _ = _chain_deltas(t, case.ruleset, model, base)
+                assert len(built) == n_built  # no candidate term was built
+                fresh = [n for c in candidates for n in postorder(c.new_sub)
+                         if id(n) not in old]
+                assert all(n._memo is None for n in fresh), case.name
+                fresh_total += len(fresh)
+    model, t, rulesets = _product_rewrites()
+    base = model.cost(t)
+    for rs in rulesets:
+        candidates, _ = _chain_deltas(t, rs, model, base)
+        assert all(c.new_sub._memo is None for c in candidates)
     assert fresh_total > 1000
 
 
@@ -358,23 +399,29 @@ def test_value_and_delta_cost_on_deep_uncosted_terms():
 
 
 def test_root_path_fallback_on_a_deep_candidate():
-    from rewrite_arena.stochastic import _Candidate, _deltas
+    from rewrite_arena.rules import parse_ruleset
 
     model = IntegSquare()
     # An integral 50,000 levels down a sin chain; the candidate splits it.
     t = _chain("sin", 50_000, P("(int (+ x x) x)"))
     pos = (0,) * 50_000
-    new_sub = P("(+ (int x x) (int x x))")
-    candidate = _Candidate("split", pos, P("(int (+ x x) x)"), new_sub)
+    split = parse_ruleset("split: (int (+ x x) x) => (+ (int x x) (int x x))",
+                          "split")
     base = model.cost(t)
     assert base == 50_000 + 16
-    (delta,) = _deltas(t, [candidate], model, base)
+    (candidate,), (delta,) = _chain_deltas(t, split, model, base)
+    new_sub = candidate.new_sub
+    assert candidate.position == pos
+    assert new_sub == P("(+ (int x x) (int x x))")
     assert delta == 9 - 16 and new_sub._memo is None
     assert delta == model.cost(replace_at(t, pos, new_sub)) - base
-    # An uncosted deep replacement is read by value's iterative fallback.
+    # An uncosted deep replacement is read by value's iterative fallback;
+    # a stand-in rewriter of `int` proposes it.
     deep_sub = _chain("sin", 100_000, P("x"))
-    (delta,) = _deltas(t, [_Candidate("grow", pos, t.children[0], deep_sub)],
-                       model, base)
+    grow = parse_ruleset("grow: (int ?a ?b) => ?a", "grow")
+    grow._rewriters["int"] = lambda sub: [("grow", deep_sub)]
+    (candidate,), (delta,) = _chain_deltas(t, grow, model, base)
+    assert candidate.new_sub is deep_sub and candidate.position == pos
     assert deep_sub._memo is None
     assert delta == model.cost(replace_at(t, pos, deep_sub)) - base
 

@@ -25,7 +25,7 @@ from rewrite_arena import (
     run_iteration,
     saturate,
 )
-from rewrite_arena import egraph, runner
+from rewrite_arena import runner, terms
 from rewrite_arena.benchmarks import (
     BenchmarkCase,
     ReachTerm,
@@ -281,8 +281,9 @@ def test_run_iteration_frees_its_matches_before_the_collector_resumes(
         counts.append(gc.get_count()[0])
         gc.enable()
 
-    monkeypatch.setattr(egraph, "gc", SimpleNamespace(
-        isenabled=lambda: True, disable=gc.disable, enable=enable))
+    monkeypatch.setattr(terms, "gc", SimpleNamespace(
+        isenabled=lambda: True, disable=gc.disable, enable=enable,
+        collect=gc.collect))
     was_enabled = gc.isenabled()
     try:
         for k in range(6):

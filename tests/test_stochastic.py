@@ -1,11 +1,14 @@
 import ast
+import gc
 import math
 import pickle
 import random
 import re
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +43,7 @@ from rewrite_arena.rules import (
     match_pattern,
     parse_rule_line,
 )
-from rewrite_arena import rules, stochastic
+from rewrite_arena import rules, stochastic, terms
 from rewrite_arena.runner import run_case
 from rewrite_arena.rulesets import assoc_ruleset, halide_ruleset
 from rewrite_arena.stochastic import (
@@ -696,14 +699,14 @@ def test_a_hashcons_cleared_every_few_nodes_changes_no_chain(monkeypatch):
     tables, checked = [], []
 
     class Counted(stochastic._Hashcons):
-        def __init__(self, model):
-            super().__init__(model)
+        def __init__(self, ruleset, model):
+            super().__init__(ruleset, model)
             tables.append(self)
 
     def checked_enumeration(t, ruleset, cons):
         held = {id(n) for n in cons.nodes.values()}
         assert cons.nodes[(t.op, *map(id, t.children))] is t
-        assert set(cons.rewrites) <= held
+        assert set(cons.rewrites) | set(cons.lists) <= held
         # Below its bound, or cleared to hold t0 and t.
         assert len(cons.nodes) < stochastic.CONS_SIZE or \
             len(cons.nodes) <= node_count(case.input_term) + node_count(t)
@@ -961,8 +964,7 @@ _TERMS = st.recursive(
 def test_rules_with_a_leaf_lhs_still_rewrite_leaves(t):
     for rs in _LEAF_RULESETS:
         assert rs.rewrites_leaves
-        got = [(c.rule, c.position, c.materialize(t))
-               for c in _enumerate_candidates(t, rs)]
+        got = [(p.rule, p.position, p.term) for p in proposals(t, rs)]
         assert got == _brute_force(t, rs)
     # Growing a leaf never gives a term another rewrite gives.
     assert {pos for rule, pos, _ in got if rule == "one"} == \
@@ -975,6 +977,108 @@ def test_leaves_are_skipped_only_without_a_leaf_lhs():
     assert needle_case(3).ruleset.rewrites_leaves  # a => b, b => a
     t = P("(* (* A1 A2) (* A3 A4))")
     assert _enumerate_candidates(t, assoc_ruleset()) and [
-        (c.rule, c.position, c.materialize(t))
-        for c in _enumerate_candidates(t, assoc_ruleset())
+        (p.rule, p.position, p.term) for p in proposals(t, assoc_ruleset())
     ] == _brute_force(t, assoc_ruleset())
+
+
+# Rewrites whose results collide two levels apart: deep's change is the
+# one down makes at its grandchild, and at (f (h (h y))) lift's is the
+# one down makes at its child, so the root drops entries at two depths.
+_DEEP_RULES = _COLLIDING_RULES + "deep: (f (h (h ?y))) => (f (h (k ?y)))\n"
+
+
+def _exact_starts():
+    """(label, t0, ruleset, model) of the walks the per-node lists must
+    match the reference on: trig (deep keys), integration (IntegSquare,
+    which never localizes, so every delta is spliced), folding colliding
+    rules, and rulesets with a leaf left-hand side."""
+    curated = [*trig_suite(), *integration_suite()]
+    starts = [(c.name, c.input_term, c.ruleset, c.model_for("stochastic"))
+              for c in curated]
+    rng = random.Random(9)
+    deep = parse_ruleset(_DEEP_RULES, "deep", fold_constants=True)
+    starts += [(f"deep-{k}", t, deep, AstSize()) for k, t in enumerate([
+        P("(f (h (h x)))"), P("(+ (f (h (h (h 1)))) (h (h y)))"),
+        P("(f (+ (f (h (h (+ 1 1)))) (h (h x))))"),
+        P("(h (f (h (h (f (h (h y)))))))"),
+        *(_random_term(rng, 6) for _ in range(6))])]
+    starts += [(f"{rs.name}-{k}", t, rs, AstSize())
+               for k, t in enumerate([P("(+ (neg 1) (+ x 1))"),
+                                      P("(neg (+ 1 (neg x)))")])
+               for rs in _LEAF_RULESETS]
+    return starts
+
+
+_EXACT_STARTS = _exact_starts()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(_EXACT_STARTS) - 1), st.integers(0, 2**32 - 1),
+       st.integers(0, 11))
+def test_per_node_lists_match_the_reference_on_walks(start, seed, clear_at):
+    """A walk through one table, replaced at step clear_at as run_chain
+    replaces it: at each term the lists give exactly the reference's
+    candidates, in its order, with deltas equal to full recosting, and
+    the successor build gives the reference's term."""
+    label, t0, ruleset, model = _EXACT_STARTS[start]
+    rng = random.Random(seed)
+    cons = stochastic._Hashcons(ruleset, model)
+    t = cons.intern(t0)
+    for step in range(12):
+        if step == clear_at:
+            cons = stochastic._Hashcons(ruleset, model)
+            t = cons.intern(t)
+        base = model.cost(t)
+        deltas = stochastic._step_deltas(t, cons, base)
+        found = [cons.locate(t, i) for i in range(len(deltas))]
+        want = _reference_proposals(t, ruleset)
+        assert [(rule, pos, replace_at(t, pos, new_sub))
+                for _, pos, (rule, _, new_sub, _) in found] == \
+            [(p.rule, p.position, p.term) for p in want], label
+        assert deltas == [model.cost(p.term) - base for p in want], label
+        if not want:
+            return
+        i = rng.randrange(len(want))
+        path, pos, (_, _, new_sub, _) = found[i]
+        t = cons.successor(path, pos, new_sub)
+        assert t == want[i].term and cons.intern(t) is t
+
+
+def test_a_chain_frees_its_table_before_the_collector_resumes(monkeypatch):
+    # The young generation at resume is what the first collection after
+    # it will walk: with the last table or the step memo still alive it
+    # holds hundreds of objects, with them freed only what the chain
+    # returns.  (Its count also counts objects parked in free lists.)
+    build, seed, budget, _ = GOLDEN_CHAINS["matmul-12"]
+    case = build()
+    # Compile the rewriters and cost t0 first: both outlive the chain.
+    proposals(case.input_term, case.ruleset)
+    case.model_for("stochastic").cost(case.input_term)
+    monkeypatch.setattr(stochastic, "CONS_SIZE", 16)
+    tables = []
+
+    class Counted(stochastic._Hashcons):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(weakref.ref(self))
+
+    counts = []
+
+    def enable():
+        counts.append(len(gc.get_objects(generation=0)))
+        gc.enable()
+
+    monkeypatch.setattr(stochastic, "_Hashcons", Counted)
+    monkeypatch.setattr(terms, "gc", SimpleNamespace(
+        isenabled=lambda: True, disable=gc.disable, enable=enable,
+        collect=gc.collect))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    try:
+        res, _ = _case_chain(case, seed, budget)
+    finally:
+        if not was_enabled:
+            gc.disable()
+    assert res.steps == 80 and len(tables) > 5 and len(counts) == 1
+    assert counts[0] < 400, counts
+    assert all(table() is None for table in tables)

@@ -184,3 +184,24 @@ def test_number_canonical_form():
     assert print_sexpr(parse_sexpr("2.5")) == "5/2"
     # canonical form round-trips to itself
     assert print_sexpr(parse_sexpr("5/2")) == "5/2"
+
+
+def test_the_first_collector_pause_collects_everything_first(monkeypatch):
+    from types import SimpleNamespace
+
+    from rewrite_arena import terms
+
+    calls = []
+    state = {"enabled": True}
+    monkeypatch.setattr(terms, "gc", SimpleNamespace(
+        isenabled=lambda: state["enabled"],
+        disable=lambda: calls.append("disable") or state.update(enabled=False),
+        enable=lambda: calls.append("enable") or state.update(enabled=True),
+        collect=lambda: calls.append("collect")))
+    monkeypatch.setattr(terms, "_COLLECTED", False)
+    for _ in range(2):
+        with terms.cyclic_gc_paused():
+            with terms.cyclic_gc_paused():  # nested: leaves it paused
+                assert not state["enabled"]
+    assert calls == ["collect", "disable", "enable", "disable", "enable"]
+    assert state["enabled"]

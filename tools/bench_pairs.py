@@ -22,10 +22,11 @@ range, `worse`: whether its median is worse than the base median by
 more than that range, and `beyond_bound`: whether it is worse by more
 than the metric's `bound` in BENCHMARK.json times the base median.  Every
 `worse` metric is printed with its `beyond_bound`, and so are both sides'
-line counts.  Host facts (nproc, Python version) and both
-revisions (the base SHA; HEAD's SHA, whether the tree differs from it, and
-a digest of each side's `src/`) identify what was measured; next to each
-digest stands the line count of that side's `src/rewrite_arena/`.
+line counts.  Host facts (nproc, the usable CPUs of the affinity mask,
+Python version) and both revisions (the base SHA; HEAD's SHA, whether the
+tree differs from it, and a digest of each side's `src/`) identify what
+was measured; next to each digest stands the line count of that side's
+`src/rewrite_arena/`.
 
 The exit status is 1, after the report is written, when any pair's
 signatures differ, any run reports answer-check problems, or any
@@ -70,6 +71,14 @@ def src_digest(root: Path) -> str:
 def src_lines(root: Path) -> int:
     return sum(len(path.read_text().splitlines())
                for path in (root / "src" / "rewrite_arena").rglob("*.py"))
+
+
+def usable_cpus() -> int:
+    """The CPUs the runs may use: this process's affinity mask, which the
+    benchmark's subprocesses inherit, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,7 +138,8 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp)
 
     report = {
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+        "host": {"nproc": os.cpu_count(), "usable_cpus": usable_cpus(),
+                 "python": platform.python_version(),
                  "machine": platform.machine()},
         "base": {"rev": args.base, "sha": base_sha, "src": digests["base"],
                  "src_lines": lines["base"]},
