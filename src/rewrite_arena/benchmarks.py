@@ -482,19 +482,24 @@ def suite_to_json(name: str, cases: list[BenchmarkCase]) -> str:
 
 
 def suite_from_json(text: str) -> tuple[str, list[BenchmarkCase]]:
-    """Read a suite file; SuiteError names the case that cannot be read."""
+    """Read a suite file; SuiteError names the case that cannot be read,
+    or whose name is not a non-empty string unique in the file."""
     try:
         data = json.loads(text)
         name, specs = data.get("suite", "suite"), list(data["cases"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SuiteError(f"not a suite: {type(exc).__name__}: {exc}") from None
-    cases = []
+    cases, names = [], set()  # rows are keyed by case name
     for i, spec in enumerate(specs):
+        label = spec.get("name") if isinstance(spec, dict) else None
+        if not (isinstance(label, str) and label) or label in names:
+            raise SuiteError(f"case {i}: name {label!r} is empty, not a "
+                             "string or an earlier case's")
+        names.add(label)
         try:
             cases.append(case_from_spec(spec))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError,
                 TermError) as exc:
-            label = spec.get("name") if isinstance(spec, dict) else None
-            raise SuiteError(f"case {label or i!r}: "
+            raise SuiteError(f"case {label!r}: "
                              f"{type(exc).__name__}: {exc}") from None
     return name, cases

@@ -13,9 +13,9 @@ and the chains in one process share its time under a deadline.
 
 Each chain hash-conses its terms (_Hashcons): a subterm equal to one the
 chain has met is that same node, so its cost memo is already filled, and
-its subtree's candidates, with their cost deltas, are listed once.  A step
-walks only the path to the drawn rewrite, down to find it and back up to
-build the successor.
+its subtree's candidates, with their cost deltas, are listed once, as are
+a term's step deltas and each successor drawn from it.  A step walks only
+the path to a new draw, down to find it and back up to build the successor.
 """
 from __future__ import annotations
 
@@ -44,9 +44,6 @@ _M64 = (1 << 64) - 1
 # A chain with a validator checks every this many accepted steps.
 VALIDATE_EVERY = 25
 
-# The bounds of a chain's step memo (see run_chain).
-MEMO_DEPTH = 16
-MEMO_SIZE = 2048
 # The nodes a chain's hashcons holds before it is cleared (see _Hashcons).
 CONS_SIZE = 2048
 
@@ -222,7 +219,7 @@ def _rewrites_at(sub: Term, ruleset: Ruleset, model: CostModel | None):
 
 
 class _Hashcons:
-    """One chain's hash-consed terms and each held node's candidates.
+    """One chain's hash-consed terms, each held node's candidates and steps.
 
     `nodes` maps (op, id(child), ...) to the one node held with that
     operator and those children, as the e-graph's hashcons maps e-nodes;
@@ -235,7 +232,10 @@ class _Hashcons:
       enumeration order: its own, then each child's, less those whose
       result one of its own rewrites already gives;
     - keeps: for a node that dropped some of a child's candidates, per
-      child None or the indices into the child's list of those kept.
+      child None or the indices into the child's list of those kept;
+    - steps: for a node a chain stepped from, its _step_deltas and a map
+      from each index drawn there to (successor, rule, position), the
+      successor a held node.
 
     A node's list is built once, from its own rewrites and its children's
     lists (shared, not copied, when only one of those has entries), so a
@@ -248,13 +248,15 @@ class _Hashcons:
     are read only while the enumerated term lives.
     """
 
-    __slots__ = ("nodes", "rewrites", "lists", "keeps", "ruleset", "model")
+    __slots__ = ("nodes", "rewrites", "lists", "keeps", "steps", "ruleset",
+                 "model")
 
     def __init__(self, ruleset: Ruleset, model: CostModel | None):
         self.nodes: dict[tuple, Term] = {}
         self.rewrites: dict[int, list[tuple]] = {}
         self.lists: dict[int, list] = {}
         self.keeps: dict[int, list] = {}
+        self.steps: dict[int, tuple[list, dict]] = {}
         self.ruleset = ruleset
         self.model = model
 
@@ -365,12 +367,10 @@ class _Hashcons:
         return out
 
     def locate(self, t: Term, i: int):
-        """(path, position, rewrite) of entry i of t's list: the nodes from
-        t down to the rewritten node's parent, the rewritten node's
+        """(path, position, rewrite) of entry i of t's built list: the nodes
+        from t down to the rewritten node's parent, the rewritten node's
         position, and its own rewrite (rule, key, new_sub, delta)."""
         lists, all_rewrites, all_keeps = self.lists, self.rewrites, self.keeps
-        if id(t) not in lists:
-            self.candidates(t)
         path, pos = [], []
         while True:
             rewrites = all_rewrites[id(t)]
@@ -491,21 +491,20 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     it has met is rewritten, costed and given its candidate list once.  A
     step reads the current term's list, walks down its counts to the drawn
     entry, and builds back up that path only the levels the table lacks.
-    At the start of a step at which the table holds CONS_SIZE nodes or
-    more, it is dropped, and t0 and the current term are interned into a
-    new one.  So it holds at most CONS_SIZE nodes plus one step's, or t0's
-    and the current term's, and t0 stays the node every restart returns to.
+    The table also keeps, per term stepped from, the step's deltas and
+    each successor drawn so far, with its rule and position (`steps`).
+    All are pure functions of the held node, so a revisit, such as after
+    a restart, re-runs only the draw, the validator and the counters.
 
-    The chain also keeps a step memo of the terms it reaches fewer than
-    MEMO_DEPTH steps past t0, until it holds MEMO_SIZE (a term counts 1
-    plus its candidates): each term's deltas and each successor built so
-    far, with its rule and position.  All are pure functions of the term,
-    so a revisit, such as after a restart, re-runs only the draw, the
-    validator and the counters.
+    At the start of a step at which the table holds CONS_SIZE nodes or
+    more, it is dropped with all it keeps, and t0 and the current term
+    are interned into a new one.  So it holds at most CONS_SIZE nodes plus
+    one step's, or t0's and the current term's, and t0 stays the node
+    every restart returns to.
 
     The chain runs with the cyclic collector paused: it frees what it
-    makes by reference counting, and its table and memo are gone when it
-    returns, before the collector resumes.
+    makes by reference counting, and its table is gone when it returns,
+    before the collector resumes.
     """
     if rng is None:
         rng = random.Random(chain_seed(cfg.seed, chain_index))
@@ -529,8 +528,6 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     best_trace: list[tuple[str, Position]] = []
     solved = target_cost is not None and best_cost <= target_cost
     stop_reason = "target"
-    memo: dict = {}  # term -> (deltas, {index: (successor, rule, position)})
-    memo_size = 0
 
     while not solved:
         if deadline is not None and time.monotonic() >= deadline:
@@ -556,12 +553,9 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             # stays the node every restart returns to.
             cons.intern(t0)
             cons.intern(t)
-        step = memo.get(t)
+        step = cons.steps.get(id(t))
         if step is None:
-            step = (_step_deltas(t, cons, cost_t), {})
-            if len(path) < MEMO_DEPTH and memo_size < MEMO_SIZE:
-                memo[t] = step
-                memo_size += 1 + len(step[0])
+            step = cons.steps[id(t)] = (_step_deltas(t, cons, cost_t), {})
         deltas, successors = step
         total_proposals += len(deltas)
         if not deltas:
@@ -581,13 +575,12 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
 
         beta_now = 0.0 if (n % cfg.n_soft) < cfg.explore else cfg.beta
         i = sample_index(deltas, beta_now, rng)
-        if i in successors:
-            t, rule, position = successors[i]
-            t = cons.intern(t)
-        else:
+        move = successors.get(i)
+        if move is None:
             spine, position, (rule, _, new_sub, _) = cons.locate(t, i)
-            t = cons.successor(spine, position, new_sub)
-        successors[i] = t, rule, position
+            move = successors[i] = (cons.successor(spine, position, new_sub),
+                                    rule, position)
+        t, rule, position = move
         cost_t = model.cost(t)
         n += 1
         steps += 1

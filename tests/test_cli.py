@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from rewrite_arena.benchmarks import case_to_spec, needle_case, suite_from_json
+from rewrite_arena.benchmarks import (builtin_suites, case_to_spec,
+                                      needle_case, suite_from_json)
 from rewrite_arena.cli import (
     _eqsat_config,
     _load_cases,
@@ -462,6 +463,54 @@ def test_suite_goal_indicator_off_the_criterion_goal_exits_2(tmp_path,
     path.write_text(json.dumps({"schema": 1, "cases": [spec]}))
     _bench_rejects(path, capsys, "needle-3",
                    "the cost model's goal (f3 a a a) is not")
+
+
+def _renamed_suite(tmp_path, names):
+    """A generated matrix suite file whose cases are named names."""
+    path = tmp_path / "suite.json"
+    code, _ = run_cli(["gen", "matmul", "--n", "3", "--count", str(len(names)),
+                       "--seed", "1", "--output", str(path)])
+    assert code == 0
+    data = json.loads(path.read_text())
+    for spec, name in zip(data["cases"], names):
+        spec["name"] = name
+    path.write_text(json.dumps(data))
+    return path
+
+
+# Rows are keyed by case name.  A list-valued name exited 3 (internal
+# error: TypeError: unhashable type: 'list'), the other bad names loaded
+# and ran, and three cases named `same` ran and reported "cases": 1.
+def test_a_list_valued_case_name_exits_2(tmp_path, capsys):
+    _bench_rejects(_renamed_suite(tmp_path, ["a", ["b"]]), capsys, "case 1",
+                   "name ['b'] is empty, not a string")
+
+
+@pytest.mark.parametrize("name", [5, None, True, ""])
+def test_a_case_name_that_is_not_a_non_empty_string_exits_2(tmp_path, capsys,
+                                                            name):
+    _bench_rejects(_renamed_suite(tmp_path, ["a", name]), capsys, "case 1",
+                   f"name {name!r} is empty, not a string")
+
+
+def test_cases_that_share_a_name_exit_2(tmp_path, capsys):
+    _bench_rejects(_renamed_suite(tmp_path, ["same"] * 3), capsys, "case 1",
+                   "name 'same' is empty, not a string or an earlier case's")
+
+
+def test_every_builtin_suite_and_a_gen_matmul_file_have_unique_case_names(
+        tmp_path):
+    suites = {name: [case.name for case in cases]
+              for name, cases in builtin_suites().items()}
+    path = tmp_path / "suite.json"
+    code, _ = run_cli(["gen", "matmul", "--n", "4", "--count", "12",
+                       "--seed", "5", "--output", str(path)])
+    assert code == 0
+    suites["gen matmul"] = [case.name for case in
+                            suite_from_json(path.read_text())[1]]
+    assert len(suites["gen matmul"]) == 12
+    for suite, names in suites.items():
+        assert all(names) and len(set(names)) == len(names), suite
 
 
 def test_gen_matmul_writes_the_cases_bench_matmul_builds(tmp_path,

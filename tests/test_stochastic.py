@@ -606,8 +606,8 @@ _BRANCHING = BenchmarkCase(
     stochastic_overrides={"n_hard": 24, "explore": 100, "n_soft": 100})
 
 
-def _memo_chains():
-    """(label, case, seed, proposals, tuning) of the chains the step memo
+def _cached_chains():
+    """(label, case, seed, proposals, tuning) of the chains the step cache
     must leave bit-identical: every curated case under its own tuning, the
     golden chains, a matrix chain that restarts often, a trig case whose
     unsound rule the validator keeps catching, and the branching chain."""
@@ -632,18 +632,43 @@ def _row(res, validator):
             validator and validator.checks)
 
 
-def test_step_memo_changes_no_chain(monkeypatch):
+def _count_tables(monkeypatch) -> list:
+    """Record each table a chain makes from now on, in order."""
+    tables = []
+
+    class Counted(stochastic._Hashcons):
+        def __init__(self, ruleset, model):
+            super().__init__(ruleset, model)
+            tables.append(self)
+
+    monkeypatch.setattr(stochastic, "_Hashcons", Counted)
+    return tables
+
+
+def _check_held(cons):
+    """Every map of cons is keyed by the ids of held nodes, and every
+    cached successor is a held node."""
+    held = {id(n) for n in cons.nodes.values()}
+    assert set(cons.rewrites) | set(cons.lists) | set(cons.steps) <= held
+    assert {id(move[0]) for _, moves in cons.steps.values()
+            for move in moves.values()} <= held
+    return held
+
+
+def test_step_cache_changes_no_chain(monkeypatch):
+    # With CONS_SIZE 1 every step starts on a new table, so every step
+    # enumerates its term: the chain without a step cache.
     enumerated = _count_enumerations(monkeypatch)
     runs, enumerations = {}, []
-    for depth in (stochastic.MEMO_DEPTH, 0):  # 0 stores nothing
-        monkeypatch.setattr(stochastic, "MEMO_DEPTH", depth)
+    for size in (stochastic.CONS_SIZE, 1):
+        monkeypatch.setattr(stochastic, "CONS_SIZE", size)
         enumerated.clear()
-        for label, case, seed, budget, tuning in _memo_chains():
+        for label, case, seed, budget, tuning in _cached_chains():
             runs.setdefault(label, []).append(
                 _row(*_case_chain(case, seed, budget, **tuning)))
         enumerations.append(len(enumerated))
-    for label, (memoized, plain) in runs.items():
-        assert memoized == plain, label
+    for label, (cached, plain) in runs.items():
+        assert cached == plain, label
     unsound_restarts = runs["drop-sin"][0][6]
     assert unsound_restarts > 0
     assert enumerations[0] < enumerations[1] / 2
@@ -658,62 +683,51 @@ def test_a_restart_loop_enumerates_each_term_once(monkeypatch, name):
     assert res.hard_restarts > 1000 and len(enumerated) <= 2
 
 
-# Depth 5 keeps the 31 terms fewer than 5 steps out; size 60 keeps 20
-# terms, since each holds 2 candidates.
-@pytest.mark.parametrize("cap,bound,terms", [("MEMO_DEPTH", 5, 31),
-                                             ("MEMO_SIZE", 60, 20)])
-def test_step_memo_keeps_to_its_depth_and_size(monkeypatch, cap, bound, terms):
-    """Without a memo the branching chain enumerates a term on each visit,
-    where its depth is its distance from t0.  With the memo, the terms
-    enumerated less often are the ones it held: exactly those it met first
-    fewer than MEMO_DEPTH steps out, until they held MEMO_SIZE, each
-    enumerated once."""
-    monkeypatch.setattr(stochastic, cap, bound)
-    depth_cap, size_cap = stochastic.MEMO_DEPTH, stochastic.MEMO_SIZE
-    enumerated = _count_enumerations(monkeypatch)
-    counts = []
-    for depth in (depth_cap, 0):
-        monkeypatch.setattr(stochastic, "MEMO_DEPTH", depth)
-        enumerated.clear()
-        res, _ = _case_chain(_BRANCHING, 1, 12000)
-        counts.append(Counter(enumerated))
-    memoized, visits = counts
-    assert res.hard_restarts > 200
-    kept, size = [], 0
-    for t in visits:  # a Counter keeps first-seen order
-        if len(list(positions(t))) - 2 < depth_cap and size < size_cap:
-            kept.append(t)
-            size += 1 + len(_enumerate_candidates(t, _BRANCHING.ruleset))
-    held = {t for t in visits if memoized[t] < visits[t]}
-    assert held == {t for t in kept if visits[t] > 1}
-    assert all(memoized[t] == 1 for t in kept)
-    assert len(kept) == terms
+# A table of 8 nodes is replaced before the branching chain comes back to
+# a term; one of 128 holds t0 across restarts, so a revisit hits its cache.
+@pytest.mark.parametrize("bound,hits", [(8, False), (128, True)])
+def test_step_cache_keeps_to_the_table_bound(monkeypatch, bound, hits):
+    """The branching chain enumerates a term at most once per table that
+    held it, and each table, with its step cache, stays within CONS_SIZE
+    nodes, or holds only t0 and the term just after it is replaced."""
+    t0 = _BRANCHING.input_term
+    tables, enumerated = _count_tables(monkeypatch), []
+
+    def checked_enumeration(t, ruleset, cons):
+        assert id(t) in _check_held(cons)
+        assert len(cons.nodes) < bound or \
+            len(cons.nodes) <= node_count(t0) + node_count(t)
+        enumerated.append((id(cons), t))  # tables keeps each one alive
+        return _enumerate_candidates(t, ruleset, cons)
+
+    monkeypatch.setattr(stochastic, "_enumerate_candidates",
+                        checked_enumeration)
+    monkeypatch.setattr(stochastic, "CONS_SIZE", bound)
+    res, _ = _case_chain(_BRANCHING, 1, 12000)
+    assert res.hard_restarts > 200 and len(tables) > 10
+    assert max(Counter(enumerated).values()) == 1
+    # Without a cache, every step of this chain enumerates its term.
+    assert (len(enumerated) < res.steps) == hits
 
 
 def test_a_hashcons_cleared_every_few_nodes_changes_no_chain(monkeypatch):
     # Each enumeration gets a term the table holds, reads stored rewrites
-    # only by the ids of held nodes, and finds the table within its bound.
-    chains = _memo_chains()
+    # and steps only by the ids of held nodes, whose cached successors are
+    # held, and finds the table within its bound.
+    chains = _cached_chains()
     rows = {name: _row(*_case_chain(case, seed, budget, **tuning))
             for name, case, seed, budget, tuning in chains}
-    tables, checked = [], []
-
-    class Counted(stochastic._Hashcons):
-        def __init__(self, ruleset, model):
-            super().__init__(ruleset, model)
-            tables.append(self)
+    tables, checked = _count_tables(monkeypatch), []
 
     def checked_enumeration(t, ruleset, cons):
-        held = {id(n) for n in cons.nodes.values()}
+        _check_held(cons)
         assert cons.nodes[(t.op, *map(id, t.children))] is t
-        assert set(cons.rewrites) | set(cons.lists) <= held
         # Below its bound, or cleared to hold t0 and t.
         assert len(cons.nodes) < stochastic.CONS_SIZE or \
             len(cons.nodes) <= node_count(case.input_term) + node_count(t)
         checked.append(t)
         return _enumerate_candidates(t, ruleset, cons)
 
-    monkeypatch.setattr(stochastic, "_Hashcons", Counted)
     monkeypatch.setattr(stochastic, "_enumerate_candidates",
                         checked_enumeration)
     monkeypatch.setattr(stochastic, "CONS_SIZE", 8)
@@ -732,22 +746,25 @@ def test_a_hashcons_cleared_every_few_nodes_changes_no_chain(monkeypatch):
 
 
 def test_a_chain_meets_each_distinct_subterm_as_one_node(monkeypatch):
-    # Without the step memo each step enumerates its term; with a table
-    # that never clears, a subterm equal to one met before is that node.
-    monkeypatch.setattr(stochastic, "MEMO_DEPTH", 0)
+    # With a table that never clears, each term the chain steps from is
+    # enumerated once, and a subterm equal to one met before is that node.
     monkeypatch.setattr(stochastic, "CONS_SIZE", 10**9)
+    tables = _count_tables(monkeypatch)
     for case, budget in [(gen_matmul_chain(8, 1, 9, random.Random(4)), 3000),
                          (_BRANCHING, 4000)]:
+        tables.clear()
         enumerated = _count_enumerations(monkeypatch)
         res, _ = _case_chain(case, 3, budget, n_hard=30)
+        (cons,) = tables
         assert res.hard_restarts > 10
-        terms = Counter(enumerated)
-        assert max(terms.values()) > 1  # the chain did revisit terms
+        # The chain revisited terms, and stepped from each just once.
+        assert res.steps > len(cons.steps) == len(enumerated)
+        assert {id(t) for t in enumerated} == set(cons.steps)
         one = {}
-        for t in enumerated:
+        for t in cons.nodes.values():
             for node in postorder(t):
                 assert one.setdefault(node, node) is node
-        assert len({id(t) for t in enumerated}) == len(terms)
+        assert len(one) == len(cons.nodes)
 
 
 def _memo_snapshot(t):
@@ -1046,9 +1063,9 @@ def test_per_node_lists_match_the_reference_on_walks(start, seed, clear_at):
 
 def test_a_chain_frees_its_table_before_the_collector_resumes(monkeypatch):
     # The young generation at resume is what the first collection after
-    # it will walk: with the last table or the step memo still alive it
-    # holds hundreds of objects, with them freed only what the chain
-    # returns.  (Its count also counts objects parked in free lists.)
+    # it will walk: with the last table still alive it holds hundreds of
+    # objects, with it freed only what the chain returns.  (Its count
+    # also counts objects parked in free lists.)
     build, seed, budget, _ = GOLDEN_CHAINS["matmul-12"]
     case = build()
     # Compile the rewriters and cost t0 first: both outlive the chain.
