@@ -358,9 +358,10 @@ def case_to_spec(case: BenchmarkCase) -> dict:
 
 
 def case_from_spec(spec: dict) -> BenchmarkCase:
-    rules_field = spec.get("rules")
-    if rules_field:
-        rules = [r for line in rules_field for r in parse_rule_line(line)]
+    if "rules" in spec:  # a list of rule lines, possibly empty
+        if not isinstance(spec["rules"], list):
+            raise SuiteError(f"rules must be a list, got {spec['rules']!r}")
+        rules = [r for line in spec["rules"] for r in parse_rule_line(line)]
         name, fold = spec.get("ruleset", "custom"), False
     else:
         builtin = builtin_ruleset(spec["ruleset"])

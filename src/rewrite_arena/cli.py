@@ -44,13 +44,16 @@ from .stochastic import RunConfig, check_time_limit, usable_cpus
 # rejected.  Unset fields keep their RunConfig/EqsatConfig defaults.
 TUNING_FLAGS = {
     "--beta": ("stochastic", "beta", float, None),
-    "--budget": ("stochastic", "budget", int, None),
+    "--budget": ("stochastic", "budget", int,
+                 "independent chains, each with its own caps (stochastic)"),
     "--n-soft": ("stochastic", "n_soft", int, None),
     "--explore": ("stochastic", "explore", int, None),
     "--n-hard": ("stochastic", "n_hard", int, None),
     "--workers": ("stochastic", "workers", int, None),
-    "--max-steps": ("stochastic", "max_steps", int, None),
-    "--max-proposals": ("stochastic", "max_proposals", int, None),
+    "--max-steps": ("stochastic", "max_steps", int,
+                    "step cap of each chain (stochastic)"),
+    "--max-proposals": ("stochastic", "max_proposals", int,
+                        "proposal cap of each chain (stochastic)"),
     "--iterations": ("eqsat", "iterations", int,
                      "saturation iteration limit (eqsat)"),
     "--node-limit": ("eqsat", "nodes", int, "e-graph node limit (eqsat)"),

@@ -371,7 +371,11 @@ def _compiled(pattern: Term, key, compile_function):
 
 def matcher(pattern: Term):
     """The pattern's compiled e-matcher; EGraphError if it cannot compile."""
-    return _compiled(pattern, _MATCHER, _compile_matcher)
+    try:
+        return _compiled(pattern, _MATCHER, _compile_matcher)
+    except SyntaxError as exc:  # such as too many levels of indentation
+        raise EGraphError(f"pattern {print_sexpr(pattern)} does not compile "
+                          f"to an e-matcher: {exc.msg}") from None
 
 
 def _compile_matcher(pattern: Term):
@@ -489,6 +493,7 @@ def _compile_applier(names: tuple[str, ...], rhs: Term):
                      f"            {cid} = find({cid})"]
             done.append(cid)
         else:
+            # First child first, not as postorder: the order fixes class ids.
             stack.append((p, True))
             stack.extend((c, False) for c in reversed(p.children))
     body += ["        if uf[r] != r:", "            r = find(r)",

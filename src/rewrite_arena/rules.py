@@ -190,6 +190,7 @@ def _emit_build(pattern: Term, env: dict, bound: dict[str, str],
                      f"        {cid}._memo = None"]
             done.append(cid)
         else:
+            # First child first, not as postorder: _compile_applier's order.
             stack.append((p, True))
             stack.extend((c, False) for c in reversed(p.children))
     return done[0]
@@ -269,6 +270,11 @@ def fold_step(op_name: str, kids) -> Term | None:
 _CONSTANT = "rules.constant"
 
 
+def _has_constant(node: Term) -> bool:
+    return not node.children or (node._memo is not None
+                                 and _CONSTANT in node._memo)
+
+
 def constant_of(t: Term) -> Constant | None:
     """The exact constant t folds to, const_fold(t).op.value, or None.
 
@@ -281,15 +287,7 @@ def constant_of(t: Term) -> Constant | None:
         return t.op.value
     if t._memo is not None and _CONSTANT in t._memo:
         return t._memo[_CONSTANT]
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        todo = [c for c in node.children if c.children and (
-            c._memo is None or _CONSTANT not in c._memo)]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
+    for node in postorder(t, _has_constant):
         if node._memo is None:
             node._memo = {}
         # fold_node gives None for a None argument.

@@ -37,7 +37,8 @@ from .rules import (
     instantiate,  # noqa: F401 -- unused here, but perfbench's tracer
     match_pattern,  # noqa: F401 -- wraps these two names in this module
 )
-from .terms import Term, Position, cyclic_gc_paused, replace_at, subterm_at
+from .terms import (Term, Position, cyclic_gc_paused, postorder, replace_at,
+                    subterm_at)
 
 _M64 = (1 << 64) - 1
 
@@ -264,43 +265,30 @@ class _Hashcons:
         """The held term equal to t; t's nodes that none equals are held
         as they are, and a node over replaced children is built anew."""
         nodes = self.nodes
-        if nodes.get((t.op, *map(id, t.children))) is t:
-            return t
-        held: dict[int, Term] = {}  # id(node of t) -> the held equal node
-        stack: list[Term | None] = [t]
-        while stack:
-            node = stack.pop()
-            if node is None:  # a marker: the node under it has held children
-                node = stack.pop()
-                kids = tuple([held[id(c)] for c in node.children])
-                key = (node.op, *map(id, kids))
-                same = nodes.get(key)
-                if same is None:
-                    same = nodes[key] = node if all(
-                        a is b for a, b in zip(kids, node.children)
-                    ) else Term(node.op, kids)
-                held[id(node)] = same
-            elif id(node) in held:
-                continue
-            elif nodes.get((node.op, *map(id, node.children))) is node:
-                held[id(node)] = node
-            else:
-                stack += (node, None, *node.children)
-        return held[id(t)]
+        # id(node of t) -> the held equal node; one held as it is may lack one
+        held: dict[int, Term] = {}
+
+        def done(node):  # mapped, or held as it is
+            return id(node) in held or nodes.get(
+                (node.op, *map(id, node.children))) is node
+
+        for node in postorder(t, done):
+            kids = tuple([held.get(id(c), c) for c in node.children])
+            key = (node.op, *map(id, kids))
+            same = nodes.get(key)
+            if same is None:
+                same = nodes[key] = node if all(
+                    a is b for a, b in zip(kids, node.children)
+                ) else Term(node.op, kids)
+            held[id(node)] = same
+        return held.get(id(t), t)
 
     def candidates(self, t: Term) -> list:
         """t's list, after building the list of each node of t that has
         none, children first."""
         lists = self.lists
-        stack: list[Term | None] = [t]
-        while stack:
-            node = stack.pop()
-            if node is None:  # a marker: the node under it has its children's
-                node = stack.pop()
-                if id(node) not in lists:  # a shared child may come twice
-                    self._build(node)
-            elif id(node) not in lists:
-                stack += (node, None, *node.children)
+        for node in postorder(t, lambda node: id(node) in lists):
+            self._build(node)
         return lists[id(t)]
 
     def _build(self, node: Term) -> None:
@@ -397,6 +385,7 @@ class _Hashcons:
         through replace_at (whose calls perfbench's tracer counts)."""
         nodes = self.nodes
         s = self.intern(new_sub)
+        # Up the path without intern, which read ~20% slower on stoch-matmul.
         depth = len(pos)
         while depth:
             node, k = path[depth - 1], pos[depth - 1]

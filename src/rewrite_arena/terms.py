@@ -15,7 +15,7 @@ import gc
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 Position = tuple[int, ...]
 
@@ -324,27 +324,30 @@ def positions(t: Term) -> Iterator[tuple[Position, Term]]:
             stack.append((pos + (idx,), node.children[idx]))
 
 
-def postorder(t: Term) -> Iterator[Term]:
+def postorder(t: Term, done: Callable[[Term], bool] | None = None
+              ) -> Iterator[Term]:
     """Each distinct node of t once, after its children, last child first.
 
     Shared subterms are yielded once, by identity.  The order is the one
     e-class ids follow when the e-graph adds a term.
+
+    A node for which `done` holds is neither entered nor yielded.  A
+    caller that passes `done` makes it hold for each node yielded, so a
+    shared subterm comes once.
     """
-    seen: set[int] = set()
+    if done is None:
+        seen: set[int] = set()
+
+        def done(node):  # marks node on entry: it cannot recur until yielded
+            return id(node) in seen or seen.add(id(node))
+
     stack: list[Term | None] = [t]
     while stack:
         node = stack.pop()
         if node is None:  # a marker: the node under it has its children done
-            node = stack.pop()
-        elif id(node) in seen:
-            continue
-        elif node.children:
-            stack.append(node)
-            stack.append(None)
-            stack.extend(node.children)
-            continue
-        seen.add(id(node))
-        yield node
+            yield stack.pop()
+        elif not done(node):
+            stack += (node, None, *node.children)
 
 
 def variables(t: Term) -> set[str]:

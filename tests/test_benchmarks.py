@@ -28,6 +28,7 @@ from rewrite_arena import (
 from rewrite_arena.benchmarks import (
     BenchmarkCase,
     ReachTerm,
+    SuiteError,
     TargetCost,
     case_from_spec,
     case_to_spec,
@@ -222,6 +223,25 @@ def test_suite_file_sets_folding_on_a_builtin_ruleset():
     assert case_from_spec(halide).ruleset.fold_constants
     halide["fold_constants"] = False
     assert not case_from_spec(halide).ruleset.fold_constants
+
+
+@pytest.mark.parametrize("name", ["trig", "custom"])
+def test_an_empty_ruleset_round_trips(name):
+    # `"rules": []` once read as no rules given: an empty trig reloaded as
+    # the built-in trig rules, and an empty custom as an unknown ruleset.
+    case = dataclasses.replace(builtin_suites()["trig"][0],
+                               ruleset=Ruleset(name, []))
+    _, (back,) = suite_from_json(suite_to_json("s", [case]))
+    assert (back.ruleset.name, back.ruleset.rules) == (name, ())
+
+
+@pytest.mark.parametrize("rules", [
+    "peel: (f ?x) => ?x", {"peel: (f ?x) => ?x": 1}, None])
+def test_suite_rules_that_are_not_a_list_are_rejected(rules):
+    spec = case_to_spec(builtin_suites()["trig"][0])
+    spec["rules"] = rules
+    with pytest.raises(SuiteError, match="rules must be a list"):
+        suite_from_json(json.dumps({"cases": [spec]}))
 
 
 def test_judge_target_cost():

@@ -1,18 +1,24 @@
+import contextlib
+import copy
 import csv
+import functools
 import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rewrite_arena.benchmarks import (builtin_suites, case_to_spec,
-                                      needle_case, suite_from_json)
+                                      needle_case, suite_from_json,
+                                      suite_to_json)
 from rewrite_arena.cli import (
     _eqsat_config,
     _load_cases,
@@ -513,6 +519,90 @@ def test_every_builtin_suite_and_a_gen_matmul_file_have_unique_case_names(
         assert all(names) and len(set(names)) == len(names), suite
 
 
+@functools.cache
+def _fuzz_bases():
+    """Suite file contents to fuzz: each curated family and a gen matmul
+    file."""
+    bases = {name: json.loads(suite_to_json(name, cases))
+             for name, cases in builtin_suites().items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "suite.json"
+        assert run_cli(["gen", "matmul", "--n", "4", "--count", "3",
+                        "--seed", "2", "--output", str(path)])[0] == 0
+        bases["gen matmul"] = json.loads(path.read_text())
+    return bases
+
+
+# Values that some fields accept, then wrong types, edge numbers,
+# malformed s-expressions and rule lines, an empty rules list, and a rule
+# that nests the e-matcher 100 levels deep.  Operator names start with fz-
+# so that no other test meets their arities.
+_FUZZ_VALUES = [
+    "x", 1, 10, 0, 1.5, "(+ x 0)", "trig", {"model": "ast_size"}, False,
+    None, True, -1, 1e308, float("inf"), float("nan"), 2 ** 64, "", [], {},
+    [1], {"a": 1}, "(", "(+ 1", "()", "(1 x)", "(+ 1 2) x",
+    "(sin)", "(fz-op a b)", "r: (+ ?a 0) => ?a", ["no colon"],
+    ["r: (+ ?a 0)"], ["r: ?a => ?b"], ["r: (+ ?a 0) => ?a if zero(?a)"],
+    ["r: (+ ?a 0) => ?a if nonzero(?b)"], ["r: (+ ?a => ?a"],
+    ["fz-wide: (fz-wide" + " ?a" * 100 + ") => ?a"],
+]
+
+
+def _fuzz_fields(suite):
+    """(path, value) of every field in the suite's cases, and (path, None)
+    of each case's optional fields that it lacks."""
+    def walk(value, path):
+        yield path, value
+        items = (value.items() if isinstance(value, dict) else
+                 enumerate(value) if isinstance(value, list) else ())
+        for key, sub in items:
+            yield from walk(sub, (*path, key))
+
+    for i, spec in enumerate(suite["cases"]):
+        yield from walk(spec, ("cases", i))
+        for key in ("rules", "dims", "intended", "eqsat_overrides"):
+            if key not in spec:
+                yield ("cases", i, key), None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_fuzzed_suite_file_exits_0_or_2_and_counts_every_case(data):
+    base = _fuzz_bases()[data.draw(st.sampled_from(sorted(_fuzz_bases())))]
+    # A value is drawn from the pool or moved from another field.
+    fields = list(_fuzz_fields(base))
+    values = st.one_of(st.sampled_from(_FUZZ_VALUES),
+                       st.sampled_from([value for _, value in fields]))
+    suite = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, key = data.draw(st.sampled_from([p for p, _ in fields]))
+        value = copy.deepcopy(data.draw(values))
+        with contextlib.suppress(LookupError, TypeError):  # a path gone
+            functools.reduce(lambda at, k: at[k], parents, suite)[key] = value
+    engine = data.draw(st.sampled_from(
+        ["stochastic", "eqsat", "eqsat-pulsed", "both"]))
+    budgets = {"stochastic": ["--workers", "1", "--max-proposals", "200"],
+               "eqsat": ["--iterations", "2"]}
+    args = [arg for owner, flags in budgets.items()
+            if engine.startswith(owner) or engine == "both" for arg in flags]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(json.dumps(suite))
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["bench", str(path), "--engine", engine,
+                                 *args, "--format", "json"])
+    assert code in (0, 2) and "internal error" not in err.getvalue(), \
+        err.getvalue()
+    if code == 0:
+        aggregate, cases = json.loads(out)["aggregate"], len(suite["cases"])
+        assert aggregate["cases"] == cases
+        assert all(stats["total"] == cases
+                   for stats in aggregate["engines"].values())
+        if engine == "both":
+            assert sum(aggregate["partition"].values()) == cases
+
+
 def test_gen_matmul_writes_the_cases_bench_matmul_builds(tmp_path,
                                                          monkeypatch):
     monkeypatch.delenv("REWRITE_ARENA_SEED", raising=False)
@@ -713,9 +803,9 @@ def test_extracting_a_case_without_per_node_costs_exits_2(tmp_path, capsys,
     assert "engine eqsat " in err and "internal error" not in err
 
 
-def _deep_suite(tmp_path, time_limit):
-    """A suite file whose second case has a rule too deep to e-match."""
-    deep = "(f " * 20 + "?x" + ")" * 20
+def _deep_suite(tmp_path, time_limit, deep="(f " * 20 + "?x" + ")" * 20):
+    """A suite file whose second case has a rule too deep to e-match, with
+    the left-hand side `deep`."""
 
     def case(name, rule):
         return {"name": name, "input": "(g a)", "rules": [rule],
@@ -740,6 +830,21 @@ def test_a_rule_too_deep_to_ematch_exits_2(tmp_path, capsys, monkeypatch,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "stuck" in err and "deep" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("engine", ["eqsat", "eqsat-pulsed", "both"])
+def test_a_rule_too_wide_to_ematch_exits_2(tmp_path, capsys, monkeypatch,
+                                           engine):
+    # Each repeated variable or literal leaf nests the compiled e-matcher a
+    # level deeper; both exited 3 on Python's indentation limit.
+    _no_case_may_run(monkeypatch)
+    for deep in ("(wide" + " ?x" * 120 + ")",
+                 "(wide-ones" + " 1" * 120 + " ?x)"):
+        code, out = run_cli(["bench", str(_deep_suite(tmp_path, 1.0, deep)),
+                             "--engine", engine])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and "internal error" not in err
+        assert err.startswith("error: case stuck: rule deep: pattern (wide")
 
 
 def test_a_stochastic_chain_stuck_at_its_start_ends(tmp_path):

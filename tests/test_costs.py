@@ -437,3 +437,10 @@ def test_dims_are_read_only_as_positive_json_integers(shape):
                                             "integers of at least 1"):
             read({"A2": [1, 2], "A1": shape})
     assert dims_from_spec({"A1": [13, 14]}) == {"A1": (13, 14)}
+
+
+def test_an_infinite_weight_is_a_cost_error():
+    # It once escaped the suite loader as an OverflowError: exit 3.
+    with pytest.raises(CostError, match="weight inf is not finite"):
+        model_from_spec({"model": "weighted_ast_size",
+                         "weights": {"x": float("inf")}})

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 import weakref
 from collections import Counter
@@ -1099,3 +1100,32 @@ def test_a_chain_frees_its_table_before_the_collector_resumes(monkeypatch):
     assert res.steps == 80 and len(tables) > 5 and len(counts) == 1
     assert counts[0] < 400, counts
     assert all(table() is None for table in tables)
+
+
+def test_the_term_walks_run_deep_under_the_default_recursion_limit():
+    # t0's two spines are equal but distinct, so interning it maps one onto
+    # the other; div-self's guard folds a spine through constant_of, and
+    # costing and listing the candidates walk the new spine of every step.
+    depth = 10 * sys.getrecursionlimit()
+
+    def spine(bottom):
+        for _ in range(depth):
+            bottom = term("sin", bottom)
+        return bottom
+
+    t0 = term("/", spine(P("(+ x 0)")), spine(P("(+ x 0)")))
+    ruleset = parse_ruleset("""
+        add-zero: (+ ?a 0) => ?a
+        add-comm: (+ ?a ?b) => (+ ?b ?a)
+        div-self: (/ ?a ?a) => 1 if nonzero(?a)
+    """, "deep-probe")
+    result = run_chain(t0, ruleset, AstSize(), RunConfig(max_steps=50))
+    assert result.steps == 50
+    assert replay_trace(t0, ruleset, result.best_trace) == result.best_term
+    ones = P("0")
+    for _ in range(depth):
+        ones = term("+", P("1"), ones)
+    assert rules.constant_of(ones) == depth
+    # An uncosted spine deeper than the recursion limit: value's local walk.
+    fresh = spine(P("y"))
+    assert AstSize().value(fresh) == depth + 1 and fresh._memo is None

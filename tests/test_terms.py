@@ -73,6 +73,45 @@ def test_postorder_children_first_last_child_first():
     assert nodes[-1] is chain
 
 
+def _walk_with_done(t, cut):
+    """postorder(t, done), where done holds for cut and for each node once
+    it is yielded: (the nodes yielded, the nodes done was asked about)."""
+    yielded, asked = [], []
+
+    def done(node):
+        asked.append(node)
+        return node is cut or any(node is n for n in yielded)
+
+    for node in postorder(t, done):
+        assert not any(node is n for n in yielded)
+        yielded.append(node)
+    return yielded, asked
+
+
+def test_postorder_done_cuts_subtrees_and_yields_a_shared_node_once():
+    f, g = Symbol("f", 2), Symbol("g", 1)
+    t = Term(f, (Term(g, (Term(f, (leaf("a"), leaf("b"))),)),
+                 Term(f, (leaf("c"), Term(g, (leaf("b"),))))))
+    full = list(postorder(t))
+    for cut in full:
+        below = [n for n in postorder(cut) if n is not cut]
+        yielded, asked = _walk_with_done(t, cut)
+        # The default order, less the cut subtree.
+        assert [id(n) for n in yielded] == [
+            id(n) for n in full if not any(n is m for m in [cut, *below])]
+        # A done node is neither yielded nor entered: none below it is met.
+        assert any(n is cut for n in asked)
+        assert not any(n is m for n in asked for m in below)
+    # A shared node is entered once, then found done.
+    shared = Term(g, (leaf("a"),))
+    t = Term(f, (shared, Term(g, (shared,))))
+    yielded, asked = _walk_with_done(t, None)
+    assert [print_sexpr(n) for n in yielded] == ["a", "(g a)", "(g (g a))",
+                                                 "(f (g a) (g (g a)))"]
+    assert sum(n is shared for n in asked) == 2
+    assert sum(n is shared.children[0] for n in asked) == 1
+
+
 def test_parse_comments_and_whitespace():
     t = parse_sexpr("; heading\n  (+ 1 ; inline\n 2)  ; trailing\n")
     assert print_sexpr(t) == "(+ 1 2)"
