@@ -359,21 +359,21 @@ def case_to_spec(case: BenchmarkCase) -> dict:
 
 def case_from_spec(spec: dict) -> BenchmarkCase:
     if "rules" in spec:  # a list of rule lines, possibly empty
-        if not isinstance(spec["rules"], list):
-            raise SuiteError(f"rules must be a list, got {spec['rules']!r}")
-        rules = [r for line in spec["rules"] for r in parse_rule_line(line)]
-        name, fold = spec.get("ruleset", "custom"), False
+        rules = [r for line in _json(spec["rules"], list, "rules")
+                 for r in parse_rule_line(_json(line, str, "a rules line"))]
+        name, fold = _json(spec.get("ruleset", "custom"), str, "ruleset"), False
     else:
-        builtin = builtin_ruleset(spec["ruleset"])
+        builtin = builtin_ruleset(_json(spec["ruleset"], str, "ruleset"))
         name, rules, fold = builtin.name, builtin.rules, builtin.fold_constants
     ruleset = Ruleset(name, rules, _flag(spec, "fold_constants", fold))
-    crit_spec = spec["criterion"]
+    crit_spec = _json(spec["criterion"], dict, "criterion")
     kind = crit_spec["kind"]
     if kind == "target_cost":
         criterion: Criterion = TargetCost(
             _finite(crit_spec["value"], "criterion value"))
     elif kind == "reach_term":
-        criterion = ReachTerm(parse_sexpr(crit_spec["goal"]))
+        criterion = ReachTerm(parse_sexpr(
+            _json(crit_spec["goal"], str, "criterion goal")))
     elif kind == "reach_true":  # the older spelling of the goal `true`
         criterion = ReachTerm(TRUE)
     else:
@@ -382,18 +382,26 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     if time_limit is not None:
         time_limit = float(_finite(time_limit, "time_limit"))
     check_time_limit(time_limit)
-    dims = dims_from_spec(spec["dims"]) if "dims" in spec else None
+    dims = (dims_from_spec(_json(spec["dims"], dict, "dims")) if "dims" in spec
+            else None)
+    models = {}
+    for field in ("cost", "stochastic_cost"):
+        if field in spec or field == "cost":
+            model = _json(spec[field], dict, field)
+            for part in ("weights", "dims"):
+                _json(model.get(part, {}), dict, f"{field} {part}")
+            models[field] = model_from_spec(model)
     oracle = spec.get("oracle")
     case = BenchmarkCase(
         name=spec["name"],
-        input_term=parse_sexpr(spec["input"]),
+        input_term=parse_sexpr(_json(spec["input"], str, "input")),
         ruleset=ruleset,
-        cost_model=model_from_spec(spec["cost"]),
+        cost_model=models["cost"],
         criterion=criterion,
         oracle_cost=None if oracle is None else _finite(oracle, "oracle"),
-        stochastic_cost_model=(model_from_spec(spec["stochastic_cost"])
-                               if "stochastic_cost" in spec else None),
-        intended=parse_sexpr(spec["intended"]) if "intended" in spec else None,
+        stochastic_cost_model=models.get("stochastic_cost"),
+        intended=(parse_sexpr(_json(spec["intended"], str, "intended"))
+                  if "intended" in spec else None),
         validate=_flag(spec, "validate"),
         checkpointing=_flag(spec, "checkpointing"),
         time_limit=time_limit,
@@ -402,11 +410,7 @@ def case_from_spec(spec: dict) -> BenchmarkCase:
     )
     if dims is not None and case.dims is None:
         raise ValueError("dims are given, but no model is matmul_scalar_ops")
-    models = {"cost": case.cost_model,
-              "stochastic_cost": case.stochastic_cost_model}
     for field, model in models.items():
-        if model is None:
-            continue
         model.cost(case.input_term)  # CostError if uncostable
         if isinstance(criterion, ReachTerm):
             model.cost(criterion.goal)  # target_cost() costs the goal
@@ -453,6 +457,14 @@ def _flag(spec: dict, key: str, default: bool = False) -> bool:
     return value
 
 
+def _json(value, kind: type, what: str):
+    """value, which must be a JSON string, array (list) or object (dict)."""
+    if not isinstance(value, kind):
+        noun = {str: "a string", list: "a list"}.get(kind, "an object")
+        raise SuiteError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def _finite(value, what: str):
     if isinstance(value, bool) or not (isinstance(value, (int, float))
                                        and -math.inf < value < math.inf):
@@ -467,6 +479,7 @@ def _overrides(spec: dict, key: str) -> dict | None:
     overrides = spec.get(key)
     if overrides is None:
         return None
+    _json(overrides, dict, key)
     config = RunConfig if key == "stochastic_overrides" else EqsatConfig
     unknown = set(overrides) - {f.name for f in fields(config)}
     if unknown:
@@ -500,7 +513,8 @@ def suite_from_json(text: str) -> tuple[str, list[BenchmarkCase]]:
         try:
             cases.append(case_from_spec(spec))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError,
-                TermError) as exc:
-            raise SuiteError(f"case {label!r}: "
-                             f"{type(exc).__name__}: {exc}") from None
+                TermError) as exc:  # a SuiteError names its field itself
+            kind = ("" if isinstance(exc, SuiteError)
+                    else f"{type(exc).__name__}: ")
+            raise SuiteError(f"case {label!r}: {kind}{exc}") from None
     return name, cases

@@ -336,9 +336,7 @@ def _cmd_scale(args, parser) -> int:
     time_limit = args.time_limit if args.time_limit is not None else 10.0
     rows = scaling_report(suites[args.suite], workers_list, cfg,
                           time_limit=time_limit)
-    columns = ["workers", "proposals", "wall_time_s", "proposals_per_sec",
-               "solved", "cases", "seed"]
-    _emit(rows, None, args.format, args.output, columns)
+    _emit(rows, None, args.format, args.output, list(rows[0]))
     return 0
 
 

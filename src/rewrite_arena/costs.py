@@ -10,7 +10,7 @@ stores nothing on them.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from .terms import (Position, Term, TermError, parse_sexpr, positions,
                     postorder, print_sexpr, replace_at)
@@ -289,7 +289,7 @@ def model_from_spec(spec: dict) -> CostModel:
     if kind == "ast_size":
         return AstSize()
     if kind == "weighted_ast_size":
-        return WeightedAstSize({k: _num(v) for k, v in spec.get("weights", {}).items()})
+        return WeightedAstSize({k: _num(k, v) for k, v in spec.get("weights", {}).items()})
     if kind == "integ_square":
         return IntegSquare()
     if kind == "matmul_scalar_ops":
@@ -309,9 +309,11 @@ def dims_from_spec(dims: dict) -> DimEnv:
     return {name: tuple(shape) for name, shape in dims.items()}
 
 
-def _num(v):
-    try:
-        f = Fraction(v)
-    except OverflowError:  # an infinite float
-        raise CostError(f"weight {v!r} is not finite") from None
-    return int(f) if f.denominator == 1 else float(f)
+def _num(name: str, v):
+    """name's weight: a finite JSON number, an integral float as an int."""
+    if type(v) is int:
+        return v
+    if type(v) is not float or not math.isfinite(v):
+        what = "finite" if type(v) is float else "a number"
+        raise CostError(f"weight {v!r} is not {what}, for {name!r}")
+    return int(v) if v.is_integer() else v

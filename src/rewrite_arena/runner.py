@@ -26,7 +26,8 @@ from .egraph import (
 )
 from .equivalence import EquivalenceValidator
 from .rules import Ruleset
-from .stochastic import RunConfig, check_number_fields, search
+from .stochastic import (RunConfig, check_number_fields, search,
+                         search_processes, usable_cpus)
 from .terms import Term, print_sexpr
 
 
@@ -165,19 +166,13 @@ class CaseResult:
     best_term: str = ""
 
     def row(self) -> dict:
-        return {
-            "engine": self.engine,
-            "case": self.case,
-            "best_cost": self.best_cost,
-            "oracle_cost": "" if self.oracle_cost is None else self.oracle_cost,
-            "ratio": "" if self.ratio is None else round(self.ratio, 6),
-            "solved": int(self.solved),
-            "units": self.units,
-            "unit_kind": self.unit_kind,
-            "hard_restarts": self.hard_restarts,
-            "unsound_restarts": self.unsound_restarts,
-            "wall_time_s": round(self.wall_time, 3),
-        }
+        """The result's CSV_COLUMNS."""
+        return dict(zip(CSV_COLUMNS, (
+            self.engine, self.case, self.best_cost,
+            "" if self.oracle_cost is None else self.oracle_cost,
+            "" if self.ratio is None else round(self.ratio, 6),
+            int(self.solved), self.units, self.unit_kind, self.hard_restarts,
+            self.unsound_restarts, round(self.wall_time, 3)), strict=True))
 
 
 CSV_COLUMNS = ["engine", "case", "best_cost", "oracle_cost", "ratio", "solved",
@@ -385,7 +380,8 @@ def aggregate(results: list[CaseResult]) -> dict:
 def scaling_report(cases: list[BenchmarkCase], workers_list: list[int],
                    cfg: RunConfig, time_limit: float | None = None,
                    early_exit: bool = False) -> list[dict]:
-    """One suite run per worker count: proposals/sec and solved count rows."""
+    """One suite run per worker count: proposals/sec and solved count rows,
+    with the usable CPUs and the processes each search ran its chains in."""
     rows = []
     for workers in workers_list:
         wcfg = replace(cfg, workers=workers, budget=workers)
@@ -401,5 +397,7 @@ def scaling_report(cases: list[BenchmarkCase], workers_list: list[int],
             "solved": sum(r.solved for r in results),
             "cases": len(cases),
             "seed": cfg.seed,
+            "usable_cpus": usable_cpus(),
+            "processes": search_processes(wcfg),
         })
     return rows

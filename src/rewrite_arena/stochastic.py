@@ -11,11 +11,12 @@ other budget) or hard-restarts from the initial term.  Chains are fully
 independent; a search runs them in at most one process per usable CPU,
 and the chains in one process share its time under a deadline.
 
-Each chain hash-conses its terms (_Hashcons): a subterm equal to one the
-chain has met is that same node, so its cost memo is already filled, and
-its subtree's candidates, with their cost deltas, are listed once, as are
-a term's step deltas and each successor drawn from it.  A step walks only
-the path to a new draw, down to find it and back up to build the successor.
+Each chain hash-conses its terms (_Hashcons) and keeps one record per
+held node: a subterm equal to one the chain has met is that same node, so
+its cost memo is already filled, and its subtree's candidates, with their
+cost deltas, are listed once, as are a term's step deltas and each
+successor drawn from it.  A step walks only the path to a new draw, down
+to find it and back up to build the successor.
 """
 from __future__ import annotations
 
@@ -153,6 +154,12 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def search_processes(cfg: RunConfig) -> int:
+    """The processes search runs cfg's chains in: one per usable CPU at
+    most, and no more than there are workers or chains."""
+    return min(cfg.workers, cfg.chains, usable_cpus())
+
+
 def chain_seed(seed: int, index: int) -> int:
     """Deterministic per-chain seed, independent of worker scheduling."""
     x = (seed * 0x9E3779B97F4A7C15 + (index + 1) * 0xBF58476D1CE4E5B9) & _M64
@@ -220,44 +227,42 @@ def _rewrites_at(sub: Term, ruleset: Ruleset, model: CostModel | None):
 
 
 class _Hashcons:
-    """One chain's hash-consed terms, each held node's candidates and steps.
+    """One chain's hash-consed terms, with one record per held node.
 
     `nodes` maps (op, id(child), ...) to the one node held with that
     operator and those children, as the e-graph's hashcons maps e-nodes;
     a node is held only with its children, so a held root holds its
-    term.  The other maps are keyed by a node's id, under the table's
-    ruleset and model:
+    term.  `held` maps a node's id to its record, under the table's
+    ruleset and model, [rewrites, deltas, starts, keeps, step]:
 
     - rewrites: the node's own _rewrites_at;
-    - lists: the delta of every candidate of the node's subtree, in
+    - deltas: the delta of every candidate of the node's subtree, in
       enumeration order: its own, then each child's, less those whose
       result one of its own rewrites already gives;
-    - keeps: for a node that dropped some of a child's candidates, per
-      child None or the indices into the child's list of those kept;
-    - steps: for a node a chain stepped from, its _step_deltas and a map
-      from each index drawn there to (successor, rule, position), the
-      successor a held node.
+    - starts: per child, where its entries begin in deltas;
+    - keeps: None, or, for a node that dropped some of a child's
+      candidates, per child None or the indices into the child's deltas
+      of those kept;
+    - step: None until a chain steps from the node, then its
+      _step_deltas and a map from each index drawn there to (successor,
+      rule, position), the successor a held node.
 
-    A node's list is built once, from its own rewrites and its children's
-    lists (shared, not copied, when only one of those has entries), so a
-    step builds lists only for the nodes the table has not met, and
-    locate finds an entry by walking down the children's counts.
+    A node's record is built once, from its own rewrites and its
+    children's deltas (shared, not copied, when only one of those has
+    entries), so a step builds records only for the nodes the table has
+    not met, and locate finds an entry by bisecting each level's starts.
 
     run_chain replaces the whole table once `nodes` reaches CONS_SIZE, so
     an id is read only while its node is held: Python reuses the ids of
-    freed objects.  A table outside a chain holds no nodes, and its lists
-    are read only while the enumerated term lives.
+    freed objects.  A table outside a chain holds no nodes, and its
+    records are read only while the enumerated term lives.
     """
 
-    __slots__ = ("nodes", "rewrites", "lists", "keeps", "steps", "ruleset",
-                 "model")
+    __slots__ = ("nodes", "held", "ruleset", "model")
 
     def __init__(self, ruleset: Ruleset, model: CostModel | None):
         self.nodes: dict[tuple, Term] = {}
-        self.rewrites: dict[int, list[tuple]] = {}
-        self.lists: dict[int, list] = {}
-        self.keeps: dict[int, list] = {}
-        self.steps: dict[int, tuple[list, dict]] = {}
+        self.held: dict[int, list] = {}
         self.ruleset = ruleset
         self.model = model
 
@@ -284,22 +289,20 @@ class _Hashcons:
         return held.get(id(t), t)
 
     def candidates(self, t: Term) -> list:
-        """t's list, after building the list of each node of t that has
-        none, children first."""
-        lists = self.lists
-        for node in postorder(t, lambda node: id(node) in lists):
+        """t's deltas, after building the record of each node of t that
+        has none, children first."""
+        held = self.held
+        for node in postorder(t, lambda node: id(node) in held):
             self._build(node)
-        return lists[id(t)]
+        return held[id(t)][1]
 
     def _build(self, node: Term) -> None:
-        # node's rewrites, list and keeps (see the class), from its
-        # children's lists.
-        kids, lists = node.children, self.lists
+        # node's record (see the class), from its children's.
+        kids, held = node.children, self.held
         if not kids and not self.ruleset.rewrites_leaves:
-            lists[id(node)] = self.rewrites[id(node)] = []  # never folds
+            held[id(node)] = [[], [], [], None, None]  # never folds
             return
-        rewrites = self.rewrites[id(node)] = _rewrites_at(
-            node, self.ruleset, self.model)
+        rewrites = _rewrites_at(node, self.ruleset, self.model)
         keeps = None
         for _, (below, new), _, _ in rewrites:
             # Only a key below its rewrite's position can equal a
@@ -308,45 +311,38 @@ class _Hashcons:
                                                 new)):
                 k = below[0]
                 keeps = keeps or [None] * len(kids)
-                kept = (range(len(lists[id(kids[k])])) if keeps[k] is None
+                kept = (range(len(held[id(kids[k])][1])) if keeps[k] is None
                         else keeps[k])
                 keeps[k] = [j for j in kept if j not in drop]
-        if keeps is not None:
-            self.keeps[id(node)] = keeps
         deltas = [rewrite[3] for rewrite in rewrites]
+        starts = []
         for k, kid in enumerate(kids):
-            sub = lists[id(kid)]
+            starts.append(len(deltas))
+            sub = held[id(kid)][1]
             if keeps is not None and keeps[k] is not None:
                 sub = [sub[j] for j in keeps[k]]
             if sub:
                 deltas = deltas + sub if deltas else sub
-        lists[id(node)] = deltas
-
-    def _offset(self, node: Term, k: int) -> int:
-        """Where the entries from node's child k start in node's list."""
-        keeps = self.keeps.get(id(node))
-        return len(self.rewrites[id(node)]) + sum(
-            len(self.lists[id(kid)]) if keeps is None or keeps[c] is None
-            else len(keeps[c]) for c, kid in enumerate(node.children[:k]))
+        held[id(node)] = [rewrites, deltas, starts, keeps, None]
 
     def _indices(self, node: Term, below: Position, new: Term) -> list[int]:
-        """The indices into node's list of the entries whose _result_key,
+        """The indices into node's deltas of the entries whose _result_key,
         relative to node, is (below, new).  Each node on the path `below`
         has at most one own rewrite with that key; its index is mapped up
         through the levels above it."""
+        held = self.held
         out, path = [], []
         for depth in range(len(below) + 1):
             key = below[depth:], new
-            j = next((j for j, rewrite in enumerate(self.rewrites[id(node)])
+            j = next((j for j, rewrite in enumerate(held[id(node)][0])
                       if rewrite[1] == key), None)
             for up, k in reversed(path):
-                keep = self.keeps.get(id(up))
-                keep = None if keep is None else keep[k]
+                _, _, starts, keeps, _ = held[id(up)]
+                keep = None if keeps is None else keeps[k]
                 if j is None or keep is not None and j not in keep:
                     j = None  # a level above already dropped it
                     break
-                j = self._offset(up, k) + (j if keep is None
-                                           else keep.index(j))
+                j = starts[k] + (j if keep is None else keep.index(j))
             if j is not None:
                 out.append(j)
             if depth < len(below):
@@ -355,28 +351,24 @@ class _Hashcons:
         return out
 
     def locate(self, t: Term, i: int):
-        """(path, position, rewrite) of entry i of t's built list: the nodes
-        from t down to the rewritten node's parent, the rewritten node's
-        position, and its own rewrite (rule, key, new_sub, delta)."""
-        lists, all_rewrites, all_keeps = self.lists, self.rewrites, self.keeps
+        """(path, position, rewrite) of entry i of t's built deltas: the
+        nodes from t down to the rewritten node's parent, the rewritten
+        node's position, and its own rewrite (rule, key, new_sub, delta)."""
+        held = self.held
         path, pos = [], []
         while True:
-            rewrites = all_rewrites[id(t)]
+            rewrites, _, starts, keeps, _ = held[id(t)]
             if i < len(rewrites):
                 return path, tuple(pos), rewrites[i]
-            i -= len(rewrites)
-            keeps = all_keeps.get(id(t)) if all_keeps else None
-            for k, kid in enumerate(t.children):
-                keep = keeps and keeps[k]
-                n = len(lists[id(kid)] if keep is None else keep)
-                if i < n:
-                    break
-                i -= n
-            if keep is not None:
-                i = keep[i]
+            # The last child starting at or before i: an empty child
+            # starts where the next one does, so it is never picked.
+            k = bisect_right(starts, i) - 1
+            i -= starts[k]
+            if keeps is not None and keeps[k] is not None:
+                i = keeps[k][i]
             path.append(t)
             pos.append(k)
-            t = kid
+            t = t.children[k]
 
     def successor(self, path: list[Term], pos: Position, new_sub: Term):
         """The held term with new_sub at pos, where path and pos are what
@@ -388,16 +380,10 @@ class _Hashcons:
         # Up the path without intern, which read ~20% slower on stoch-matmul.
         depth = len(pos)
         while depth:
-            node, k = path[depth - 1], pos[depth - 1]
-            kids = node.children
-            if len(kids) == 2:  # the common case, keyed without a list
-                key = ((node.op, id(s), id(kids[1])) if k == 0
-                       else (node.op, id(kids[0]), id(s)))
-            else:
-                ids = [*map(id, kids)]
-                ids[k] = id(s)
-                key = (node.op, *ids)
-            up = nodes.get(key)
+            node = path[depth - 1]
+            ids = [*map(id, node.children)]
+            ids[pos[depth - 1]] = id(s)
+            up = nodes.get((node.op, *ids))
             if up is None:  # nor any level above, whose key holds a new id
                 break
             s = up
@@ -423,7 +409,7 @@ def _enumerate_candidates(t: Term, ruleset: Ruleset,
     built or hashed.  Leaves below the root have candidates only when some
     rule's LHS is a leaf.
 
-    cons is a chain's table over ruleset, holding t: each node's list is
+    cons is a chain's table over ruleset, holding t: each node's record is
     read from it and built only for the nodes it has not met.  Without
     one, a throwaway table is used, with no deltas (all None).
     """
@@ -477,13 +463,14 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     restart from t0.
 
     The chain interns t0 and every successor in its _Hashcons, so a node
-    it has met is rewritten, costed and given its candidate list once.  A
-    step reads the current term's list, walks down its counts to the drawn
-    entry, and builds back up that path only the levels the table lacks.
-    The table also keeps, per term stepped from, the step's deltas and
-    each successor drawn so far, with its rule and position (`steps`).
-    All are pure functions of the held node, so a revisit, such as after
-    a restart, re-runs only the draw, the validator and the counters.
+    it has met is rewritten, costed and given its candidate deltas once.
+    A step reads the current term's deltas, bisects each level's child
+    starts down to the drawn entry, and builds back up that path only the
+    levels the table lacks.  The term's record also keeps, once the chain
+    steps from it, the step's deltas and each successor drawn so far,
+    with its rule and position (its `step` slot).  All are pure functions
+    of the held node, so a revisit, such as after a restart, re-runs only
+    the draw, the validator and the counters.
 
     At the start of a step at which the table holds CONS_SIZE nodes or
     more, it is dropped with all it keeps, and t0 and the current term
@@ -542,9 +529,9 @@ def run_chain(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
             # stays the node every restart returns to.
             cons.intern(t0)
             cons.intern(t)
-        step = cons.steps.get(id(t))
-        if step is None:
-            step = cons.steps[id(t)] = (_step_deltas(t, cons, cost_t), {})
+        step = (record := cons.held.get(id(t))) and record[4]
+        if step is None:  # _step_deltas builds t's record, then it is read
+            step = cons.held[id(t)][4] = (_step_deltas(t, cons, cost_t), {})
         deltas, successors = step
         total_proposals += len(deltas)
         if not deltas:
@@ -640,7 +627,7 @@ def search(t0: Term, ruleset: Ruleset, model: CostModel, cfg: RunConfig,
     """
     started = time.monotonic()
     n = cfg.chains
-    processes = min(cfg.workers, n, usable_cpus())
+    processes = search_processes(cfg)
     blocks = [(t0, ruleset, model, cfg, validator,
                range(p * n // processes, (p + 1) * n // processes),
                deadline, target_cost) for p in range(processes)]

@@ -244,6 +244,46 @@ def test_suite_rules_that_are_not_a_list_are_rejected(rules):
         suite_from_json(json.dumps({"cases": [spec]}))
 
 
+def _weights(weights):
+    return {"model": "weighted_ast_size", "weights": weights}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("input", 7, "input must be a string, got 7"),
+    ("intended", 3, "intended must be a string, got 3"),
+    ("ruleset", 5, "ruleset must be a string, got 5"),
+    ("rules", ["peel: (f ?x) => ?x", 5], "a rules line must be a string"),
+    ("criterion", "x", "criterion must be an object, got 'x'"),
+    ("criterion", {"kind": "reach_term", "goal": 5},
+     "criterion goal must be a string, got 5"),
+    ("cost", "x", "cost must be an object, got 'x'"),
+    ("cost", _weights(5), "cost weights must be an object, got 5"),
+    ("stochastic_cost", [1], "stochastic_cost must be an object, got [1]"),
+    ("dims", [1], "dims must be an object, got [1]"),
+    ("stochastic_overrides", 5, "stochastic_overrides must be an object"),
+    ("eqsat_overrides", 5, "eqsat_overrides must be an object, got 5"),
+    # These two once loaded as the weight 1, and ran.
+    ("cost", _weights({"int": True}), "weight True is not a number"),
+    ("stochastic_cost", _weights({"int": True}), "for 'int'"),
+    ("cost", _weights({"int": float("nan")}), "weight nan is not finite"),
+])
+def test_a_suite_field_of_the_wrong_json_type_exits_2_naming_it(
+        tmp_path, capsys, field, value, named):
+    # Each once exited 2 with a raw Python error that named no field, such
+    # as "TypeError: object of type 'int' has no len()".
+    from rewrite_arena.cli import main
+
+    spec = case_to_spec(next(c for c in builtin_suites()["integration"]
+                             if c.name == "integ-cos"))
+    spec[field] = value
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"cases": [spec]}))
+    code = main(["bench", str(path), "--time-limit", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "case 'integ-cos': " in err and named in err
+
+
 def test_judge_target_cost():
     case = gen_matmul_chain(3, 1, 9, random.Random(2))
     model = case.cost_model

@@ -251,6 +251,17 @@ def test_scale_rows(tmp_path):
     assert rows[0]["workers"] == 1
     assert rows[0]["proposals"] > 0
     assert rows[0]["proposals_per_sec"] > 0
+    # Why a worker count can outrun the CPUs: its chains share processes.
+    assert rows[0]["usable_cpus"] == stochastic.usable_cpus()
+    assert rows[0]["processes"] == 1
+    code, out = run_cli(["scale", "--suite", "halide-mini",
+                         "--workers-list", "1,3", "--time-limit", "0.2",
+                         "--seed", "2", "--format", "csv"])
+    assert code == 0
+    header, *lines = list(csv.reader(io.StringIO(out)))
+    assert header == [*rows[0]] and len(lines) == 2
+    assert [int(line[header.index("processes")]) for line in lines] == \
+        [1, min(3, stochastic.usable_cpus())]
 
 
 def test_bench_with_case_level_jobs():

@@ -439,6 +439,27 @@ def test_dims_are_read_only_as_positive_json_integers(shape):
     assert dims_from_spec({"A1": [13, 14]}) == {"A1": (13, 14)}
 
 
+@pytest.mark.parametrize("weight, message", [
+    (True, "weight True is not a number, for 'x'"),
+    ("3", "weight '3' is not a number, for 'x'"),
+    ("1/2", "weight '1/2' is not a number, for 'x'"),
+    (None, "weight None is not a number, for 'x'"),
+    (float("nan"), "weight nan is not finite, for 'x'"),
+])
+def test_a_weight_that_is_no_finite_json_number_is_a_cost_error(weight,
+                                                                 message):
+    # The first three once loaded as 1, 3 and 0.5, and NaN failed inside
+    # Fraction with "cannot convert NaN to integer ratio".
+    with pytest.raises(CostError) as caught:
+        model_from_spec({"model": "weighted_ast_size",
+                         "weights": {"y": 2, "x": weight}})
+    assert str(caught.value) == message
+    model = model_from_spec({"model": "weighted_ast_size",
+                             "weights": {"x": 2.0, "y": 2.5, "z": -1}})
+    assert model.weights == {"x": 2, "y": 2.5, "z": -1}
+    assert type(model.weights["x"]) is int
+
+
 def test_an_infinite_weight_is_a_cost_error():
     # It once escaped the suite loader as an OverflowError: exit 3.
     with pytest.raises(CostError, match="weight inf is not finite"):

@@ -12,7 +12,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rewrite_arena import (
     AstSize,
@@ -647,12 +647,12 @@ def _count_tables(monkeypatch) -> list:
 
 
 def _check_held(cons):
-    """Every map of cons is keyed by the ids of held nodes, and every
+    """Every record of cons is keyed by the id of a held node, and every
     cached successor is a held node."""
     held = {id(n) for n in cons.nodes.values()}
-    assert set(cons.rewrites) | set(cons.lists) | set(cons.steps) <= held
-    assert {id(move[0]) for _, moves in cons.steps.values()
-            for move in moves.values()} <= held
+    assert set(cons.held) <= held
+    assert {id(move[0]) for *_, step in cons.held.values() if step
+            for move in step[1].values()} <= held
     return held
 
 
@@ -759,8 +759,9 @@ def test_a_chain_meets_each_distinct_subterm_as_one_node(monkeypatch):
         (cons,) = tables
         assert res.hard_restarts > 10
         # The chain revisited terms, and stepped from each just once.
-        assert res.steps > len(cons.steps) == len(enumerated)
-        assert {id(t) for t in enumerated} == set(cons.steps)
+        stepped = {k for k, (*_, step) in cons.held.items() if step}
+        assert res.steps > len(stepped) == len(enumerated)
+        assert {id(t) for t in enumerated} == stepped
         one = {}
         for t in cons.nodes.values():
             for node in postorder(t):
@@ -1009,7 +1010,11 @@ def _exact_starts():
     """(label, t0, ruleset, model) of the walks the per-node lists must
     match the reference on: trig (deep keys), integration (IntegSquare,
     which never localizes, so every delta is spliced), folding colliding
-    rules, and rulesets with a leaf left-hand side."""
+    rules, and rulesets with a leaf left-hand side.  In the empty-spans
+    starts, under + nodes whose left rewrite drops all or some of child
+    0's entries, a child with no entries comes before, between (after the
+    node's own) and after children with some, so locate bisects past
+    empty spans at nodes with keeps."""
     curated = [*trig_suite(), *integration_suite()]
     starts = [(c.name, c.input_term, c.ruleset, c.model_for("stochastic"))
               for c in curated]
@@ -1020,6 +1025,9 @@ def _exact_starts():
         P("(f (+ (f (h (h (+ 1 1)))) (h (h x))))"),
         P("(h (f (h (h (f (h (h y)))))))"),
         *(_random_term(rng, 6) for _ in range(6))])]
+    starts += [(f"empty-spans-{k}", t, deep, AstSize()) for k, t in enumerate([
+        P("(+ (h x) (h y))"), P("(f (+ (h (h x)) x))"),
+        P("(+ (h (f (h (h y)))) (+ (h x) (+ x (h y))))")])]
     starts += [(f"{rs.name}-{k}", t, rs, AstSize())
                for k, t in enumerate([P("(+ (neg 1) (+ x 1))"),
                                       P("(neg (+ 1 (neg x)))")])
@@ -1028,11 +1036,17 @@ def _exact_starts():
 
 
 _EXACT_STARTS = _exact_starts()
+# Walked on every run: 80 draws over the starts often miss a given one.
+_EMPTY_SPANS = [i for i, (label, *_) in enumerate(_EXACT_STARTS)
+                if label.startswith("empty-spans")]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, len(_EXACT_STARTS) - 1), st.integers(0, 2**32 - 1),
        st.integers(0, 11))
+@example(_EMPTY_SPANS[0], 0, 11)
+@example(_EMPTY_SPANS[1], 1, 11)
+@example(_EMPTY_SPANS[2], 2, 5)
 def test_per_node_lists_match_the_reference_on_walks(start, seed, clear_at):
     """A walk through one table, replaced at step clear_at as run_chain
     replaces it: at each term the lists give exactly the reference's
