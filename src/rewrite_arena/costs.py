@@ -293,10 +293,22 @@ def model_from_spec(spec: dict) -> CostModel:
     if kind == "integ_square":
         return IntegSquare()
     if kind == "matmul_scalar_ops":
-        return MatMulScalarOps(dims_from_spec(spec["dims"]))
+        return MatMulScalarOps(dims_from_spec(_field(spec, "dims", dict)))
     if kind == "goal_indicator":
-        return GoalIndicator(parse_sexpr(spec["goal"]))
+        return GoalIndicator(parse_sexpr(_field(spec, "goal", str)))
     raise CostError(f"unknown cost model spec {spec!r}")
+
+
+def _field(spec: dict, name: str, kind: type):
+    """The model spec's field `name`, which must be there and of that type."""
+    if name not in spec:
+        raise CostError(f"a {spec['model']} model needs its {name}")
+    value = spec[name]
+    if not isinstance(value, kind):
+        what = "a string" if kind is str else "an object"
+        raise CostError(f"a {spec['model']} model's {name} must be {what}, "
+                        f"got {value!r}")
+    return value
 
 
 def dims_from_spec(dims: dict) -> DimEnv:

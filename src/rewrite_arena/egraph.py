@@ -1,8 +1,11 @@
 """Minimal equality saturation: e-graph, e-matching, scheduling, extraction.
 
-The e-graph keeps a union-find over e-class ids, a hashcons from canonical
-e-nodes to classes, and a per-class constant analysis (an exact rational
-or boolean; a literal leaf's constant is its symbol's value).  Congruence
+The e-graph keeps a union-find over e-class ids, each class as a plain
+list of its e-nodes, a hashcons from canonical e-nodes to classes, and a
+constant analysis: a map from each class known to equal a constant (an
+exact rational or boolean; a literal leaf's constant is its symbol's
+value) to it.  Each e-node is stored after a hashcons miss, so between
+rebuilds it is a hashcons key and sits once in one class.  Congruence
 repair is deferred: rebuild() re-canonicalizes every node and merges
 congruent classes to a fixpoint, skipping the last pass when the previous
 one shows it would unite nothing.
@@ -54,19 +57,12 @@ class ExtractionError(EGraphError):
     pass
 
 
-class EClass:
-    __slots__ = ("nodes", "constant")
-
-    def __init__(self):
-        self.nodes: dict[ENode, None] = {}
-        self.constant = None
-
-
 class EGraph:
     def __init__(self):
         self._uf: list[EClassId] = []
-        self.classes: dict[EClassId, EClass] = {}
+        self.classes: dict[EClassId, list[ENode]] = {}  # root -> its e-nodes
         self.hashcons: dict[ENode, EClassId] = {}
+        self.constants: dict[EClassId, object] = {}  # root -> its constant
         self.contradiction = False
         self.union_count = 0
         self._dirty = False
@@ -87,11 +83,11 @@ class EGraph:
         if len(node) == 1:
             return op.value
         args = []
-        uf, classes = self._uf, self.classes
+        uf, constants = self._uf, self.constants
         for child in node[1:]:
             if uf[child] != child:
                 child = self.find(child)
-            c = classes[child].constant
+            c = constants.get(child)
             if c is None:
                 return None
             args.append(c)
@@ -101,11 +97,11 @@ class EGraph:
         """Join a constant into a class; True when the class learned it."""
         if constant is None:
             return False
-        cls = self.classes[cid]
-        if cls.constant is None:
-            cls.constant = constant
+        known = self.constants.get(cid)
+        if known is None:
+            self.constants[cid] = constant
             return True
-        if cls.constant != constant:
+        if known != constant:
             self.contradiction = True
         return False
 
@@ -122,14 +118,13 @@ class EGraph:
         """A new class holding a canonical node the hashcons lacks."""
         cid = len(self._uf)
         self._uf.append(cid)
-        cls = self.classes[cid] = EClass()
-        cls.nodes[node] = None
+        self.classes[cid] = [node]
         self.hashcons[node] = cid
         # Only a leaf, or a node whose first child holds a constant, folds.
-        if len(node) == 1 or self.classes[node[1]].constant is not None:
+        if len(node) == 1 or node[1] in self.constants:
             constant = self._make_constant(node)
             if constant is not None:
-                cls.constant = constant
+                self.constants[cid] = constant
                 # Rebuild materializes the literal, unless node already is it.
                 if len(node) > 1 or constant_term(constant).op is not node[0]:
                     self._dirty = True
@@ -154,13 +149,12 @@ class EGraph:
         ca, cb = classes[ra], classes[rb]
         # Deterministic leader: larger class wins, ties go to the lower id.
         # _compile_applier relies on it: a fresh one-node class always loses.
-        if (len(cb.nodes), -rb) > (len(ca.nodes), -ra):
+        if (len(cb), -rb) > (len(ca), -ra):
             ra, rb = rb, ra
             ca, cb = cb, ca
         uf[rb] = ra
-        ca.nodes.update(cb.nodes)
-        if cb.constant is not None:
-            self._join_into(ra, cb.constant)
+        ca += cb
+        self._join_into(ra, self.constants.pop(rb, None))
         del classes[rb]
         self.union_count += 1
         self._dirty = True
@@ -176,15 +170,17 @@ class EGraph:
         """Restore congruence and analysis to a fixpoint.
 
         Each pass scans every node under its canonical key, uniting
-        congruent classes; re-keys each class's nodes canonically;
-        recomputes analysis joins; and materializes literal nodes for
-        classes whose constant became known (these two only while a class
-        holds a constant).  Re-keying also builds the hashcons the next
-        scan would build.  Unless that finds a canonical node in two
-        classes or the analysis or literal step changed something, the
-        next pass would unite nothing, so the hashcons is adopted and the
-        fixpoint ends.  Finds, unions and insertions keep the order of the
-        plain fixpoint, and so do leaders and node order.
+        congruent classes; re-keys each class's nodes canonically, keeping
+        the first of equal ones; recomputes analysis joins; and
+        materializes literal nodes for classes whose constant became known
+        (these two only while a class holds a constant).  Re-keying also
+        builds the hashcons the next scan would build.  Unless that finds
+        a canonical node in two classes or the analysis or literal step
+        changed something, the next pass would unite nothing, so the
+        hashcons is adopted and the fixpoint ends.  Finds, unions and
+        insertions keep the order of the plain fixpoint, and so do leaders
+        and node order: after a re-key that left a node in two classes, a
+        merged list keeps one of each, so lengths are those of node sets.
 
         An id whose parent is a root is read without calling find, which
         would change nothing there.  A one-node class whose node the scan
@@ -197,17 +193,23 @@ class EGraph:
         uf, find, union, canonicalize, join = (
             self._uf, self.find, self.union, self._canonicalize,
             self._join_into)
-        classes = self.classes
-        folding = any(cls.constant is not None for cls in classes.values())
+        classes, constants = self.classes, self.constants
+        shared = False  # whether the last re-key left a node in two classes
+
+        def unite(a: EClassId, b: EClassId) -> None:
+            nodes = classes[union(a, b)]
+            if shared:
+                nodes[:] = dict.fromkeys(nodes)
+
         while True:
             # Congruence scan: canonical keys, congruent classes merged.
             # Unions here join classes scanned so far, so a class is united
-            # no earlier than its own turn, and a tuple taken then holds the
-            # nodes it began the pass with: what union appends is skipped.
+            # no earlier than its own turn, and the copy taken then holds
+            # the nodes it began the pass with: what union appends is skipped.
             hashcons = self.hashcons = {}
             setdefault = hashcons.setdefault
-            for cid, cls in list(classes.items()):
-                for node in tuple(cls.nodes):
+            for cid, nodes in list(classes.items()):
+                for node in nodes[:]:
                     p = uf[cid]
                     root = p if uf[p] == p else find(cid)
                     key = node
@@ -226,20 +228,19 @@ class EGraph:
                     existing = p if uf[p] == p else find(existing)
                     if existing == root:
                         continue
-                    if root == cid and len(cls.nodes) == 1:
+                    if root == cid and len(nodes) == 1 and not shared:
                         uf[cid] = existing
-                        classes[existing].nodes[node] = None
-                        if cls.constant is not None:
-                            join(existing, cls.constant)
+                        classes[existing].append(node)
+                        join(existing, constants.pop(cid, None))
                         del classes[cid]
                         self.union_count += 1
                     else:
-                        union(existing, root)
-            # Canonical class dicts, and the hashcons they key.
+                        unite(existing, root)
+            # Canonical class lists, and the hashcons they key.
             adopt, held = {}, 0
-            for cid, cls in classes.items():
-                nodes = {}
-                for node in cls.nodes:
+            for cid, nodes in classes.items():
+                canon = {}
+                for node in nodes:
                     if len(node) == 3:
                         _, a, b = node
                         pa, pb = uf[a], uf[b]
@@ -248,31 +249,32 @@ class EGraph:
                                     pb if uf[pb] == pb else find(b))
                     elif len(node) != 1:
                         node = canonicalize(node)
-                    nodes[node] = None
-                cls.nodes = nodes
-                adopt.update(dict.fromkeys(nodes, cid))
-                held += len(nodes)
+                    canon[node] = None
+                classes[cid] = list(canon)
+                adopt.update(dict.fromkeys(canon, cid))
+                held += len(canon)
+            shared = len(adopt) < held
             # Analysis pass: recompute joins bottom-up and materialize
             # constants as literal leaf nodes.
             changed = False
-            if folding:
-                for cid, cls in classes.items():
-                    for node in cls.nodes:
+            if constants:  # none now means none all through the rebuild
+                for cid, nodes in classes.items():
+                    for node in nodes:
                         if join(cid, self._make_constant(node)):
                             changed = True
-                for cid in list(classes.keys()):
-                    cls = classes.get(cid)
-                    if cls is None or cls.constant is None:
+                for cid in list(classes):
+                    constant = constants.get(cid)
+                    if constant is None:
                         continue
-                    lit = constant_term(cls.constant)
+                    lit = constant_term(constant)
                     owner = hashcons.get((lit.op,))
                     if owner is None:
-                        union(self.add_enode(lit.op, []), cid)
+                        unite(self.add_enode(lit.op, []), cid)
                         changed = True
                     elif find(owner) != find(cid):
-                        union(owner, cid)
+                        unite(owner, cid)
                         changed = True
-            if not changed and len(adopt) == held:
+            if not changed and not shared:
                 self.hashcons = adopt
                 break
         self._dirty = False
@@ -283,7 +285,7 @@ class EGraph:
         return len(self.classes)
 
     def num_nodes(self) -> int:
-        return sum(len(c.nodes) for c in self.classes.values())
+        return sum(map(len, self.classes.values()))
 
     def represents(self, cid: EClassId, t: Term) -> bool:
         """True when the class contains t as a concrete tree.
@@ -306,13 +308,9 @@ class EGraph:
     def copy(self) -> "EGraph":
         dup = EGraph.__new__(EGraph)
         dup._uf = list(self._uf)
-        dup.classes = {}
-        for cid, cls in self.classes.items():
-            c2 = EClass()
-            c2.nodes = dict(cls.nodes)
-            c2.constant = cls.constant
-            dup.classes[cid] = c2
+        dup.classes = {cid: nodes[:] for cid, nodes in self.classes.items()}
         dup.hashcons = dict(self.hashcons)
+        dup.constants = dict(self.constants)
         dup.contradiction = self.contradiction
         dup.union_count = self.union_count
         dup._dirty = self._dirty
@@ -331,7 +329,7 @@ class EGraph:
         """
         if self._dirty:
             raise EGraphError("ematch needs a rebuilt graph")
-        return matcher(pattern)(self.classes)
+        return matcher(pattern)(self.classes, self.hashcons)
 
     # -- rule application -------------------------------------------------------
 
@@ -341,8 +339,8 @@ class EGraph:
         if guard is None:
             return hits
         at = matcher(rule.lhs).names.index(guard.var) + 1
-        admits, classes, find = guard.admits, self.classes, self.find
-        return [hit for hit in hits if admits(classes[find(hit[at])].constant)]
+        admits, constant, find = guard.admits, self.constants.get, self.find
+        return [hit for hit in hits if admits(constant(find(hit[at])))]
 
     def add_instantiated(self, rule: Rule, hits: list[Match]) -> None:
         """Add the rule's rhs under each lhs match; union it into the root."""
@@ -379,11 +377,12 @@ def matcher(pattern: Term):
 
 
 def _compile_matcher(pattern: Term):
-    """`match(classes)`: all (root, v1, v2, ...) matches, in search order.
+    """`match(classes, hashcons)`: all (root, v1, ...) matches, in order.
 
     The pattern is walked in pre-order.  An operator node loops over the
     nodes of its class and tests op identity and arity; a numeral or
-    constant leaf tests that its e-node is in the class; a variable's first
+    constant leaf tests that the hashcons puts its e-node in the class,
+    which on a rebuilt graph is where the node is; a variable's first
     occurrence names the class it sits in, and each later one tests that
     class for equality.  Class ids in nodes are taken to be canonical.  The
     function's `names` lists the variables in that first-binding order.
@@ -398,13 +397,12 @@ def _compile_matcher(pattern: Term):
     bound: dict[str, str] = {}  # variable -> local holding its class
     operators = 0
     slots = 1  # locals c0, c1, ... name the classes pattern nodes sit in
-    emit("for c0 in classes:" if is_pattern_var(pattern)
-         else "for c0, e0 in classes.items():")
+    emit("for c0, e0 in classes.items():" if pattern.children
+         else "for c0 in classes:")
     depth += 1
     stack = [(pattern, "c0")]
     while stack:
         p, cls = stack.pop()
-        nodes = "e0.nodes" if p is pattern else f"classes[{cls}].nodes"
         if is_pattern_var(p):
             name = p.op.name
             if name in bound:
@@ -415,7 +413,7 @@ def _compile_matcher(pattern: Term):
         elif not p.children:
             key = f"K{len(env)}"
             env[key] = (p.op,)
-            emit(f"if {key} in {nodes}:")
+            emit(f"if hashcons.get({key}) == {cls}:")
             depth += 1
         else:
             operators += 1
@@ -427,6 +425,7 @@ def _compile_matcher(pattern: Term):
             env[op] = p.op
             kids = [f"c{slots + i}" for i in range(len(p.children))]
             slots += len(kids)
+            nodes = "e0" if p is pattern else f"classes[{cls}]"
             emit(f"for {node} in {nodes}:")
             emit(f"    if {node}[0] is {op} and len({node}) == {len(kids) + 1}:")
             depth += 2
@@ -434,7 +433,8 @@ def _compile_matcher(pattern: Term):
             stack.extend(reversed(list(zip(p.children, kids))))
     emit(f"append(({', '.join(['c0', *bound.values()])},))")
     body.append("    return out")
-    match = _define(print_sexpr(pattern), "match", "classes", body, env)
+    match = _define(print_sexpr(pattern), "match", "classes, hashcons", body,
+                    env)
     match.names = tuple(bound)
     return match
 
@@ -482,11 +482,10 @@ def _compile_applier(names: tuple[str, ...], rhs: Term):
             if p is not rhs:
                 body.append(f"            {cid} = add_new(node)")
             else:  # the root: straight into r's class, as the docstring says
-                folds = (f"if classes[{kids[0]}].constant is not None: "
-                         if kids else "")
+                folds = f"if {kids[0]} in g.constants: " if kids else ""
                 body += ["            if uf[r] != r:", "                r = find(r)",
                          "            hashcons[node] = len(uf); uf.append(r)",
-                         "            classes[r].nodes[node] = None",
+                         "            classes[r].append(node)",
                          f"            {folds}join(r, make_constant(node))",
                          "            added += 1", "            continue"]
             body += [f"        elif uf[{cid}] != {cid}:",
@@ -624,10 +623,10 @@ def extract(g: EGraph, root: EClassId, model: CostModel) -> tuple[Term, float]:
     changed = True
     while changed:
         changed = False
-        for cid, cls in g.classes.items():
+        for cid, nodes in g.classes.items():
             since = turn.get(cid)
             turn[cid] = tick
-            for node in cls.nodes:
+            for node in nodes:
                 if since is not None:
                     for child in node[1:]:
                         p = uf[child]

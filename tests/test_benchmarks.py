@@ -266,6 +266,12 @@ def _weights(weights):
     ("cost", _weights({"int": True}), "weight True is not a number"),
     ("stochastic_cost", _weights({"int": True}), "for 'int'"),
     ("cost", _weights({"int": float("nan")}), "weight nan is not finite"),
+    ("cost", {"model": "goal_indicator", "goal": 5},
+     "a goal_indicator model's goal must be a string, got 5"),
+    ("cost", {"model": "goal_indicator"},
+     "a goal_indicator model needs its goal"),
+    ("cost", {"model": "matmul_scalar_ops"},
+     "a matmul_scalar_ops model needs its dims"),
 ])
 def test_a_suite_field_of_the_wrong_json_type_exits_2_naming_it(
         tmp_path, capsys, field, value, named):

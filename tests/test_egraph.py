@@ -32,6 +32,7 @@ from rewrite_arena.benchmarks import (
     TargetCost,
     matmul_case_from_dims,
     suite_from_json,
+    builtin_suites,
     trig_suite,
 )
 from rewrite_arena.costs import (
@@ -143,15 +144,90 @@ def _assert_congruent(g):
     """Full congruence scan: canonical nodes map to exactly one class, and
     the hashcons agrees with class membership."""
     owner = {}
-    for cid, cls in g.classes.items():
+    for cid, nodes in g.classes.items():
         assert g.find(cid) == cid
-        for node in cls.nodes:
+        for node in nodes:
             canon = (node[0], *[g.find(c) for c in node[1:]])
             assert canon == node  # nodes canonical after rebuild
             assert owner.setdefault(canon, cid) == cid
             assert g.find(g.hashcons[canon]) == cid
     for node, cid in g.hashcons.items():
-        assert node in g.classes[g.find(cid)].nodes
+        assert node in g.classes[g.find(cid)]
+
+
+def _assert_held_once(g):
+    """What lets a class be a plain list: every stored e-node tuple sits
+    once in one class, and the hashcons keys exactly those tuples."""
+    stored = [node for nodes in g.classes.values() for node in nodes]
+    assert len(set(stored)) == len(stored) == len(g.hashcons)
+    assert set(stored) == g.hashcons.keys()
+
+
+def _checked(rebuild):
+    """rebuild, with the node lists checked before it (so after each
+    iteration's apply phase) and congruence after it."""
+
+    def checked(g):
+        _assert_held_once(g)
+        rebuild(g)
+        _assert_congruent(g)
+    return checked
+
+
+class _CheckedEGraph(EGraph):
+    rebuild = _checked(EGraph.rebuild)
+
+
+def _seed1_matmul_20():
+    # eqsat-matmul's first chain on seed 1: six iterations to saturate.
+    dims = sorted(random.Random(1).sample(range(1, 101), 21), reverse=True)
+    return [matmul_case_from_dims(dims, name="matmul-20")]
+
+
+def _curated_trig_and_halide():
+    suites = builtin_suites()
+    return suites["trig"] + suites["halide-mini"]
+
+
+@pytest.mark.parametrize("build", [_seed1_matmul_20, _curated_trig_and_halide])
+def test_each_node_is_held_once_around_every_rebuild(build, monkeypatch):
+    # The trig and halide cases fold constants, match literal leaves and
+    # check guards; checkpointing copies graphs, which get the checks too.
+    rebuilds = []
+    checked = _checked(EGraph.rebuild)
+
+    def rebuild(g):
+        rebuilds.append(g._dirty)
+        checked(g)
+
+    monkeypatch.setattr(EGraph, "rebuild", rebuild)
+    cases = build()
+    for case in cases:
+        run_case_eqsat(case)
+    assert rebuilds.count(True) >= len(cases)
+
+
+def test_copy_shares_no_node_list_and_no_constant_map():
+    # Checkpointing restores from such a copy when a later iteration
+    # meets a contradiction, so nothing done to the copy may reach it.
+    g = EGraph()
+    root = g.add_term(P("(+ x 2)"))
+    x, three = g.add_term(P("x")), g.add_term(P("3"))
+    g.rebuild()
+    before = _graph_state(g)
+    dup = g.copy()
+    assert _graph_state(dup) == before
+    # The swapped root misses, so it goes straight into root's list.
+    swap = Rule("swap", P("(+ ?a ?b)"), P("(+ ?b ?a)"))
+    dup.add_instantiated(swap, dup.ematch(swap.lhs))
+    assert len(dup.classes[root]) == 2
+    dup.union(x, three)  # x's class takes the literal's constant
+    dup.rebuild()  # (+ x 2) folds to 5, and the literal 5 joins it
+    assert dup.constants[dup.find(root)] == 5 and dup.contradiction is False
+    dup._join_into(dup.find(root), Fraction(6))
+    assert dup.contradiction
+    assert _graph_state(g) == before
+    assert root not in g.constants and g.find(x) != g.find(three)
 
 
 def test_congruence_full_scan_after_random_unions():
@@ -184,7 +260,7 @@ def test_constant_folding_analysis():
     g = EGraph()
     cid = g.add_term(P("(+ 1 2)"))
     g.rebuild()
-    assert g.classes[g.find(cid)].constant == Fraction(3)
+    assert g.constants[g.find(cid)] == Fraction(3)
     # the literal 3 is materialized into the class
     assert g.represents(cid, P("3"))
 
@@ -333,7 +409,7 @@ def _enumerate_terms(g, cid, depth):
     if depth < 0:
         return []
     out = []
-    for node in g.classes[cid].nodes:
+    for node in g.classes[cid]:
         if len(node) == 1:
             out.append(parse_sexpr(node[0].name))
             continue
@@ -656,7 +732,7 @@ def _brute_force_matches(g, pattern):
         if is_pattern_var(p):
             return [{p.op.name: cid}]
         out = []
-        for node in g.classes[cid].nodes:
+        for node in g.classes[cid]:
             if node[0] is not p.op or len(node) != len(p.children) + 1:
                 continue
             partial = [{}]
@@ -785,7 +861,7 @@ def _dfs_represents(g, cid, t):
         if hit is None:
             memo[key] = False
             arity = len(node.children)
-            candidates = [e for e in classes[key[0]].nodes
+            candidates = [e for e in classes[key[0]]
                           if e[0] is node.op and len(e) - 1 == arity]
             stack.append([key, node, candidates, 0, 0])
         return hit
@@ -865,7 +941,7 @@ def _dict_matches(g, p, cid, subst):
         elif subst[name] == cid:
             yield subst
         return
-    for node in g.classes[cid].nodes:
+    for node in g.classes[cid]:
         if node[0] is p.op and len(node) == len(p.children) + 1:
             yield from _dict_children(g, p.children, node[1:], subst)
 
@@ -908,7 +984,7 @@ def _dict_iteration(g, ruleset, scheduler, iteration):
             continue
         if rule.guard is not None:
             hits = [(subst, cid) for subst, cid in hits if rule.guard.admits(
-                g.classes[g.find(subst[rule.guard.var])].constant)]
+                g.constants.get(g.find(subst[rule.guard.var])))]
         matched.append((rule, hits))
     applied = 0
     for rule, hits in matched:
@@ -1010,7 +1086,7 @@ def test_applier_root_joins_its_constant(term, rule, contradiction):
     for subst, cid in [(subst, cid) for cid in ref.classes
                        for subst in _dict_matches(ref, lies.lhs, cid, {})]:
         ref.union(cid, _dict_instantiate(ref, lies.rhs, subst, {}))
-    assert g.classes[g.find(root)].constant is not None
+    assert g.find(root) in g.constants
     assert _graph_state(g) == _graph_state(ref)
     g.rebuild()
     ref.rebuild()
@@ -1049,8 +1125,8 @@ def _sweep_extract(g, root, model):
     changed = True
     while changed:
         changed = False
-        for cid, cls in g.classes.items():
-            for node in cls.nodes:
+        for cid, nodes in g.classes.items():
+            for node in nodes:
                 child_values = []
                 for child in node[1:]:
                     value = best.get(find(child))
@@ -1150,14 +1226,20 @@ class _FixpointEGraph(EGraph):
     list of all (node, class) pairs, and passes repeat until one changes
     nothing.  The reference the shortened rebuild must reproduce exactly."""
 
+    def union(self, a, b):
+        # Classes are node sets here: a merged list keeps one of equal nodes.
+        root = super().union(a, b)
+        self.classes[root][:] = dict.fromkeys(self.classes[root])
+        return root
+
     def rebuild(self):
         if not self._dirty:
             return
         while True:
             changed = False
             pairs = [(node, cid)
-                     for cid, cls in self.classes.items()
-                     for node in cls.nodes]
+                     for cid, nodes in self.classes.items()
+                     for node in nodes]
             self.hashcons = {}
             for node, cid in pairs:
                 root = self.find(cid)
@@ -1169,25 +1251,25 @@ class _FixpointEGraph(EGraph):
                     self.union(existing, root)
                     changed = True
             for cid in list(self.classes.keys()):
-                cls = self.classes.get(cid)
-                if cls is None:
+                nodes = self.classes.get(cid)
+                if nodes is None:
                     continue
                 canon_nodes = {}
-                for node in cls.nodes:
+                for node in nodes:
                     canon_nodes[self._canonicalize(node)] = None
-                cls.nodes = canon_nodes
+                self.classes[cid] = list(canon_nodes)
             for cid in list(self.classes.keys()):
-                cls = self.classes.get(cid)
-                if cls is None:
+                nodes = self.classes.get(cid)
+                if nodes is None:
                     continue
-                for node in list(cls.nodes):
+                for node in list(nodes):
                     if self._join_into(self.find(cid), self._make_constant(node)):
                         changed = True
             for cid in list(self.classes.keys()):
-                cls = self.classes.get(cid)
-                if cls is None or cls.constant is None:
+                nodes = self.classes.get(cid)
+                if nodes is None or self.constants.get(cid) is None:
                     continue
-                lit = constant_term(cls.constant)
+                lit = constant_term(self.constants[cid])
                 key = (lit.op,)
                 owner = self.hashcons.get(key)
                 if owner is None:
@@ -1204,8 +1286,8 @@ class _FixpointEGraph(EGraph):
 
 def _graph_state(g):
     return (list(g._uf),
-            [(cid, list(cls.nodes), cls.constant)
-             for cid, cls in g.classes.items()],
+            [(cid, list(nodes), g.constants.get(cid))
+             for cid, nodes in g.classes.items()],
             list(g.hashcons.items()),
             g.union_count, g.contradiction, g._dirty)
 
@@ -1236,6 +1318,29 @@ def test_rebuild_repeats_pass_when_scan_leaves_stale_key():
     assert _graph_state(g) == _graph_state(ref)
 
 
+def test_rebuild_counts_a_node_two_classes_share_once():
+    # The scan keys p's and q's nodes, and r's, before it unites (g x) with
+    # (g y) and (k x) with (k y); the re-key then leaves (f G) in p's and
+    # q's classes and (h K) in p's and r's.  The second pass merges q's
+    # class into p's, which then holds four nodes, not five, so r's class
+    # of five leads the union that (h K) makes.  With a duplicate kept,
+    # five against five would tie, and p's lower id would lead.
+    g = EGraph()
+    p, q, r, *others = [g.add_term(P(name)) for name in "pqrstw"]
+    fx, fy, hx, hy = [g.add_term(P(text)) for text in (
+        "(f (g x))", "(f (g y))", "(h (k x))", "(h (k y))")]
+    for a, b in [(p, fx), (p, hx), (q, fy), *[(r, o) for o in others],
+                 (r, hy), (g.add_term(P("x")), g.add_term(P("y")))]:
+        g.union(a, b)
+    ref = g.copy()
+    ref.__class__ = _FixpointEGraph
+    g.rebuild()
+    ref.rebuild()
+    assert _graph_state(g) == _graph_state(ref)
+    assert g.find(p) == g.find(q) == r
+    assert [node[0].name for node in g.classes[r]] == list("rstwhpfq")
+
+
 def _run_against_fixpoint(seed, n_terms, steps):
     """Run the same steps on an e-graph and on its fixpoint twin, and
     compare their whole state after every rebuild.  A step is a batch of
@@ -1244,7 +1349,7 @@ def _run_against_fixpoint(seed, n_terms, steps):
     # Numerals in the random terms make the constant analysis fold, add
     # literal nodes and, when 0 and 1 meet, set the contradiction flag.
     rng = random.Random(seed)
-    g = EGraph()
+    g = _CheckedEGraph()
     for _ in range(n_terms):
         g.add_term(random_term(rng, depth=rng.randint(2, 4)))
     ref = g.copy()
